@@ -30,15 +30,17 @@ from .errors import BudgetExceeded, CertificateError
 from .groups import group_from_spec
 from .loxodromic import isotropy_probe, translation_length_estimate, translation_length_exact_free
 from .metrics import (
+    ZERO_TOL,
     PseudoLength,
     cone_off,
     four_point_delta,
     free_ball_distance_matrix,
     graph_metric_matrix,
+    induced_metric,
     quadruple_defect,
     random_rational_metric,
     random_tree_metric,
-    thread_cap,
+    set_distance,
 )
 from .quasimorphism import anisotropy_certificate, brooks_qm, exponent_sum_qm
 from .sl2 import (
@@ -523,15 +525,19 @@ def _verify_tightspan(summary):
     return checks
 
 
-def _run_cone_off(cfg):
+def _cone_off_inputs(cfg):
+    """The ball, the part of the cyclic orbit <h> inside it, and A."""
     params = cfg.get("parameters", {})
     oracle = group_from_spec(cfg["group"])
     radius = int(params.get("radius", 4))
-    A = float(params.get("A", 1))
-    orbit_word = params.get("orbit", "a")
     ball = oracle.enumerate_ball(radius, max_size=_budget(cfg, "ball_cap", 2_000_000))
-    h = oracle.parse_element(orbit_word)
+    h = oracle.parse_element(params.get("orbit", "a"))
     orbit = [g for g in ball.elements if _in_cyclic(oracle, g, h, radius)]
+    return ball, orbit, float(params.get("A", 1))
+
+
+def _run_cone_off(cfg):
+    ball, orbit, A = _cone_off_inputs(cfg)
     res = cone_off(ball, orbit, A)
     violations = [
         (x, y)
@@ -539,7 +545,7 @@ def _run_cone_off(cfg):
         if res.orbit_distance[x] <= A or res.orbit_distance[y] <= A
     ]
     result = {
-        "radius": radius,
+        "radius": ball.radius,
         "A": A,
         "orbit_size": len(orbit),
         "new_edges": len(res.new_edges),
@@ -574,12 +580,36 @@ def _in_cyclic(oracle, g, h, radius):
 
 
 def _verify_cone_off(summary):
+    import numpy as np
+
     res = summary["result"]
-    A = res["A"]
-    ok = all(row[2] > A and row[3] > A for row in res["edge_rows"])
+    rows = res["edge_rows"]
+    ball, orbit, A = _cone_off_inputs(summary["config"])
+    D0 = graph_metric_matrix(ball)
+    orbit_dist = set_distance(D0, [ball.index[g] for g in orbit])
+    # the in-ball graph's edges are its pairs at distance 1
+    D_allowed = induced_metric(D0 == 1, orbit_dist > A + ZERO_TOL)
+    index = {word: i for i, word in enumerate(ball.words)}
+    count = 2 * len(rows)
+    ends = np.fromiter((index.get(w, -1) for row in rows for w in row[:2]), np.int64, count)
+    stored = np.fromiter((d for row in rows for d in row[2:]), np.float64, count)
+    found = bool((ends >= 0).all())
+    if not found:
+        ends = stored = ends[:0]
+    x, y = ends.reshape(-1, 2).T
     return [
         ("no recorded violations", not res["violations"]),
-        ("every new edge endpoint is farther than A from the orbit", ok),
+        ("new_edges counts the edge rows", res["new_edges"] == len(rows)),
+        ("every edge row names two ball vertices", found),
+        (
+            "recomputed orbit distances of every new edge match and exceed A",
+            found and np.array_equal(stored, orbit_dist[ends]) and bool((stored > A).all()),
+        ),
+        ("every new edge joins vertices at in-ball distance >= 2", found and bool((D0[x, y] >= 2).all())),
+        (
+            "some geodesic of every new edge avoids the A-neighborhood",
+            found and np.array_equal(D_allowed[x, y], D0[x, y]),
+        ),
     ]
 
 
@@ -682,7 +712,6 @@ def run_experiment(cfg):
         "version": __version__,
         "experiment": experiment,
         "config": cfg,
-        "threads": thread_cap(),
         "status": "ok",
         "result": result,
     }
@@ -724,7 +753,6 @@ def cmd_run(args) -> int:
             "version": __version__,
             "experiment": cfg["experiment"],
             "config": cfg,
-            "threads": thread_cap(),
             "status": "budget-exceeded",
             "error": str(exc),
             "extent": exc.extent,

@@ -105,7 +105,7 @@ def enumerate_ball(oracle: GroupOracle, radius: int, gens=None, max_size: int = 
         raise ValueError("radius must be >= 0")
     raw = oracle.generators() if gens is None else list(gens)
     sym = oracle.symmetrize(raw)
-    labels = [_gen_label(oracle, g, raw) for g in sym]
+    labels = [_gen_label(oracle, g) for g in sym]
     ball = Ball(oracle=oracle, gens=sym, gen_labels=labels, radius=radius)
 
     e = oracle.identity()
@@ -144,7 +144,7 @@ def enumerate_ball(oracle: GroupOracle, radius: int, gens=None, max_size: int = 
     return ball
 
 
-def _gen_label(oracle, g, raw):
+def _gen_label(oracle, g):
     return oracle.format_element(g)
 
 

@@ -9,7 +9,6 @@ zero.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,15 +18,6 @@ import numpy as np
 from .errors import AxiomViolation, BudgetExceeded, DomainMiss
 
 ZERO_TOL = 1e-12
-
-
-def thread_cap() -> int:
-    """Parallelism cap from HYPACTIONS_THREADS (results never depend on it)."""
-    raw = os.environ.get("HYPACTIONS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +238,44 @@ def free_ball_distance_matrix(ball) -> np.ndarray:
     return (lens[:, None] + lens[None, :] - 2 * lcp).astype(np.float64)
 
 
-def graph_metric_matrix(ball) -> np.ndarray:
-    """All-pairs in-ball graph metric via BFS from every vertex."""
-    adj = ball.adjacency()
-    n = len(adj)
+def _bfs_metric(A: np.ndarray) -> np.ndarray:
+    """All-pairs BFS distances of the graph with 0/1 adjacency matrix A.
+
+    Every source advances together: one frontier product per BFS level.  The
+    product counts neighbours in float32, exact while n < 2**24, so the
+    result does not depend on BLAS blocking or threads.  Unreachable pairs
+    are inf.
+    """
+    n = A.shape[0]
+    A = A.astype(np.float32, copy=False)
     D = np.full((n, n), np.inf)
-    for s in range(n):
-        dist = D[s]
-        dist[s] = 0.0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if not np.isfinite(dist[v]):
-                        dist[v] = d
-                        nxt.append(v)
-            frontier = nxt
+    np.fill_diagonal(D, 0.0)
+    frontier = np.eye(n, dtype=bool)
+    reached = frontier.copy()
+    d = 0
+    while frontier.any():
+        d += 1
+        frontier = (frontier.astype(np.float32) @ A > 0) & ~reached
+        D[frontier] = d
+        reached |= frontier
     return D
+
+
+def _adjacency_matrix(adj) -> np.ndarray:
+    A = np.zeros((len(adj), len(adj)), dtype=np.float32)
+    for i, nbrs in enumerate(adj):
+        A[i, nbrs] = 1.0
+    return A
+
+
+def graph_metric_matrix(ball) -> np.ndarray:
+    """All-pairs in-ball graph metric: shortest paths in the Cayley graph
+    restricted to the ball's vertices (one array BFS from every vertex).
+
+    This is the word metric only where geodesics stay inside the ball; pairs
+    at distance >= radius may be farther apart in the ball than in the group.
+    """
+    return _bfs_metric(_adjacency_matrix(ball.adjacency()))
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +427,33 @@ class ConeOffResult:
     orbit_distance: list[float]
 
 
+def set_distance(D: np.ndarray, idx) -> np.ndarray:
+    """Distance from every point to the point set `idx` (inf when it is empty)."""
+    idx = list(idx)
+    if not idx:
+        return np.full(D.shape[0], np.inf)
+    return D[idx].min(axis=0)
+
+
+def induced_metric(A: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Graph metric of the subgraph induced on the vertices where `keep` is
+    true, from the 0/1 adjacency matrix A; inf when an endpoint is outside."""
+    idx = np.flatnonzero(keep)
+    inside = np.ix_(idx, idx)
+    D = np.full(A.shape, np.inf)
+    D[inside] = _bfs_metric(A[inside])
+    return D
+
+
 def cone_off(ball, orbit, A: float) -> ConeOffResult:
     """Add an edge between ball vertices joined by a geodesic that avoids the
     closed A-neighborhood of the orbit, then recompute shortest paths.
 
-    The existential "some geodesic avoids" test is decided exactly by
-    reachability inside the geodesic DAG restricted to the allowed vertices.
+    All distances are in the in-ball graph metric.  Some geodesic from x to y
+    avoids the neighborhood exactly when their distance in the subgraph
+    induced on the vertices outside it equals their distance in the whole
+    ball, so every pair is decided by comparing two BFS metrics.  Pairs at
+    distance >= 2 that pass the test become edges, in row-major order.
     """
     if A < 0:
         raise ValueError("A must be >= 0")
@@ -433,25 +462,9 @@ def cone_off(ball, orbit, A: float) -> ConeOffResult:
         if g not in ball.index:
             raise ValueError(f"orbit element {ball.oracle.format_element(g)} outside the ball")
         orbit_idx.append(ball.index[g])
-    n = len(ball.elements)
-    adj = ball.adjacency()
+    adj = _adjacency_matrix(ball.adjacency())
     D0 = graph_metric_matrix(ball)
-
-    # multi-source BFS distance to the orbit, inside the ball graph
-    orbit_dist = np.full(n, np.inf)
-    frontier = sorted(set(orbit_idx))
-    for s in frontier:
-        orbit_dist[s] = 0.0
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if not np.isfinite(orbit_dist[v]):
-                    orbit_dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
+    orbit_dist = set_distance(D0, orbit_idx)
     allowed = orbit_dist > A + ZERO_TOL
 
     warnings = []
@@ -462,66 +475,21 @@ def cone_off(ball, orbit, A: float) -> ConeOffResult:
             f"{ball.radius}; their geodesics may exit the ball"
         )
 
-    new_edges = []
-    for x in range(n):
-        if not allowed[x]:
-            continue
-        dist_x = D0[x]
-        for y in range(x + 1, n):
-            if not allowed[y] or not np.isfinite(D0[x, y]) or D0[x, y] < 2:
-                continue
-            if _geodesic_avoids(adj, dist_x, D0[:, y], D0[x, y], x, y, allowed):
-                new_edges.append((x, y))
-
-    rows = _shortest_paths_with_edges(adj, new_edges, n)
-    space = FiniteMetricSpace(rows, validate=False)
+    D_allowed = induced_metric(adj, allowed)
+    avoids = np.isfinite(D0) & (D0 >= 2) & (D_allowed == D0)
+    xs, ys = np.nonzero(np.triu(avoids, 1))
+    adj[xs, ys] = adj[ys, xs] = 1.0
+    space = _bfs_metric(adj)
+    rows = np.where(np.isinf(space), 0, space).astype(np.int64).tolist()
+    for i, j in zip(*np.nonzero(np.isinf(space))):
+        rows[i][j] = math.inf
     return ConeOffResult(
-        space=space,
-        new_edges=new_edges,
-        forbidden=[i for i in range(n) if not allowed[i]],
+        space=FiniteMetricSpace(rows, validate=False),
+        new_edges=list(zip(xs.tolist(), ys.tolist())),
+        forbidden=np.flatnonzero(~allowed).tolist(),
         warnings=warnings,
-        orbit_distance=[float(v) for v in orbit_dist],
+        orbit_distance=orbit_dist.tolist(),
     )
-
-
-def _geodesic_avoids(adj, dist_x, dist_to_y, total, x, y, allowed) -> bool:
-    # walk the geodesic DAG from x, through allowed vertices only
-    stack = [x]
-    seen = {x}
-    while stack:
-        u = stack.pop()
-        if u == y:
-            return True
-        for v in adj[u]:
-            if v in seen or not allowed[v]:
-                continue
-            if dist_x[v] == dist_x[u] + 1 and dist_x[v] + dist_to_y[v] == total:
-                seen.add(v)
-                stack.append(v)
-    return False
-
-
-def _shortest_paths_with_edges(adj, new_edges, n):
-    full = [set(nbrs) for nbrs in adj]
-    for x, y in new_edges:
-        full[x].add(y)
-        full[y].add(x)
-    rows = [[math.inf] * n for _ in range(n)]
-    for s in range(n):
-        row = rows[s]
-        row[s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in full[u]:
-                    if row[v] == math.inf:
-                        row[v] = d
-                        nxt.append(v)
-            frontier = nxt
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive and separate from the package
 implementations: repeated-scan free reduction, exhaustive product
-enumeration, materialized-graph Dijkstra, and a plain-loop four-point scan.
+enumeration, materialized-graph Dijkstra, a plain-loop four-point scan, and
+per-source BFS and per-pair geodesic walks for the in-ball graph metric and
+cone-off.
 """
 
+import math
 from itertools import product
 
 
@@ -104,6 +107,55 @@ def four_point_delta_naive(rows):
                     xz = (rows[x][t] + rows[z][t] - rows[x][z]) / 2
                     best = max(best, min(xy, yz) - xz)
     return best
+
+
+def graph_metric_naive(adj):
+    """All-pairs BFS distances from adjacency lists, one source at a time.
+
+    Entries are ints, with math.inf where a pair is unreachable.
+    """
+    n = len(adj)
+    rows = [[math.inf] * n for _ in range(n)]
+    for s in range(n):
+        row = rows[s]
+        row[s] = 0
+        frontier = [s]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if row[v] == math.inf:
+                        row[v] = d
+                        nxt.append(v)
+            frontier = nxt
+    return rows
+
+
+def cone_off_edges_naive(adj, D0, allowed):
+    """Pairs x < y at distance >= 2 joined by a geodesic through allowed
+    vertices only, found by walking the geodesic DAG from x; row-major order.
+    """
+    n = len(adj)
+    edges = []
+    for x in range(n):
+        for y in range(x + 1, n):
+            total = D0[x][y]
+            if not (allowed[x] and allowed[y]) or total == math.inf or total < 2:
+                continue
+            stack, seen = [x], {x}
+            while stack:
+                u = stack.pop()
+                if u == y:
+                    edges.append((x, y))
+                    break
+                for v in adj[u]:
+                    on_geodesic = D0[x][v] == D0[x][u] + 1 and D0[x][v] + D0[v][y] == total
+                    if v not in seen and allowed[v] and on_geodesic:
+                        seen.add(v)
+                        stack.append(v)
+    return edges
 
 
 def acosh_decimal(x, places=40):

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from hypactions.cli import main, validate_config
+from hypactions.groups import group_from_spec
+from oracles import cone_off_edges_naive, graph_metric_naive
 
 BASE_CONFIGS = {
     "delta": {
@@ -163,3 +165,47 @@ def test_time_cap_budget(tmp_path):
     assert code == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "budget-exceeded"
+
+
+def test_verify_cone_off_rejects_an_edge_whose_geodesics_meet_the_orbit(tmp_path, capsys):
+    cfg = BASE_CONFIGS["cone-off"]
+    _, out = run_config(tmp_path, cfg, "cone")
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+
+    # a pair outside the A-neighborhood, at distance >= 2, that is no edge:
+    # every geodesic between its ends meets the neighborhood
+    params = cfg["parameters"]
+    oracle = group_from_spec(cfg["group"])
+    ball = oracle.enumerate_ball(params["radius"])
+    adj = ball.adjacency()
+    D0 = graph_metric_naive(adj)
+    h = oracle.parse_element(params["orbit"])
+    orbit = [ball.index[h**k] for k in range(-params["radius"], params["radius"] + 1)]
+    orbit_dist = [min(D0[s][v] for s in orbit) for v in range(len(ball))]
+    allowed = [d > params["A"] for d in orbit_dist]
+    edges = set(cone_off_edges_naive(adj, D0, allowed))
+    x, y = next(
+        (x, y) for x in range(len(ball)) for y in range(x + 1, len(ball))
+        if allowed[x] and allowed[y] and D0[x][y] >= 2 and (x, y) not in edges
+    )
+    summary["result"]["edge_rows"][0] = [ball.words[x], ball.words[y], float(orbit_dist[x]), float(orbit_dist[y])]
+    summary_path.write_text(json.dumps(summary))
+
+    capsys.readouterr()
+    assert main(["verify", str(summary_path)]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL  some geodesic of every new edge avoids the A-neighborhood"
+    ]
+
+
+def test_verify_cone_off_rejects_a_label_outside_the_ball(tmp_path, capsys):
+    _, out = run_config(tmp_path, BASE_CONFIGS["cone-off"], "cone")
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    summary["result"]["edge_rows"][0][1] = "b^9"
+    summary_path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["verify", str(summary_path)]) == 1
+    assert "FAIL  every edge row names two ball vertices" in capsys.readouterr().out

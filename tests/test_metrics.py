@@ -1,11 +1,12 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hypactions.errors import AxiomViolation, BudgetExceeded, DomainMiss
-from hypactions.groups import FreeGroupOracle
+from hypactions.groups import BSOracle, FreeGroupOracle
 from hypactions.metrics import (
     DOMINATED,
     NOT_DOMINATED,
@@ -24,9 +25,11 @@ from hypactions.metrics import (
     random_tree_metric,
 )
 from hypactions.words import parse_word, tree_distance
-from oracles import four_point_delta_naive
+from oracles import cone_off_edges_naive, four_point_delta_naive, graph_metric_naive
 
 F2 = FreeGroupOracle(2)
+BS23 = BSOracle(2, 3)
+BS12 = BSOracle(1, 2)
 
 
 def tree_dist(x, y):
@@ -192,12 +195,78 @@ def test_finite_metric_space_validation():
         FiniteMetricSpace([[0, 1, 9], [1, 0, 1], [9, 1, 0]])  # triangle fails
 
 
+def cyclic_orbit(oracle, ball, word):
+    """The powers h^k, k in [-radius, radius], of h = word that lie in the ball."""
+    h = oracle.parse_element(word)
+    orbit = []
+    for step in (h, oracle.invert(h)):
+        g = oracle.identity()
+        for _ in range(ball.radius + 1):
+            if g in ball.index and g not in orbit:
+                orbit.append(g)
+            g = oracle.multiply(g, step)
+    return orbit
+
+
+@pytest.mark.parametrize(
+    "adj",
+    [[], [[]], [[1], [0], []], [[1], [0, 2], [1], [4], [3]]],
+    ids=["empty", "point", "edge-and-point", "path-and-edge"],
+)
+def test_graph_metric_unreachable_pairs_match_naive(adj):
+    D = graph_metric_matrix(SimpleNamespace(adjacency=lambda: adj))
+    assert D.tolist() == graph_metric_naive(adj)
+
+
+@pytest.mark.parametrize("A", [0, 1, 2])
+@pytest.mark.parametrize(
+    "oracle, radius, word",
+    [(F2, 3, "a"), (F2, 4, "a"), (BS23, 4, "a"), (BS23, 4, "t"), (BS12, 4, "at")],
+    ids=["F2-R3-a", "F2-R4-a", "BS23-R4-a", "BS23-R4-t", "BS12-R4-at"],
+)
+def test_graph_metric_and_cone_off_match_naive(oracle, radius, word, A):
+    ball = oracle.enumerate_ball(radius)
+    orbit = cyclic_orbit(oracle, ball, word)
+    adj = ball.adjacency()
+    D0 = graph_metric_naive(adj)
+    assert graph_metric_matrix(ball).tolist() == D0
+
+    orbit_dist = [min(D0[ball.index[g]][v] for g in orbit) for v in range(len(ball))]
+    allowed = [d > A for d in orbit_dist]
+    res = cone_off(ball, orbit, A)
+    assert res.orbit_distance == orbit_dist
+    assert res.forbidden == [v for v, ok in enumerate(allowed) if not ok]
+    assert res.new_edges == cone_off_edges_naive(adj, D0, allowed)  # list order too
+
+    coned = [set(nbrs) for nbrs in adj]
+    for x, y in res.new_edges:
+        coned[x].add(y)
+        coned[y].add(x)
+    assert res.space.rows == graph_metric_naive([sorted(nbrs) for nbrs in coned])
+    assert {type(v) for row in res.space.rows for v in row} == {int}
+
+
 def test_cone_off_orbit_everything():
-    ball = F2.enumerate_ball(3)
-    res = cone_off(ball, ball.elements, 0)
-    assert res.new_edges == []
-    D0 = graph_metric_matrix(ball)
-    assert np.array_equal(res.space.as_array(), D0)
+    for oracle in (F2, BS23):
+        ball = oracle.enumerate_ball(3)
+        res = cone_off(ball, ball.elements, 0)
+        assert res.new_edges == []
+        assert res.forbidden == list(range(len(ball)))
+        assert res.orbit_distance == [0.0] * len(ball)
+        D0 = graph_metric_matrix(ball)
+        assert np.array_equal(res.space.as_array(), D0)
+
+
+def test_cone_off_empty_orbit_allows_every_vertex():
+    # nothing is forbidden, so every pair at distance >= 2 gets an edge
+    ball = BS23.enumerate_ball(3)
+    n = len(ball)
+    res = cone_off(ball, [], 1)
+    assert res.orbit_distance == [math.inf] * n
+    assert res.forbidden == []
+    D0 = graph_metric_naive(ball.adjacency())
+    assert res.new_edges == [(x, y) for x in range(n) for y in range(x + 1, n) if D0[x][y] >= 2]
+    assert res.space.rows == [[int(x != y) for y in range(n)] for x in range(n)]
 
 
 def test_cone_off_large_A_adds_nothing():
