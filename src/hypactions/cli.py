@@ -6,6 +6,11 @@ into the summary, all randomness is seeded, and re-running a config produces
 byte-identical outputs.  Exit codes: 0 success, 1 validation error, 2 budget
 exceeded.  Summaries carry enough witness data for `verify` to re-check every
 claim without re-running any search.
+
+Each experiment is declared once, in `EXPERIMENTS`: the group kinds it
+accepts, its parameters (type, default, bound), its runner and its verifier.
+`parse_config` checks a config against the declarations in one walk and
+returns typed values; validation, `run`, `verify` and `schema` all read it.
 """
 
 from __future__ import annotations
@@ -13,8 +18,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import random
 import sys
+import time
+from dataclasses import dataclass
+from itertools import accumulate, repeat
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
 
 from . import __version__
 from .baumslag import BSElement
@@ -26,11 +39,12 @@ from .compression import (
     qks_compare,
     verify_length_bounds,
 )
-from .errors import BudgetExceeded, CertificateError
-from .groups import group_from_spec
+from .errors import BudgetExceeded, ToolkitError
+from .groups import GroupOracle, group_from_spec
 from .loxodromic import isotropy_probe, translation_length_estimate, translation_length_exact_free
 from .metrics import (
     ZERO_TOL,
+    FiniteMetricSpace,
     PseudoLength,
     cone_off,
     four_point_delta,
@@ -45,6 +59,8 @@ from .metrics import (
 from .quasimorphism import anisotropy_certificate, brooks_qm, exponent_sum_qm
 from .sl2 import (
     RealEmbedding,
+    SL2Oracle,
+    _is_square_free,
     classify,
     embedding_spectrum_compare,
     lemma_emb_matrix,
@@ -52,250 +68,316 @@ from .sl2 import (
     mat2_from_json,
     parse_qfe,
 )
-from .tightspan import (
-    hull_sample_delta,
-    is_extremal,
-    kuratowski_embed,
-    project_to_hull,
-    sup_distance,
-)
-from .words import FreeWord, parse_word
+from .tightspan import hull_sample_delta, is_extremal, kuratowski_embed, project_to_hull, sup_distance
+from .words import FreeWord, parse_word, tree_distance
 
 FORMAT_VERSION = 1
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_BUDGET = 2
 
-EXPERIMENTS = (
-    "delta",
-    "tau",
-    "compress",
-    "borel-order",
-    "qm-certify",
-    "sl2-embed",
-    "tightspan",
-    "cone-off",
-    "isotropy-probe",
-)
+# ---------------------------------------------------------------------------
+# declarations
 
-CONFIG_SCHEMA = {
-    "format": "must equal 1",
-    "group": {
-        "kind": "free | bs | sl2",
-        "rank": "int >= 1 (free)",
-        "m": "nonzero int (bs)",
-        "n": "nonzero int (bs)",
-        "field": {"d": "square-free int >= 2 (sl2)"},
-    },
-    "experiment": " | ".join(EXPERIMENTS),
-    "parameters": "experiment-specific object; see README",
-    "budgets": {
-        "ball_cap": "int, max ball size (default 2000000)",
-        "quadruple_cap": "int, max exhaustive quadruples (default 200000000)",
-        "probe_cap": "int, max compressed-length probes (default 2000000)",
-        "time_cap": "seconds; a run over the cap is reported as budget-exceeded",
-    },
-    "seed": "int (default 0)",
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config value: its type, its default (REQUIRED if none), a bound.
+
+    `type` is int, float (ints convert), str, dict (any object), a tuple of
+    alternatives (literal strings or objects), a list [Field] of items, or a
+    dict of Fields (an object with exactly those keys).  `bound` is (text,
+    test on the converted value).
+    """
+
+    type: object
+    default: object = REQUIRED
+    bound: tuple | None = None
+
+
+def at_least(low):
+    return (f">= {low}", lambda v: v >= low)
+
+
+NONZERO = ("!= 0", lambda v: v != 0)
+TYPE_NAMES = {int: "int", float: "number", str: "string", dict: "object"}
+
+GROUPS = {
+    "free": {"rank": Field(int, 2, at_least(1))},
+    "bs": {"m": Field(int, bound=NONZERO), "n": Field(int, bound=NONZERO)},
+    "sl2": {"field": Field({"d": Field(int, 2, ("square-free and >= 2", _is_square_free))}, {})},
 }
+TOP = {
+    "format": Field(int, FORMAT_VERSION, (f"{FORMAT_VERSION}", lambda v: v == FORMAT_VERSION)),
+    "budgets": Field({
+        "ball_cap": Field(int, 2_000_000, at_least(1)),
+        "quadruple_cap": Field(int, 200_000_000, at_least(1)),
+        "probe_cap": Field(int, 2_000_000, at_least(1)),
+        "time_cap": Field(float, None, at_least(0)),  # seconds, checked when the run ends
+    }, {}),
+    "seed": Field(int, 0, at_least(0)),
+}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    groups: tuple[str, ...]
+    parameters: dict[str, Field]
+    run: Callable  # Config -> (result, tables), each table (name, header, rows)
+    verify: Callable  # (Config, result) -> [(label, ok)]
+
+
+@dataclass(frozen=True)
+class Config:
+    """A checked config: typed parameters and budgets, defaults filled in."""
+
+    experiment: str
+    oracle: GroupOracle
+    params: dict
+    budgets: dict
+    seed: int
+    raw: dict  # the user's config, echoed verbatim into the summary
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _walk(field, value, path, problems):
+    """`value` converted as `field` declares; offending paths go to `problems`."""
+    t, where = field.type, path or "$"
+    if isinstance(t, dict):
+        if type(value) is not dict:
+            problems.append(f"{where}: must be an object")
+            return None
+        out = {}
+        for key, sub in t.items():
+            if key in value:
+                out[key] = _walk(sub, value[key], _join(path, key), problems)
+            elif sub.default is REQUIRED:
+                problems.append(f"{_join(path, key)}: required")
+            elif isinstance(sub.type, dict):  # a missing object gets its fields' defaults
+                out[key] = _walk(sub, sub.default, _join(path, key), problems)
+            else:
+                out[key] = sub.default
+        problems.extend(f"{_join(path, key)}: unknown key" for key in value if key not in t)
+        return out
+    if isinstance(t, tuple):
+        shapes = [alt for alt in t if isinstance(alt, dict)]
+        if type(value) is dict and shapes:
+            return _walk(Field(shapes[0]), value, path, problems)
+        if type(value) is not str or value not in t:
+            options = (alt if isinstance(alt, str) else "{" + ", ".join(f'"{k}": ...' for k in alt) + "}" for alt in t)
+            problems.append(f"{where}: must be one of {' | '.join(options)}")
+            return None
+        return value
+    if isinstance(t, list):
+        if type(value) is not list:
+            problems.append(f"{where}: must be a list")
+            return None
+        value = [_walk(t[0], item, f"{path}[{i}]", problems) for i, item in enumerate(value)]
+    elif t is float and type(value) in (int, float):
+        value = float(value)
+    elif type(value) is not t:
+        problems.append(f"{where}: must be of type {TYPE_NAMES[t]}")
+        return None
+    if field.bound and not field.bound[1](value):
+        problems.append(f"{where}: must be {field.bound[0]}")
+    return value
+
+
+def parse_config(cfg):
+    """Check a config against the declarations in one walk.
+
+    Returns (Config, []) when it is valid, else (None, offending paths): wrong
+    type, out of range, missing required field, unknown key, or a group kind
+    the experiment does not accept.
+    """
+    name, group = (cfg.get("experiment"), cfg.get("group")) if type(cfg) is dict else (None, None)
+    experiment = EXPERIMENTS.get(name) if type(name) is str else None
+    kind = group.get("kind") if type(group) is dict else None
+    declared = {
+        **TOP,
+        "group": Field({
+            "kind": Field(experiment.groups if experiment else tuple(GROUPS)),
+            **(GROUPS.get(kind, {}) if type(kind) is str else {}),
+        }),
+        "experiment": Field(tuple(EXPERIMENTS)),
+        "parameters": Field(experiment.parameters if experiment else dict, {}),
+    }
+    problems = []
+    typed = _walk(Field(declared), cfg, "", problems)
+    if problems:
+        return None, problems
+    oracle = group_from_spec(cfg["group"])
+    return Config(name, oracle, typed["parameters"], typed["budgets"], typed["seed"], cfg), []
 
 
 def validate_config(cfg) -> list[str]:
     """Return the list of offending paths (empty when the config is valid)."""
-    problems = []
-    if not isinstance(cfg, dict):
-        return ["$: config must be a JSON object"]
-    if cfg.get("format", FORMAT_VERSION) != FORMAT_VERSION:
-        problems.append("format: unsupported version")
-    group = cfg.get("group")
-    if not isinstance(group, dict) or group.get("kind") not in ("free", "bs", "sl2"):
-        problems.append("group.kind: must be one of free | bs | sl2")
-    else:
-        if group["kind"] == "free" and int(group.get("rank", 2)) < 1:
-            problems.append("group.rank: must be >= 1")
-        if group["kind"] == "bs" and (int(group.get("m", 0)) == 0 or int(group.get("n", 0)) == 0):
-            problems.append("group.m / group.n: must be nonzero")
-    if cfg.get("experiment") not in EXPERIMENTS:
-        problems.append(f"experiment: must be one of {', '.join(EXPERIMENTS)}")
-    if not isinstance(cfg.get("parameters", {}), dict):
-        problems.append("parameters: must be an object")
-    budgets = cfg.get("budgets", {})
-    if not isinstance(budgets, dict):
-        problems.append("budgets: must be an object")
-    else:
-        for key in budgets:
-            if key not in ("ball_cap", "quadruple_cap", "probe_cap", "time_cap"):
-                problems.append(f"budgets.{key}: unknown budget")
-    if not isinstance(cfg.get("seed", 0), int):
-        problems.append("seed: must be an integer")
-    return problems
+    return parse_config(cfg)[1]
 
 
-def _budget(cfg, name, default):
-    return int(cfg.get("budgets", {}).get(name, default))
+def _describe(field):
+    """The schema entry of one declaration."""
+    t = field.type
+    if isinstance(t, dict):
+        entry = {"type": "object", "fields": _describe_all(t)}
+    elif isinstance(t, tuple):
+        entry = {"type": "one of", "options": [alt if isinstance(alt, str) else _describe_all(alt) for alt in t]}
+    elif isinstance(t, list):
+        entry = {"type": "list", "items": _describe(t[0])}
+    else:
+        entry = {"type": TYPE_NAMES[t]}
+    if field.bound:
+        entry["bound"] = field.bound[0]
+    entry.update({"required": True} if field.default is REQUIRED else {"default": field.default})
+    return entry
+
+
+def _describe_all(fields):
+    return {key: _describe(field) for key, field in fields.items()}
+
+
+def schema():
+    """Every declaration, as printed by `hypactions schema`."""
+    return {
+        **_describe_all(TOP),
+        "group": {kind: _describe_all(fields) for kind, fields in GROUPS.items()},
+        "experiment": {
+            name: {"groups": list(e.groups), "parameters": _describe_all(e.parameters)}
+            for name, e in EXPERIMENTS.items()
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
-# experiment implementations: each returns (result dict, tables)
-# tables: list of (name, header, rows)
+# experiment implementations
 
 
-def _run_delta(cfg):
-    params = cfg.get("parameters", {})
-    oracle = group_from_spec(cfg["group"])
-    radius = int(params.get("radius", 3))
-    mode = params.get("mode", "exhaustive")
-    ball = oracle.enumerate_ball(radius, max_size=_budget(cfg, "ball_cap", 2_000_000))
-    if isinstance(oracle.identity(), FreeWord):
-        D = free_ball_distance_matrix(ball)
-        metric_kind = "word"
-    else:
-        D = graph_metric_matrix(ball)
-        metric_kind = "in-ball graph"
-    est = four_point_delta(
-        D,
-        mode=mode,
-        count=int(params.get("count", 1_000_000)),
-        seed=int(cfg.get("seed", 0)),
-        quadruple_cap=_budget(cfg, "quadruple_cap", 200_000_000),
-        labels=[ball.words[i] for i in range(len(ball))],
-    )
-    i, j, k, l = est.witness
-    witness_block = [[float(D[a, b]) for b in est.witness] for a in est.witness]
+def _delta_inputs(c):
+    """The ball and its distances: word metric on free groups, else the in-ball graph metric."""
+    ball = c.oracle.enumerate_ball(c.params["radius"], max_size=c.budgets["ball_cap"])
+    if isinstance(c.oracle.identity(), FreeWord):
+        return ball, free_ball_distance_matrix(ball), "word"
+    return ball, graph_metric_matrix(ball), "in-ball graph"
+
+
+def _block(D, quad):
+    return [[float(D[a, b]) for b in quad] for a in quad]
+
+
+def _run_delta(c):
+    ball, D, metric_kind = _delta_inputs(c)
+    est = four_point_delta(D, mode=c.params["mode"], count=c.params["count"], seed=c.seed,
+                           quadruple_cap=c.budgets["quadruple_cap"], labels=ball.words)
     result = {
         "ball_size": len(ball),
         "metric": metric_kind,
         "delta": est.to_json(),
-        "witness_distances": witness_block,
+        "witness_distances": _block(D, est.witness),
     }
-    table = (
-        "delta_witness",
-        ["position", "index", "label"],
-        [[pos, idx, ball.words[idx]] for pos, idx in zip("xyzt", est.witness)],
-    )
-    return result, [table]
+    rows = [[pos, idx, ball.words[idx]] for pos, idx in zip("xyzt", est.witness)]
+    return result, [("delta_witness", ["position", "index", "label"], rows)]
 
 
-def _verify_delta(summary):
-    import numpy as np
+def _verify_delta(c, res):
+    ball, D, _ = _delta_inputs(c)
+    est = res["delta"]
+    quad = est["witness"]
+    in_ball = len(quad) == 4 and all(type(i) is int and 0 <= i < len(ball) for i in quad)
+    defect = quadruple_defect(D, quad) if in_ball else math.nan
+    return [
+        ("ball size re-computes", res["ball_size"] == len(ball)),
+        ("witness labels name the witness points", in_ball and est["witness_labels"] == [ball.words[i] for i in quad]),
+        ("witness distances re-compute from the group", in_ball and res["witness_distances"] == _block(D, quad)),
+        ("witness quadruple reproduces raw max", abs(defect - est["raw_max"]) <= 1e-9),
+        ("delta is the clamped max", abs(est["delta"] - max(0.0, est["raw_max"])) <= 1e-12),
+    ]
 
-    res = summary["result"]
-    block = np.array(res["witness_distances"])
-    defect = quadruple_defect(block, (0, 1, 2, 3))
-    claimed = res["delta"]["raw_max"]
-    ok = abs(defect - claimed) <= 1e-9
-    clamp_ok = abs(res["delta"]["delta"] - max(0.0, claimed)) <= 1e-12
-    return [("witness quadruple reproduces raw max", ok), ("delta is the clamped max", clamp_ok)]
 
-
-def _run_tau(cfg):
-    params = cfg.get("parameters", {})
-    oracle = group_from_spec(cfg["group"])
-    g = oracle.parse_element(params["g"])
-    horizon = int(params.get("horizon", 8))
+def _tau_lengths(g):
+    """The length measured along <g>: word length on free groups, t-syllables on BS."""
     if isinstance(g, FreeWord):
-        lengths = lambda w: float(len(w))
-        exact = translation_length_exact_free(g)
-        length_kind = "word"
-    elif isinstance(g, BSElement):
-        lengths = lambda w: float(w.t_syllable_count())
-        exact = None
-        length_kind = "t-syllable"
-    else:
-        raise ValueError("tau experiment supports free and bs groups")
-    est = translation_length_estimate(oracle, g, lengths, horizon)
+        return (lambda w: float(len(w))), "word"
+    return (lambda w: float(w.t_syllable_count())), "t-syllable"
+
+
+def _run_tau(c):
+    g = c.oracle.parse_element(c.params["g"])
+    lengths, length_kind = _tau_lengths(g)
+    est = translation_length_estimate(c.oracle, g, lengths, c.params["horizon"])
     result = {
-        "g": oracle.format_element(g),
+        "g": c.oracle.format_element(g),
         "length": length_kind,
-        "horizon": horizon,
+        "horizon": c.params["horizon"],
         "upper": est.upper,
         "trace": est.trace,
-        "exact_free_value": exact,
+        "exact_free_value": translation_length_exact_free(g) if isinstance(g, FreeWord) else None,
         "non_increasing": est.is_non_increasing(),
     }
-    table = ("tau_trace", ["n", "ratio"], [[n + 1, r] for n, r in enumerate(est.trace)])
-    return result, [table]
+    return result, [("tau_trace", ["n", "ratio"], [[n + 1, r] for n, r in enumerate(est.trace)])]
 
 
-def _verify_tau(summary):
-    cfg = summary["config"]
-    res = summary["result"]
-    oracle = group_from_spec(cfg["group"])
-    g = oracle.parse_element(res["g"])
-    if isinstance(g, FreeWord):
-        lengths = lambda w: float(len(w))
-    else:
-        lengths = lambda w: float(w.t_syllable_count())
-    est = translation_length_estimate(oracle, g, lengths, res["horizon"])
-    checks = [("trace re-evaluates", est.trace == res["trace"])]
-    if res["exact_free_value"] is not None:
-        checks.append(
-            ("upper bound dominates the exact value", est.upper >= res["exact_free_value"] - 1e-12)
-        )
+def _verify_tau(c, res):
+    g = c.oracle.parse_element(c.params["g"])
+    est = translation_length_estimate(c.oracle, g, _tau_lengths(g)[0], c.params["horizon"])
+    same_g = res["g"] == c.oracle.format_element(g)
+    checks = [("trace re-evaluates from the config", same_g and (est.trace, est.upper) == (res["trace"], res["upper"]))]
+    exact = translation_length_exact_free(g) if isinstance(g, FreeWord) else None
+    if exact is not None:
+        checks.append(("upper bound dominates the exact value", res["exact_free_value"] == exact and est.upper >= exact - 1e-12))
     return checks
 
 
-def _run_compress(cfg):
-    params = cfg.get("parameters", {})
-    fams = [(f["w"], f["cap"]) for f in params["families"]]
-    rank = int(cfg["group"].get("rank", 2))
-    W = CompressedGenSet(rank, fams)
-    k_max = int(params.get("k_max", 12))
-    alpha = float(params.get("alpha", 0.0005))
-    budget = _budget(cfg, "probe_cap", 2_000_000)
+def _run_compress(c):
+    W = CompressedGenSet(c.oracle.rank, [(f["w"], f["cap"]) for f in c.params["families"]])
+    alpha = c.params["alpha"]
     # the paper-style alpha depends on the quasi-geodesity constant of the
     # family words; cyclically reduced words have stretch 1
-    K_measured = max(
-        len(w) / max(translation_length_exact_free(w), 1) for w, _ in W.families
-    )
+    K_measured = max(len(w) / max(translation_length_exact_free(w), 1) for w, _ in W.families)
     rows = []
     reports = []
     for j in range(len(W.families)):
-        for k in range(1, k_max + 1):
-            rep = verify_length_bounds(j, k, W, alpha, budget=budget)
+        for k in range(1, c.params["k_max"] + 1):
+            rep = verify_length_bounds(j, k, W, alpha, budget=c.budgets["probe_cap"])
             reports.append(rep.to_json())
-            rows.append(
-                [j, k, rep.exact_length, rep.upper_bound, int(rep.upper_ok),
-                 rep.lower_bound, int(rep.lower_ok), rep.fitted_alpha]
-            )
-    min_fitted = min(r["fitted_alpha"] for r in reports)
+            rows.append([j, k, rep.exact_length, rep.upper_bound, int(rep.upper_ok),
+                         rep.lower_bound, int(rep.lower_ok), rep.fitted_alpha])
     result = {
         "genset": W.to_json(),
         "alpha": alpha,
         "K_measured": K_measured,
         "reports": reports,
-        "min_fitted_alpha": min_fitted,
+        "min_fitted_alpha": min(r["fitted_alpha"] for r in reports),
         "all_upper_ok": all(r["upper_ok"] for r in reports),
         "all_lower_ok": all(r["lower_ok"] for r in reports),
     }
-    table = (
-        "compressed_lengths",
-        ["family", "k", "exact", "upper", "upper_ok", "lower", "lower_ok", "fitted_alpha"],
-        rows,
-    )
-    return result, [table]
+    header = ["family", "k", "exact", "upper", "upper_ok", "lower", "lower_ok", "fitted_alpha"]
+    return result, [("compressed_lengths", header, rows)]
 
 
-def _verify_compress(summary):
-    res = summary["result"]
-    checks = []
+def _verify_compress(c, res):
+    families, alpha = c.params["families"], c.params["alpha"]
+    expected = [(j, k, f["cap"], alpha) for j, f in enumerate(families) for k in range(1, c.params["k_max"] + 1)]
+    found = [(rep["family"], rep["k"], rep["cap"], rep["alpha"]) for rep in res["reports"]]
+    checks = [("one report per family and k of the config", found == expected)]
     for rep in res["reports"]:
         k, cap = rep["k"], rep["cap"]
         up_ok = rep["exact_length"] <= -(-k // cap)
         low_ok = rep["exact_length"] >= rep["alpha"] * k / cap - 2 - 1e-12
         fit_ok = abs(rep["fitted_alpha"] - (rep["exact_length"] + 2) * cap / k) <= 1e-9
-        checks.append(
-            (f"family {rep['family']} k={k}: bounds re-check", up_ok and low_ok and fit_ok)
-        )
+        checks.append((f"family {rep['family']} k={k}: bounds re-check", up_ok and low_ok and fit_ok))
     return checks
 
 
-def _run_borel_order(cfg):
-    params = cfg.get("parameters", {})
-    rank = int(cfg["group"].get("rank", 2))
-    config = BorelMapConfig(rank, params["families"], [int(x) for x in params["N"]])
-    r = PiPrefix(tuple(params["r"]))
-    s = PiPrefix(tuple(params["s"]))
-    rep = order_preservation_check(r, s, config, budget=_budget(cfg, "probe_cap", 2_000_000))
+def _run_borel_order(c):
+    config = BorelMapConfig(c.oracle.rank, c.params["families"], c.params["N"])
+    r = PiPrefix(tuple(c.params["r"]))
+    s = PiPrefix(tuple(c.params["s"]))
+    rep = order_preservation_check(r, s, config, budget=c.budgets["probe_cap"])
     cmp = qks_compare(r, s)
     result = {
         "r": list(r.values),
@@ -312,89 +394,59 @@ def _run_borel_order(cfg):
     return result, []
 
 
-def _verify_borel_order(summary):
-    res = summary["result"]
+def _verify_borel_order(c, res):
     diffs = [a - b for a, b in zip(res["r"], res["s"])]
-    checks = [
+    return [
         ("sup diff re-computes", max(diffs) == res["sup_diff"]),
         ("bound is 2^k", res["bound"] == 2 ** max(max(diffs), 0)),
         ("no violations", not res["violations"]),
         ("max length within bound", res["max_length"] <= res["bound"]),
     ]
-    return checks
 
 
-def _qm_from_config(oracle, params):
-    qm_spec = params.get("qm", "exponent-sum")
-    if qm_spec == "exponent-sum":
-        return exponent_sum_qm()
-    if isinstance(qm_spec, dict) and "brooks" in qm_spec:
-        return brooks_qm(parse_word(qm_spec["brooks"]))
-    raise ValueError(f"unknown quasi-morphism spec {qm_spec!r}")
+def _qm(spec):
+    return exponent_sum_qm() if spec == "exponent-sum" else brooks_qm(parse_word(spec["brooks"]))
 
 
-def _orbit_lengths(oracle, ball, kind):
-    if kind == "t-syllable":
-        return PseudoLength({g: float(g.t_syllable_count()) for g in ball.elements})
-    if kind == "word":
-        return PseudoLength.from_word_lengths(ball)
-    raise ValueError(f"unknown length kind {kind!r}")
-
-
-def _run_qm_certify(cfg):
-    params = cfg.get("parameters", {})
-    oracle = group_from_spec(cfg["group"])
+def _run_qm_certify(c):
+    params, oracle = c.params, c.oracle
     g = oracle.parse_element(params["g"])
-    radius = int(params.get("radius", 4))
-    power = int(params.get("power", 8))
-    length_kind = params.get("length", "t-syllable" if cfg["group"]["kind"] == "bs" else "word")
-    ball = oracle.enumerate_ball(radius, max_size=_budget(cfg, "ball_cap", 2_000_000))
-    q = _qm_from_config(oracle, params)
-    lengths = _orbit_lengths(oracle, ball, length_kind)
+    bs = isinstance(g, BSElement)
+    length_kind = params["length"] or ("t-syllable" if bs else "word")
+    ball = oracle.enumerate_ball(params["radius"], max_size=c.budgets["ball_cap"])
+    if length_kind == "word":
+        lengths = PseudoLength.from_word_lengths(ball)
+    elif bs:
+        lengths = PseudoLength({h: float(h.t_syllable_count()) for h in ball.elements})
+    else:
+        raise ValueError("t-syllable length needs a bs group")
     cert = anisotropy_certificate(
-        oracle, q, lengths, g, ball, power=power, m_cap=params.get("m_cap")
+        oracle, _qm(params["qm"]), lengths, g, ball, power=params["power"], m_cap=params["m_cap"]
     )
     result = {
-        "qm": params.get("qm", "exponent-sum"),
+        "qm": params["qm"],
         "length": length_kind,
         "certificate": cert.to_json(fmt=oracle.format_element),
     }
-    table = (
-        "subordination_rows",
-        ["element", "abs_q", "length"],
-        [list(r) for r in cert.rows],
-    )
-    return result, [table]
+    return result, [("subordination_rows", ["element", "abs_q", "length"], [list(r) for r in cert.rows])]
 
 
-def _verify_qm_certify(summary):
-    cfg = summary["config"]
-    res = summary["result"]
-    oracle = group_from_spec(cfg["group"])
-    params = cfg.get("parameters", {})
-    q = _qm_from_config(oracle, params)
+def _verify_qm_certify(c, res):
+    oracle, q = c.oracle, _qm(c.params["qm"])
     cert = res["certificate"]
     M = cert["subordination_M"]
-    checks = []
-    rows_ok = True
-    for name, abs_q, length in cert["rows"]:
-        h = oracle.parse_element(name)
-        if abs(abs(q(h)) - abs_q) > 1e-9 or abs_q > M * length + M + 1e-9:
-            rows_ok = False
-            break
-    checks.append(("every subordination row re-verifies", rows_ok))
-    g = oracle.parse_element(cert["witness"])
-    trace_ok = True
-    power = oracle.identity()
-    for i, claimed in enumerate(cert["homogenization_trace"], start=1):
-        power = oracle.multiply(power, g)
-        if abs(q(power) / i - claimed) > 1e-9:
-            trace_ok = False
-            break
-    checks.append(("homogenization trace re-evaluates", trace_ok))
-    checks.append(
-        ("homogenized value is nonzero", abs(cert["homogenized_value"]) > 1e-12)
+    rows_ok = all(
+        abs(abs(q(oracle.parse_element(name))) - abs_q) <= 1e-9 and abs_q <= M * length + M + 1e-9
+        for name, abs_q, length in cert["rows"]
     )
+    trace = cert["homogenization_trace"]
+    powers = accumulate(repeat(oracle.parse_element(cert["witness"]), len(trace)), oracle.multiply)
+    trace_ok = all(abs(q(p) / i - claimed) <= 1e-9 for i, (p, claimed) in enumerate(zip(powers, trace), start=1))
+    checks = [
+        ("every subordination row re-verifies", rows_ok),
+        ("homogenization trace re-evaluates", trace_ok),
+        ("homogenized value is nonzero", abs(cert["homogenized_value"]) > 1e-12),
+    ]
     dw = cert["defect"]["witness_pair"]
     if dw is not None:
         gg, hh = (oracle.parse_element(x) for x in dw)
@@ -405,28 +457,19 @@ def _verify_qm_certify(summary):
     return checks
 
 
-def _run_sl2_embed(cfg):
-    params = cfg.get("parameters", {})
-    d = int(cfg["group"].get("field", {}).get("d", 2))
-    x = parse_qfe(str(params.get("x", "sqrt2-1")), d)
-    radius = int(params.get("radius", 1))
-    A = lemma_emb_matrix(x)
-    gens = [A, mat2([[1, 1], [0, 1]], d)]
-    names = ["A", "T"]
-    e1 = RealEmbedding(1)
-    e2 = RealEmbedding(-1)
-    rows, witnesses = embedding_spectrum_compare(gens, e1, e2, radius, d=d, names=names)
-    matrices = {}
-    oracle_rows = []
+def _run_sl2_embed(c):
+    d, radius = c.oracle.d, c.params["radius"]
+    x = parse_qfe(c.params["x"], d)
+    gens, names = [lemma_emb_matrix(x), mat2([[1, 1], [0, 1]], d)], ["A", "T"]
+    rows, witnesses = embedding_spectrum_compare(
+        gens, RealEmbedding(1), RealEmbedding(-1), radius, d=d, names=names
+    )
     # store exact matrix entries so verify can re-run the sign tests
-    from .sl2 import SL2Oracle
-
-    oracle = SL2Oracle(d=d, gens=gens, names=names)
-    ball = oracle.enumerate_ball(radius)
-    for i, M in enumerate(ball.elements):
-        entries = [[{"a": str(e.a), "b": str(e.b)} for e in (M.a, M.b)],
-                   [{"a": str(e.a), "b": str(e.b)} for e in (M.c, M.d)]]
-        matrices[ball.words[i]] = entries
+    ball = SL2Oracle(d=d, gens=gens, names=names).enumerate_ball(radius)
+    matrices = {
+        word: [[{"a": str(e.a), "b": str(e.b)} for e in pair] for pair in ((M.a, M.b), (M.c, M.d))]
+        for word, M in zip(ball.words, ball.elements)
+    }
     result = {
         "d": d,
         "x": str(x),
@@ -435,41 +478,26 @@ def _run_sl2_embed(cfg):
         "matrices": matrices,
         "equivalent_profiles": not witnesses,
     }
-    table = (
-        "spectrum",
-        ["word", "trace", "class_e1", "class_e2", "tau_e1", "tau_e2"],
-        [[r["word"], r["trace"], r["class_e1"], r["class_e2"], r["tau_e1"], r["tau_e2"]] for r in rows],
-    )
-    return result, [table]
+    header = ["word", "trace", "class_e1", "class_e2", "tau_e1", "tau_e2"]
+    return result, [("spectrum", header, [[r[key] for key in header] for r in rows])]
 
 
-def _verify_sl2_embed(summary):
-    res = summary["result"]
-    d = res["d"]
+def _verify_sl2_embed(c, res):
     e1, e2 = RealEmbedding(1), RealEmbedding(-1)
-    checks = []
-    ok = True
-    for row in res["rows"]:
-        M = mat2_from_json(res["matrices"][row["word"]], d)
-        if classify(M, e1) != row["class_e1"] or classify(M, e2) != row["class_e2"]:
-            ok = False
-            break
-    checks.append(("exact classifications re-verify", ok))
-    wit_ok = all(r["class_e1"] != r["class_e2"] for r in res["witnesses"])
-    checks.append(("witness rows differ across embeddings", wit_ok))
-    return checks
+
+    def reclassifies(row):
+        M = mat2_from_json(res["matrices"][row["word"]], res["d"])
+        return classify(M, e1) == row["class_e1"] and classify(M, e2) == row["class_e2"]
+
+    return [
+        ("exact classifications re-verify", all(map(reclassifies, res["rows"]))),
+        ("witness rows differ across embeddings", all(r["class_e1"] != r["class_e2"] for r in res["witnesses"])),
+    ]
 
 
-def _run_tightspan(cfg):
-    import random as _random
-
-    params = cfg.get("parameters", {})
-    seed = int(cfg.get("seed", 0))
-    rng = _random.Random(seed)
-    n = int(params.get("points", 4))
-    trials = int(params.get("trials", 20))
-    proj_trials = int(params.get("proj_trials", 20))
-    tol = float(params.get("tol", 1e-9))
+def _run_tightspan(c):
+    rng = random.Random(c.seed)
+    n, trials, proj_trials, tol = (c.params[k] for k in ("points", "trials", "proj_trials", "tol"))
     kuratowski_ok = 0
     for _ in range(trials):
         X = random_rational_metric(n, rng)
@@ -488,9 +516,8 @@ def _run_tightspan(cfg):
         _, slack = is_extremal(f, X, tol)
         slacks.append(slack)
         iterations.append(its)
-    tree = random_tree_metric(int(params.get("tree_points", 6)), rng)
-    sample = [kuratowski_embed(i, tree) for i in range(tree.size)]
-    est = hull_sample_delta(tree, sample)
+    tree = random_tree_metric(c.params["tree_points"], rng)
+    est = hull_sample_delta(tree, [kuratowski_embed(i, tree) for i in range(tree.size)])
     result = {
         "points": n,
         "trials": trials,
@@ -504,87 +531,53 @@ def _run_tightspan(cfg):
     return result, []
 
 
-def _verify_tightspan(summary):
-    res = summary["result"]
-    checks = [
-        ("all Kuratowski embeddings exactly isometric", res["kuratowski_exact_isometric"] == res["trials"]),
-        ("projection slacks within tolerance", res["max_slack"] <= 1e-9),
-        ("tree hull sample is 0-hyperbolic", res["tree_sample_delta"]["delta"] == 0.0),
-    ]
-    import numpy as np
-
-    from .metrics import FiniteMetricSpace
-
+def _verify_tightspan(c, res):
     tree = FiniteMetricSpace(res["tree_matrix"], validate=False)
     sample = [kuratowski_embed(i, tree) for i in range(tree.size)]
     rows = [[float(sup_distance(f, g)) for g in sample] for f in sample]
     defect = quadruple_defect(np.array(rows), tuple(res["tree_sample_delta"]["witness"]))
-    checks.append(
-        ("tree delta witness re-evaluates", abs(defect - res["tree_sample_delta"]["raw_max"]) <= 1e-12)
-    )
-    return checks
-
-
-def _cone_off_inputs(cfg):
-    """The ball, the part of the cyclic orbit <h> inside it, and A."""
-    params = cfg.get("parameters", {})
-    oracle = group_from_spec(cfg["group"])
-    radius = int(params.get("radius", 4))
-    ball = oracle.enumerate_ball(radius, max_size=_budget(cfg, "ball_cap", 2_000_000))
-    h = oracle.parse_element(params.get("orbit", "a"))
-    orbit = [g for g in ball.elements if _in_cyclic(oracle, g, h, radius)]
-    return ball, orbit, float(params.get("A", 1))
-
-
-def _run_cone_off(cfg):
-    ball, orbit, A = _cone_off_inputs(cfg)
-    res = cone_off(ball, orbit, A)
-    violations = [
-        (x, y)
-        for x, y in res.new_edges
-        if res.orbit_distance[x] <= A or res.orbit_distance[y] <= A
+    return [
+        ("all Kuratowski embeddings exactly isometric", res["kuratowski_exact_isometric"] == res["trials"]),
+        ("projection slacks within tolerance", res["max_slack"] <= 1e-9),
+        ("tree hull sample is 0-hyperbolic", res["tree_sample_delta"]["delta"] == 0.0),
+        ("tree delta witness re-evaluates", abs(defect - res["tree_sample_delta"]["raw_max"]) <= 1e-12),
     ]
+
+
+def _cone_off_inputs(c):
+    """The ball, the orbit {h^k : |k| <= radius} inside it (in ball order), and A."""
+    oracle, radius = c.oracle, c.params["radius"]
+    ball = oracle.enumerate_ball(radius, max_size=c.budgets["ball_cap"])
+    h = oracle.parse_element(c.params["orbit"])
+    h_inv = oracle.invert(h)
+    up = down = oracle.identity()
+    powers = {up}
+    for _ in range(radius):
+        up, down = oracle.multiply(up, h), oracle.multiply(down, h_inv)
+        powers.update((up, down))
+    return ball, [g for g in ball.elements if g in powers], c.params["A"]
+
+
+def _run_cone_off(c):
+    ball, orbit, A = _cone_off_inputs(c)
+    res = cone_off(ball, orbit, A)
+    dist = res.orbit_distance
+    edge_rows = [[ball.words[x], ball.words[y], dist[x], dist[y]] for x, y in res.new_edges]
     result = {
         "radius": ball.radius,
         "A": A,
         "orbit_size": len(orbit),
         "new_edges": len(res.new_edges),
-        "violations": violations,
+        "violations": [(x, y) for x, y in res.new_edges if dist[x] <= A or dist[y] <= A],
         "warnings": res.warnings,
-        "edge_rows": [
-            [ball.words[x], ball.words[y], res.orbit_distance[x], res.orbit_distance[y]]
-            for x, y in res.new_edges
-        ],
+        "edge_rows": edge_rows,
     }
-    table = (
-        "new_edges",
-        ["x", "y", "orbit_dist_x", "orbit_dist_y"],
-        result["edge_rows"],
-    )
-    return result, [table]
+    return result, [("new_edges", ["x", "y", "orbit_dist_x", "orbit_dist_y"], edge_rows)]
 
 
-def _in_cyclic(oracle, g, h, radius):
-    power = oracle.identity()
-    for _ in range(radius + 1):
-        if oracle.equal(g, power):
-            return True
-        power = oracle.multiply(power, h)
-    power = oracle.identity()
-    hi = oracle.invert(h)
-    for _ in range(radius + 1):
-        if oracle.equal(g, power):
-            return True
-        power = oracle.multiply(power, hi)
-    return False
-
-
-def _verify_cone_off(summary):
-    import numpy as np
-
-    res = summary["result"]
+def _verify_cone_off(c, res):
     rows = res["edge_rows"]
-    ball, orbit, A = _cone_off_inputs(summary["config"])
+    ball, orbit, A = _cone_off_inputs(c)
     D0 = graph_metric_matrix(ball)
     orbit_dist = set_distance(D0, [ball.index[g] for g in orbit])
     # the in-ball graph's edges are its pairs at distance 1
@@ -601,121 +594,126 @@ def _verify_cone_off(summary):
         ("no recorded violations", not res["violations"]),
         ("new_edges counts the edge rows", res["new_edges"] == len(rows)),
         ("every edge row names two ball vertices", found),
-        (
-            "recomputed orbit distances of every new edge match and exceed A",
-            found and np.array_equal(stored, orbit_dist[ends]) and bool((stored > A).all()),
-        ),
+        ("recomputed orbit distances of every new edge match and exceed A",
+         found and np.array_equal(stored, orbit_dist[ends]) and bool((stored > A).all())),
         ("every new edge joins vertices at in-ball distance >= 2", found and bool((D0[x, y] >= 2).all())),
-        (
-            "some geodesic of every new edge avoids the A-neighborhood",
-            found and np.array_equal(D_allowed[x, y], D0[x, y]),
-        ),
+        ("some geodesic of every new edge avoids the A-neighborhood",
+         found and np.array_equal(D_allowed[x, y], D0[x, y])),
     ]
 
 
-def _run_isotropy_probe(cfg):
-    params = cfg.get("parameters", {})
-    oracle = group_from_spec(cfg["group"])
-    radius = int(params.get("radius", 3))
-    D = float(params.get("D", 2))
-    pairs = int(params.get("pairs", 10))
-    ball = oracle.enumerate_ball(radius, max_size=_budget(cfg, "ball_cap", 2_000_000))
-    report = isotropy_probe(oracle, ball, D, pairs, seed=int(cfg.get("seed", 0)))
-    fmt = oracle.format_element
+def _run_isotropy_probe(c):
+    ball = c.oracle.enumerate_ball(c.params["radius"], max_size=c.budgets["ball_cap"])
+    report = isotropy_probe(c.oracle, ball, c.params["D"], c.params["pairs"], seed=c.seed)
+    fmt = c.oracle.format_element
+    hardest = report.hardest
+
+    def pair(r):
+        return [fmt(r.x), fmt(r.y), fmt(r.x2), fmt(r.y2)]
+
     result = {
-        "D": D,
+        "D": c.params["D"],
         "pairs_checked": report.pairs_checked,
         "successes": report.successes,
         "success_rate": report.success_rate,
-        "hardest": None
-        if report.hardest is None
-        else {
-            "pair": [fmt(report.hardest.x), fmt(report.hardest.y), fmt(report.hardest.x2), fmt(report.hardest.y2)],
-            "distance": report.hardest.distance,
-            "best_constant": report.hardest.best_constant,
-            "best_g": fmt(report.hardest.best_g),
+        "hardest": None if hardest is None else {
+            "pair": pair(hardest),
+            "distance": hardest.distance,
+            "best_constant": hardest.best_constant,
+            "best_g": fmt(hardest.best_g),
         },
         "failures": [
-            {
-                "pair": [fmt(r.x), fmt(r.y), fmt(r.x2), fmt(r.y2)],
-                "best_constant": r.best_constant,
-                "best_g": fmt(r.best_g),
-            }
+            {"pair": pair(r), "best_constant": r.best_constant, "best_g": fmt(r.best_g)}
             for r in report.failures
         ],
     }
     return result, []
 
 
-def _verify_isotropy_probe(summary):
-    from .words import tree_distance
-
-    cfg = summary["config"]
-    res = summary["result"]
-    oracle = group_from_spec(cfg["group"])
+def _verify_isotropy_probe(c, res):
     if res["hardest"] is None:
         return [("no pairs sampled", True)]
+    oracle = c.oracle
     x, y, x2, y2 = (oracle.parse_element(w) for w in res["hardest"]["pair"])
     g = oracle.parse_element(res["hardest"]["best_g"])
-    c = max(
-        tree_distance(oracle.multiply(g, x), x2),
-        tree_distance(oracle.multiply(g, y), y2),
-    )
+    const = max(tree_distance(oracle.multiply(g, x), x2), tree_distance(oracle.multiply(g, y), y2))
     return [
-        ("hardest pair constant re-evaluates", abs(c - res["hardest"]["best_constant"]) <= 1e-12),
+        ("hardest pair constant re-evaluates", abs(const - res["hardest"]["best_constant"]) <= 1e-12),
         ("equidistance holds", tree_distance(x, y) == tree_distance(x2, y2)),
     ]
 
 
-RUNNERS = {
-    "delta": _run_delta,
-    "tau": _run_tau,
-    "compress": _run_compress,
-    "borel-order": _run_borel_order,
-    "qm-certify": _run_qm_certify,
-    "sl2-embed": _run_sl2_embed,
-    "tightspan": _run_tightspan,
-    "cone-off": _run_cone_off,
-    "isotropy-probe": _run_isotropy_probe,
+EXPERIMENTS = {
+    "delta": Experiment(("free", "bs", "sl2"), {
+        "radius": Field(int, 3, at_least(0)),
+        "mode": Field(("exhaustive", "sampled"), "exhaustive"),
+        "count": Field(int, 1_000_000, at_least(1)),  # quadruples drawn in sampled mode
+    }, _run_delta, _verify_delta),
+    "tau": Experiment(("free", "bs"), {
+        "g": Field(str),
+        "horizon": Field(int, 8, at_least(1)),
+    }, _run_tau, _verify_tau),
+    "compress": Experiment(("free",), {
+        "families": Field([Field({"w": Field(str), "cap": Field(int, bound=at_least(1))})], bound=("non-empty", bool)),
+        "k_max": Field(int, 12, at_least(1)),
+        "alpha": Field(float, 0.0005),
+    }, _run_compress, _verify_compress),
+    "borel-order": Experiment(("free",), {
+        "r": Field([Field(int)]),
+        "s": Field([Field(int)]),
+        "families": Field([Field(str)]),
+        "N": Field([Field(int)]),
+    }, _run_borel_order, _verify_borel_order),
+    "qm-certify": Experiment(("free", "bs"), {
+        "g": Field(str),
+        "radius": Field(int, 4, at_least(0)),
+        "power": Field(int, 8, at_least(1)),
+        "length": Field(("t-syllable", "word"), None),  # None: t-syllable on bs groups, else word
+        "qm": Field(("exponent-sum", {"brooks": Field(str)}), "exponent-sum"),
+        "m_cap": Field(float, None),
+    }, _run_qm_certify, _verify_qm_certify),
+    "sl2-embed": Experiment(("sl2",), {
+        "x": Field(str, "sqrt2-1"),
+        "radius": Field(int, 1, at_least(0)),
+    }, _run_sl2_embed, _verify_sl2_embed),
+    "tightspan": Experiment(tuple(GROUPS), {  # the group is not used
+        "points": Field(int, 4, at_least(1)),
+        "trials": Field(int, 20, at_least(0)),
+        "proj_trials": Field(int, 20, at_least(0)),
+        "tol": Field(float, 1e-9, ("> 0", lambda v: v > 0)),
+        "tree_points": Field(int, 6, at_least(1)),
+    }, _run_tightspan, _verify_tightspan),
+    "cone-off": Experiment(("free", "bs"), {
+        "radius": Field(int, 4, at_least(0)),
+        "orbit": Field(str, "a"),
+        "A": Field(float, 1.0, at_least(0)),
+    }, _run_cone_off, _verify_cone_off),
+    "isotropy-probe": Experiment(("free",), {
+        "radius": Field(int, 3, at_least(1)),
+        "D": Field(float, 2.0),
+        "pairs": Field(int, 10, at_least(0)),
+    }, _run_isotropy_probe, _verify_isotropy_probe),
 }
-
-VERIFIERS = {
-    "delta": _verify_delta,
-    "tau": _verify_tau,
-    "compress": _verify_compress,
-    "borel-order": _verify_borel_order,
-    "qm-certify": _verify_qm_certify,
-    "sl2-embed": _verify_sl2_embed,
-    "tightspan": _verify_tightspan,
-    "cone-off": _verify_cone_off,
-    "isotropy-probe": _verify_isotropy_probe,
-}
+VERIFIERS = {name: e.verify for name, e in EXPERIMENTS.items()}
 
 
-def run_experiment(cfg):
-    """Dispatch a validated config; returns (summary dict, tables)."""
-    import time
+def _envelope(c, status, **fields):
+    return {"format": FORMAT_VERSION, "tool": "hypactions", "version": __version__,
+            "experiment": c.experiment, "config": c.raw, "status": status, **fields}
 
-    experiment = cfg["experiment"]
+
+def run_experiment(c):
+    """Run a parsed config; returns (summary dict, tables)."""
     started = time.perf_counter()
-    result, tables = RUNNERS[experiment](cfg)
+    result, tables = EXPERIMENTS[c.experiment].run(c)
     elapsed = time.perf_counter() - started
-    time_cap = cfg.get("budgets", {}).get("time_cap")
-    if time_cap is not None and elapsed > float(time_cap):
+    time_cap = c.budgets["time_cap"]
+    if time_cap is not None and elapsed > time_cap:
         raise BudgetExceeded(
             f"run took {elapsed:.1f}s, over the time cap {time_cap}s",
             extent={"elapsed_seconds": elapsed},
         )
-    summary = {
-        "format": FORMAT_VERSION,
-        "tool": "hypactions",
-        "version": __version__,
-        "experiment": experiment,
-        "config": cfg,
-        "status": "ok",
-        "result": result,
-    }
-    return summary, tables
+    return _envelope(c, "ok", result=result), tables
 
 
 def _write_outputs(outdir: Path, summary, tables):
@@ -735,32 +733,23 @@ def cmd_run(args) -> int:
     cfg_path = Path(args.config)
     try:
         cfg = json.loads(cfg_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    problems = validate_config(cfg)
+    config, problems = parse_config(cfg)
+    for p in problems:
+        print(f"config error at {p}", file=sys.stderr)
     if problems:
-        for p in problems:
-            print(f"config error at {p}", file=sys.stderr)
         return EXIT_VALIDATION
     outdir = Path(args.output) if args.output else cfg_path.with_suffix(".out")
     try:
-        summary, tables = run_experiment(cfg)
+        summary, tables = run_experiment(config)
     except BudgetExceeded as exc:
-        summary = {
-            "format": FORMAT_VERSION,
-            "tool": "hypactions",
-            "version": __version__,
-            "experiment": cfg["experiment"],
-            "config": cfg,
-            "status": "budget-exceeded",
-            "error": str(exc),
-            "extent": exc.extent,
-        }
+        summary = _envelope(config, "budget-exceeded", error=str(exc), extent=exc.extent)
         path = _write_outputs(outdir, summary, [])
         print(f"budget exceeded; partial summary at {path}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, CertificateError) as exc:
+    except (ValueError, ToolkitError) as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     path = _write_outputs(outdir, summary, tables)
@@ -768,29 +757,39 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _checks(summary):
+    """(label, ok) for every claim of a summary; a malformed part fails."""
+    config, problems = parse_config(summary.get("config"))
+    if problems:
+        return [(f"config is valid at {p}", False) for p in problems]
+    try:
+        return VERIFIERS[config.experiment](config, summary.get("result"))
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError, ToolkitError) as exc:
+        # a result of the wrong shape, or one naming elements that do not parse
+        return [(f"result re-checks ({type(exc).__name__}: {exc})", False)]
+
+
 def cmd_verify(args) -> int:
     try:
         summary = json.loads(Path(args.summary).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read summary: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if type(summary) is not dict:
+        print("FAIL  summary is a JSON object")
         return EXIT_VALIDATION
     if summary.get("status") != "ok":
         print(f"summary status is {summary.get('status')!r}; nothing to verify", file=sys.stderr)
         return EXIT_VALIDATION
-    experiment = summary.get("experiment")
-    if experiment not in VERIFIERS:
-        print(f"unknown experiment {experiment!r}", file=sys.stderr)
-        return EXIT_VALIDATION
-    checks = VERIFIERS[experiment](summary)
     all_ok = True
-    for label, ok in checks:
+    for label, ok in _checks(summary):
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
-        all_ok &= ok
+        all_ok &= bool(ok)
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 
 def cmd_schema(_args) -> int:
-    print(json.dumps(CONFIG_SCHEMA, indent=2, sort_keys=True))
+    print(json.dumps(schema(), indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hypactions.cli import main, validate_config
+from hypactions.cli import EXPERIMENTS, main, parse_config, validate_config
 from hypactions.groups import group_from_spec
 from oracles import cone_off_edges_naive, graph_metric_naive
 
@@ -209,3 +209,137 @@ def test_verify_cone_off_rejects_a_label_outside_the_ball(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(summary_path)]) == 1
     assert "FAIL  every edge row names two ball vertices" in capsys.readouterr().out
+
+
+def _with(name, change):
+    cfg = json.loads(json.dumps(BASE_CONFIGS[name]))
+    change(cfg)
+    return cfg
+
+
+MALFORMED = [
+    ("group.rank", _with("delta", lambda c: c["group"].update(rank="x"))),
+    ("group.m", _with("qm-certify", lambda c: c["group"].update(m="a"))),
+    ("parameters.g", _with("tau", lambda c: c["parameters"].pop("g"))),
+    ("parameters.g", _with("qm-certify", lambda c: c["parameters"].pop("g"))),
+    ("parameters.families", _with("compress", lambda c: c["parameters"].pop("families"))),
+    ("parameters.families", _with("borel-order", lambda c: c["parameters"].pop("families"))),
+    ("parameters.radius", _with("isotropy-probe", lambda c: c["parameters"].update(radius=0))),
+    ("parameters.radus", _with("delta", lambda c: c["parameters"].update(radus=1))),
+    ("group.kind", _with("sl2-embed", lambda c: c.update(group={"kind": "free", "rank": 2}))),
+    ("group.kind", _with("compress", lambda c: c.update(group={"kind": "bs", "m": 2, "n": 3}))),
+    ("seed", _with("delta", lambda c: c.update(seed=True))),
+    ("parameters.tol", _with("tightspan", lambda c: c["parameters"].update(tol=0))),
+    ("parameters.radius", _with("delta", lambda c: c["parameters"].update(radius="3"))),
+    ("parameters.families[1].cap", _with("compress", lambda c: c["parameters"]["families"][1].update(cap=0))),
+    ("parameters.qm.brooks", _with("qm-certify", lambda c: c["parameters"].update(qm={"brooks": 3}))),
+    ("budgets.thread_cap", _with("delta", lambda c: c.update(budgets={"thread_cap": 2}))),
+    ("group.field.d", _with("sl2-embed", lambda c: c["group"]["field"].update(d=4))),
+]
+
+
+@pytest.mark.parametrize("path, cfg", MALFORMED)
+def test_malformed_config_exits_1_and_names_its_path(tmp_path, capsys, path, cfg):
+    assert any(p.startswith(f"{path}:") for p in validate_config(cfg))
+    code, out = run_config(tmp_path, cfg)
+    assert code == 1
+    assert f"config error at {path}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parse_config_types_and_defaults():
+    c, problems = parse_config(BASE_CONFIGS["cone-off"])
+    assert problems == []
+    assert c.params == {"radius": 3, "orbit": "a", "A": 1.0}
+    assert type(c.params["A"]) is float
+    assert c.budgets == {"ball_cap": 2_000_000, "quadruple_cap": 200_000_000, "probe_cap": 2_000_000, "time_cap": None}
+    assert c.seed == 0 and c.raw is BASE_CONFIGS["cone-off"]
+
+
+def test_failed_search_exits_1_without_a_traceback(tmp_path, capsys):
+    cfg = _with("tightspan", lambda c: c["parameters"].update(tol=1e-300, points=5))
+    code, _ = run_config(tmp_path, cfg)
+    assert code == 1
+    assert "experiment failed" in capsys.readouterr().err
+
+
+def test_schema_declares_every_experiment(capsys):
+    main(["schema"])
+    blob = json.loads(capsys.readouterr().out)
+    assert set(blob["experiment"]) == set(EXPERIMENTS)
+    assert blob["experiment"]["sl2-embed"]["groups"] == ["sl2"]
+    assert blob["experiment"]["delta"]["parameters"]["radius"] == {"type": "int", "bound": ">= 0", "default": 3}
+    assert blob["experiment"]["tau"]["parameters"]["g"] == {"type": "string", "required": True}
+    assert set(blob["group"]) == {"free", "bs", "sl2"}
+
+
+def _verify(path, capsys):
+    capsys.readouterr()
+    code = main(["verify", str(path)])
+    return code, capsys.readouterr().out.strip().splitlines()
+
+
+def test_verify_delta_rejects_a_self_consistent_fabricated_block(tmp_path, capsys):
+    _, out = run_config(tmp_path, BASE_CONFIGS["delta"], "delta")
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    # a 4-cycle: sides 1, diagonals 2, four-point defect 1
+    summary["result"]["witness_distances"] = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+    summary["result"]["delta"].update(raw_max=1.0, delta=1.0)
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert "FAIL  witness distances re-compute from the group" in lines
+    assert "FAIL  witness quadruple reproduces raw max" in lines
+
+
+def _tamper_missing_distances(summary):
+    del summary["result"]["witness_distances"]
+    return summary
+
+
+def _tamper_bad_row_label(summary):
+    summary["result"]["certificate"]["rows"][0][0] = "zz"
+    return summary
+
+
+@pytest.mark.parametrize("name, tamper", [
+    ("delta", lambda summary: []),
+    ("delta", _tamper_missing_distances),
+    ("qm-certify", _tamper_bad_row_label),
+])
+def test_verify_reports_a_malformed_summary_as_a_failure(tmp_path, capsys, name, tamper):
+    _, out = run_config(tmp_path, BASE_CONFIGS[name], name)
+    summary_path = out / "summary.json"
+    summary_path.write_text(json.dumps(tamper(json.loads(summary_path.read_text()))))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert any(line.startswith("FAIL") for line in lines)
+
+
+def test_verify_tau_rejects_a_result_for_another_element(tmp_path, capsys):
+    from hypactions.loxodromic import translation_length_estimate
+
+    cfg = BASE_CONFIGS["tau"]
+    _, out = run_config(tmp_path, cfg, "tau")
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    # a self-consistent result, but for g = ab and horizon 2, not the config's
+    oracle = group_from_spec(cfg["group"])
+    est = translation_length_estimate(oracle, oracle.parse_element("ab"), lambda w: float(len(w)), 2)
+    summary["result"].update(g="ab", horizon=2, trace=est.trace, upper=est.upper, exact_free_value=2.0)
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert lines == ["FAIL  trace re-evaluates from the config", "FAIL  upper bound dominates the exact value"]
+
+
+def test_verify_compress_rejects_a_summary_without_reports(tmp_path, capsys):
+    _, out = run_config(tmp_path, BASE_CONFIGS["compress"], "compress")
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    summary["result"]["reports"] = []
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert lines == ["FAIL  one report per family and k of the config"]
