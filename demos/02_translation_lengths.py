@@ -17,7 +17,7 @@ F2 = FreeGroupOracle(2)
 word_len = lambda g: float(len(g))
 
 g = parse_word("aba^-1")
-est = translation_length_estimate(F2, g, word_len, horizon=6)
+est = translation_length_estimate(g, word_len, horizon=6)
 print(f"g = {g}: ratios |g^n|/n = {est.trace}")
 print(f"certified upper bound {est.upper}, exact value {translation_length_exact_free(g)}")
 
@@ -34,5 +34,5 @@ print("axis of ab:", " ".join(str(p) for p in axis.points()))
 extra = F2.symmetrize([parse_word("a"), parse_word("b"), parse_word("ab")])
 ball = F2.enumerate_ball(6, gens=extra)
 compressed_len = lambda h: float(ball.length[h])
-comp = compression_function(F2, parse_word("ab"), compressed_len, word_len, horizon=3)
+comp = compression_function(parse_word("ab"), compressed_len, word_len, horizon=3)
 print(f"compression of tau(ab) after adding 'ab' to the generators: {comp.ratio}")

@@ -28,7 +28,7 @@ ball = bs.enumerate_ball(4)
 print(f"|BS(2,3) ball of radius 4| = {len(ball)}")
 
 q = exponent_sum_qm()
-defect = defect_empirical(q, bs, ball.elements)
+defect = defect_empirical(q, ball.elements)
 print(f"empirical defect over {defect.pairs_checked} pairs: {defect.value}")
 
 t_syllables = PseudoLength({x: float(x.t_syllable_count()) for x in ball.elements})

@@ -5,6 +5,7 @@
 
 from hypactions.sl2 import (
     RealEmbedding,
+    SL2Oracle,
     classify,
     embedding_spectrum_compare,
     lemma_emb_matrix,
@@ -30,7 +31,8 @@ print(f"\nparabolic T: d(i, T i) = {orbit_distance_h2(T, plus):.12f} (= arccosh(
 
 # scan the whole word ball: any class mismatch certifies that the two
 # translation-length profiles are not Lipschitz equivalent
-rows, witnesses = embedding_spectrum_compare([A, T], plus, minus, radius=1, names=["A", "T"])
+ball = SL2Oracle(d=2, gens=[A, T], names=["A", "T"]).enumerate_ball(1)
+rows, witnesses = embedding_spectrum_compare(ball, plus, minus)
 print(f"\nword ball of radius 1: {len(rows)} elements, {len(witnesses)} witnesses")
 print(f"{'word':8} {'trace':14} {'class(+)':12} {'class(-)':12} tau(+)    tau(-)")
 for r in rows:

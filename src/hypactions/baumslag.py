@@ -39,9 +39,6 @@ class BSElement:
         """Image under the homomorphism BS(m, n) -> Z killing a."""
         return sum(eps for _, eps in self.pairs)
 
-    def is_identity(self) -> bool:
-        return not self.pairs and self.tail == 0
-
     def tokens(self):
         """The normal form as ('a', k) / ('t', +-1) tokens."""
         out = []

@@ -24,6 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+from operator import mul
 from pathlib import Path
 from typing import Callable
 
@@ -65,7 +66,6 @@ from .sl2 import (
     embedding_spectrum_compare,
     lemma_emb_matrix,
     mat2,
-    mat2_from_json,
     parse_qfe,
 )
 from .tightspan import hull_sample_delta, is_extremal, kuratowski_embed, project_to_hull, sup_distance
@@ -308,7 +308,7 @@ def _tau_lengths(g):
 def _run_tau(c):
     g = c.oracle.parse_element(c.params["g"])
     lengths, length_kind = _tau_lengths(g)
-    est = translation_length_estimate(c.oracle, g, lengths, c.params["horizon"])
+    est = translation_length_estimate(g, lengths, c.params["horizon"])
     result = {
         "g": c.oracle.format_element(g),
         "length": length_kind,
@@ -323,7 +323,7 @@ def _run_tau(c):
 
 def _verify_tau(c, res):
     g = c.oracle.parse_element(c.params["g"])
-    est = translation_length_estimate(c.oracle, g, _tau_lengths(g)[0], c.params["horizon"])
+    est = translation_length_estimate(g, _tau_lengths(g)[0], c.params["horizon"])
     same_g = res["g"] == c.oracle.format_element(g)
     checks = [("trace re-evaluates from the config", same_g and (est.trace, est.upper) == (res["trace"], res["upper"]))]
     exact = translation_length_exact_free(g) if isinstance(g, FreeWord) else None
@@ -440,7 +440,7 @@ def _verify_qm_certify(c, res):
         for name, abs_q, length in cert["rows"]
     )
     trace = cert["homogenization_trace"]
-    powers = accumulate(repeat(oracle.parse_element(cert["witness"]), len(trace)), oracle.multiply)
+    powers = accumulate(repeat(oracle.parse_element(cert["witness"]), len(trace)), mul)
     trace_ok = all(abs(q(p) / i - claimed) <= 1e-9 for i, (p, claimed) in enumerate(zip(powers, trace), start=1))
     checks = [
         ("every subordination row re-verifies", rows_ok),
@@ -450,32 +450,38 @@ def _verify_qm_certify(c, res):
     dw = cert["defect"]["witness_pair"]
     if dw is not None:
         gg, hh = (oracle.parse_element(x) for x in dw)
-        val = abs(q(oracle.multiply(gg, hh)) - q(gg) - q(hh))
+        val = abs(q(gg * hh) - q(gg) - q(hh))
         checks.append(("defect witness re-evaluates", abs(val - cert["defect"]["value"]) <= 1e-9))
     else:
         checks.append(("defect witness re-evaluates", cert["defect"]["value"] == 0.0))
     return checks
 
 
-def _run_sl2_embed(c):
-    d, radius = c.oracle.d, c.params["radius"]
+def _sl2_ball(c):
+    """x and the word ball of <A, T>, A = [[x, x^2 - 1], [1, x]], T = [[1, 1], [0, 1]]."""
+    d = c.oracle.d
     x = parse_qfe(c.params["x"], d)
-    gens, names = [lemma_emb_matrix(x), mat2([[1, 1], [0, 1]], d)], ["A", "T"]
-    rows, witnesses = embedding_spectrum_compare(
-        gens, RealEmbedding(1), RealEmbedding(-1), radius, d=d, names=names
-    )
-    # store exact matrix entries so verify can re-run the sign tests
-    ball = SL2Oracle(d=d, gens=gens, names=names).enumerate_ball(radius)
-    matrices = {
+    oracle = SL2Oracle(d=d, gens=[lemma_emb_matrix(x), mat2([[1, 1], [0, 1]], d)], names=["A", "T"])
+    return x, oracle.enumerate_ball(c.params["radius"])
+
+
+def _matrices(ball):
+    """Exact entries of every ball element, keyed by its word."""
+    return {
         word: [[{"a": str(e.a), "b": str(e.b)} for e in pair] for pair in ((M.a, M.b), (M.c, M.d))]
         for word, M in zip(ball.words, ball.elements)
     }
+
+
+def _run_sl2_embed(c):
+    x, ball = _sl2_ball(c)
+    rows, witnesses = embedding_spectrum_compare(ball, RealEmbedding(1), RealEmbedding(-1))
     result = {
-        "d": d,
+        "d": c.oracle.d,
         "x": str(x),
         "rows": rows,
         "witnesses": witnesses,
-        "matrices": matrices,
+        "matrices": _matrices(ball),
         "equivalent_profiles": not witnesses,
     }
     header = ["word", "trace", "class_e1", "class_e2", "tau_e1", "tau_e2"]
@@ -483,30 +489,41 @@ def _run_sl2_embed(c):
 
 
 def _verify_sl2_embed(c, res):
+    x, ball = _sl2_ball(c)
     e1, e2 = RealEmbedding(1), RealEmbedding(-1)
-
-    def reclassifies(row):
-        M = mat2_from_json(res["matrices"][row["word"]], res["d"])
-        return classify(M, e1) == row["class_e1"] and classify(M, e2) == row["class_e2"]
-
+    rows = res["rows"]
+    classes = [(classify(M, e1), classify(M, e2)) for M in ball.elements]
     return [
-        ("exact classifications re-verify", all(map(reclassifies, res["rows"]))),
-        ("witness rows differ across embeddings", all(r["class_e1"] != r["class_e2"] for r in res["witnesses"])),
+        ("field and x match the config", (res["d"], res["x"]) == (c.oracle.d, str(x))),
+        ("rows are the ball's words in ball order", [r["word"] for r in rows] == ball.words),
+        ("stored matrices are the rebuilt ball elements", res["matrices"] == _matrices(ball)),
+        ("exact classifications re-derive from the rebuilt elements",
+         [(r["class_e1"], r["class_e2"]) for r in rows] == classes),
+        ("witnesses are the rows whose classes differ",
+         res["witnesses"] == [r for r in rows if r["class_e1"] != r["class_e2"]]
+         and res["equivalent_profiles"] == (not res["witnesses"])),
     ]
+
+
+def _kuratowski_isometric(n, trials, rng):
+    """How many of `trials` random rational metrics on n points (drawn from
+    rng) the Kuratowski embedding maps exactly isometrically.
+
+    Both the metric and the sup-distance are symmetric and vanish on the
+    diagonal, so the pairs i < j decide it.
+    """
+    count = 0
+    for _ in range(trials):
+        X = random_rational_metric(n, rng)
+        K = [kuratowski_embed(i, X) for i in range(n)]
+        count += all(sup_distance(K[i], K[j]) == X.rows[i][j] for i in range(n) for j in range(i + 1, n))
+    return count
 
 
 def _run_tightspan(c):
     rng = random.Random(c.seed)
     n, trials, proj_trials, tol = (c.params[k] for k in ("points", "trials", "proj_trials", "tol"))
-    kuratowski_ok = 0
-    for _ in range(trials):
-        X = random_rational_metric(n, rng)
-        good = all(
-            sup_distance(kuratowski_embed(i, X), kuratowski_embed(j, X)) == X.rows[i][j]
-            for i in range(n)
-            for j in range(n)
-        )
-        kuratowski_ok += good
+    kuratowski_ok = _kuratowski_isometric(n, trials, rng)
     slacks = []
     iterations = []
     for _ in range(proj_trials):
@@ -536,7 +553,11 @@ def _verify_tightspan(c, res):
     sample = [kuratowski_embed(i, tree) for i in range(tree.size)]
     rows = [[float(sup_distance(f, g)) for g in sample] for f in sample]
     defect = quadruple_defect(np.array(rows), tuple(res["tree_sample_delta"]["witness"]))
+    n, trials = c.params["points"], c.params["trials"]
     return [
+        ("points and trials match the config", (res["points"], res["trials"]) == (n, trials)),
+        ("Kuratowski count re-derives from the seed",
+         res["kuratowski_exact_isometric"] == _kuratowski_isometric(n, trials, random.Random(c.seed))),
         ("all Kuratowski embeddings exactly isometric", res["kuratowski_exact_isometric"] == res["trials"]),
         ("projection slacks within tolerance", res["max_slack"] <= 1e-9),
         ("tree hull sample is 0-hyperbolic", res["tree_sample_delta"]["delta"] == 0.0),
@@ -549,12 +570,7 @@ def _cone_off_inputs(c):
     oracle, radius = c.oracle, c.params["radius"]
     ball = oracle.enumerate_ball(radius, max_size=c.budgets["ball_cap"])
     h = oracle.parse_element(c.params["orbit"])
-    h_inv = oracle.invert(h)
-    up = down = oracle.identity()
-    powers = {up}
-    for _ in range(radius):
-        up, down = oracle.multiply(up, h), oracle.multiply(down, h_inv)
-        powers.update((up, down))
+    powers = {h**k for k in range(-radius, radius + 1)}
     return ball, [g for g in ball.elements if g in powers], c.params["A"]
 
 
@@ -636,7 +652,7 @@ def _verify_isotropy_probe(c, res):
     oracle = c.oracle
     x, y, x2, y2 = (oracle.parse_element(w) for w in res["hardest"]["pair"])
     g = oracle.parse_element(res["hardest"]["best_g"])
-    const = max(tree_distance(oracle.multiply(g, x), x2), tree_distance(oracle.multiply(g, y), y2))
+    const = max(tree_distance(g * x, x2), tree_distance(g * y, y2))
     return [
         ("hardest pair constant re-evaluates", abs(const - res["hardest"]["best_constant"]) <= 1e-12),
         ("equidistance holds", tree_distance(x, y) == tree_distance(x2, y2)),

@@ -288,16 +288,15 @@ class OverlapScan:
     per_translate: list = field(default_factory=list)
 
 
-def overlap_scan(axis_i: QuasiAxis, axis_j: QuasiAxis, r: float, translates, oracle=None, dist=tree_distance) -> OverlapScan:
+def overlap_scan(axis_i: QuasiAxis, axis_j: QuasiAxis, r: float, translates, dist=tree_distance) -> OverlapScan:
     """max over translates a of diam{p on axis_i : d(p, a . axis_j) <= r}."""
     pts_i = axis_i.points()
     pts_j = axis_j.points()
-    mul = oracle.multiply if oracle is not None else (lambda a, q: a * q)
     best = 0.0
     best_a = None
     per = []
     for a in translates:
-        moved = [mul(a, q) for q in pts_j]
+        moved = [a * q for q in pts_j]
         close = [p for p in pts_i if min(dist(p, q) for q in moved) <= r]
         diam = 0.0
         for idx, p in enumerate(close):
@@ -312,7 +311,7 @@ def overlap_scan(axis_i: QuasiAxis, axis_j: QuasiAxis, r: float, translates, ora
     return OverlapScan(max_diameter=best, witness_translate=best_a, per_translate=per)
 
 
-def surrogate_overlap_caps(axes, r: float, translates, margin: int = 2, oracle=None, dist=tree_distance):
+def surrogate_overlap_caps(axes, r: float, translates, margin: int = 2, dist=tree_distance):
     """Finite-scale N_i surrogates: cross-overlap scan maxima plus a margin.
 
     The true overlap bound ranges over the whole group; this replaces it by
@@ -325,7 +324,7 @@ def surrogate_overlap_caps(axes, r: float, translates, margin: int = 2, oracle=N
         for j, other in enumerate(axes):
             if j == i:
                 continue
-            scan = overlap_scan(axis, other, r, translates, oracle=oracle, dist=dist)
+            scan = overlap_scan(axis, other, r, translates, dist=dist)
             worst = max(worst, scan.max_diameter)
         out.append(int(worst) + margin)
     return out
@@ -354,7 +353,7 @@ def make_bf_family(oracle, f1, f2, count: int, base: int = 3, window: int = 1) -
     K = 1.0
     L = 0.0
     for n in range(1, count + 1):
-        g = oracle.multiply(f1, _power(oracle, f2, base**n))
+        g = f1 * f2 ** (base**n)
         ok, kind, tau = certify_loxodromic(g)
         if not ok:
             raise ValueError(f"family member {oracle.format_element(g)} has no loxodromic certificate")
@@ -365,7 +364,7 @@ def make_bf_family(oracle, f1, f2, count: int, base: int = 3, window: int = 1) -
             axis = None
         members.append(g)
         axes.append(axis)
-    if len({oracle.sort_key(g) for g in members}) != len(members):
+    if len(set(members)) != len(members):
         raise ValueError("family members must be pairwise distinct")
     # L fitted over the materialized windows: path length <= K * d + L
     for axis, g in zip(axes, members):
@@ -378,15 +377,6 @@ def make_bf_family(oracle, f1, f2, count: int, base: int = 3, window: int = 1) -
                 t2, q = verts[jj]
                 L = max(L, (t2 - t1) - K * tree_distance(p, q))
     return BFFamily(f1=f1, f2=f2, base=base, members=members, axes=axes, K=K, L=L)
-
-
-def _power(oracle, g, k: int):
-    if hasattr(g, "__pow__"):
-        return g**k
-    acc = oracle.identity()
-    for _ in range(k):
-        acc = oracle.multiply(acc, g)
-    return acc
 
 
 # ---------------------------------------------------------------------------

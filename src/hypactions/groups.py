@@ -1,9 +1,11 @@
 """Group oracles and Cayley-ball enumeration.
 
-An oracle bundles exact element arithmetic (identity / multiply / invert /
-equal) with a canonical hashable form, so balls can be deduplicated with a
-hash map instead of quadratic equality scans.  Generating sets are always
-symmetrized before use.
+Elements carry the group law themselves: `x * y`, `x.inverse()`, `x ** k`,
+`==`, hashing, and a total order through `x.sort_key()`, so balls are
+deduplicated with a hash map instead of quadratic equality scans.  An oracle
+holds only what an element cannot know: the identity, the generators and
+their names, the text form of elements, and ball enumeration.  Generating
+sets are always symmetrized before use.
 """
 
 from __future__ import annotations
@@ -18,27 +20,15 @@ DEFAULT_BALL_CAP = 2_000_000
 
 
 class GroupOracle:
-    """Base contract; subclasses provide exact arithmetic on their elements."""
+    """Base contract: the identity, generators and text form of one group."""
 
     def identity(self):
         raise NotImplementedError
-
-    def multiply(self, x, y):
-        raise NotImplementedError
-
-    def invert(self, x):
-        raise NotImplementedError
-
-    def equal(self, x, y) -> bool:
-        return x == y
 
     def generators(self) -> list:
         raise NotImplementedError
 
     def generator_names(self) -> list[str]:
-        raise NotImplementedError
-
-    def sort_key(self, x):
         raise NotImplementedError
 
     def format_element(self, x) -> str:
@@ -51,10 +41,10 @@ class GroupOracle:
         """Close under inversion, drop the identity, deduplicate, sort."""
         seen = {}
         for g in gens:
-            for h in (g, self.invert(g)):
-                if self.equal(h, self.identity()):
+            for h in (g, g.inverse()):
+                if h == self.identity():
                     continue
-                seen.setdefault(self.sort_key(h), h)
+                seen.setdefault(h.sort_key(), h)
         return [seen[k] for k in sorted(seen)]
 
     def enumerate_ball(self, radius: int, gens=None, max_size: int = DEFAULT_BALL_CAP) -> "Ball":
@@ -85,15 +75,12 @@ class Ball:
     def __contains__(self, x):
         return x in self.index
 
-    def sphere(self, k: int) -> list:
-        return list(self.layers[k]) if k < len(self.layers) else []
-
     def adjacency(self) -> list[list[int]]:
         """In-ball Cayley adjacency (indices); used by graph-metric code."""
         adj: list[list[int]] = [[] for _ in self.elements]
         for i, x in enumerate(self.elements):
             for g in self.gens:
-                y = self.oracle.multiply(x, g)
+                y = x * g
                 j = self.index.get(y)
                 if j is not None and j != i:
                     adj[i].append(j)
@@ -105,7 +92,7 @@ def enumerate_ball(oracle: GroupOracle, radius: int, gens=None, max_size: int = 
         raise ValueError("radius must be >= 0")
     raw = oracle.generators() if gens is None else list(gens)
     sym = oracle.symmetrize(raw)
-    labels = [_gen_label(oracle, g) for g in sym]
+    labels = [oracle.format_element(g) for g in sym]
     ball = Ball(oracle=oracle, gens=sym, gen_labels=labels, radius=radius)
 
     e = oracle.identity()
@@ -120,10 +107,10 @@ def enumerate_ball(oracle: GroupOracle, radius: int, gens=None, max_size: int = 
         for x in frontier:
             wx = ball.words[ball.index[x]]
             for g, lab in zip(ball.gens, labels):
-                y = oracle.multiply(x, g)
-                if y in ball.index or oracle.sort_key(y) in next_layer:
+                y = x * g
+                if y in ball.index or y.sort_key() in next_layer:
                     continue
-                next_layer[oracle.sort_key(y)] = (y, lab if wx == "1" else wx + "*" + lab)
+                next_layer[y.sort_key()] = (y, lab if wx == "1" else wx + "*" + lab)
         layer = []
         for key in sorted(next_layer):
             y, wy = next_layer[key]
@@ -144,10 +131,6 @@ def enumerate_ball(oracle: GroupOracle, radius: int, gens=None, max_size: int = 
     return ball
 
 
-def _gen_label(oracle, g):
-    return oracle.format_element(g)
-
-
 class FreeGroupOracle(GroupOracle):
     """The free group F_rank on letters a, b, c, ..."""
 
@@ -159,20 +142,11 @@ class FreeGroupOracle(GroupOracle):
     def identity(self):
         return FreeWord.identity()
 
-    def multiply(self, x, y):
-        return x * y
-
-    def invert(self, x):
-        return x.inverse()
-
     def generators(self):
         return [FreeWord.generator(i) for i in range(self.rank)]
 
     def generator_names(self):
         return [generator_name(i) for i in range(self.rank)]
-
-    def sort_key(self, x):
-        return (len(x.signed), x.signed)
 
     def format_element(self, x):
         return format_word(x)
@@ -196,12 +170,6 @@ class BSOracle(GroupOracle):
     def identity(self):
         return bs_identity(self.m, self.n)
 
-    def multiply(self, x, y):
-        return x * y
-
-    def invert(self, x):
-        return x.inverse()
-
     def generators(self):
         a = BSElement(self.m, self.n, (), 1)
         t = BSElement(self.m, self.n, ((0, 1),), 0)
@@ -209,9 +177,6 @@ class BSOracle(GroupOracle):
 
     def generator_names(self):
         return ["a", "t"]
-
-    def sort_key(self, x):
-        return x.sort_key()
 
     def format_element(self, x):
         return format_bs(x)

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
+from operator import mul
 
 from .baumslag import BSElement
 from .errors import BudgetExceeded, NotLoxodromic
-from .metrics import PseudoLength
 from .words import FreeWord, tree_distance
 
 ELLIPTIC_EVIDENCE = "elliptic-evidence"
@@ -35,7 +36,7 @@ class TranslationTrace:
         return all(a >= b - tol for a, b in zip(self.trace, self.trace[1:]))
 
 
-def translation_length_estimate(oracle, g, lengths, horizon: int) -> TranslationTrace:
+def translation_length_estimate(g, lengths, horizon: int) -> TranslationTrace:
     """Certified upper bounds l(g^n)/n for n = 1..horizon.
 
     By subadditivity every ratio bounds the translation length from above and
@@ -44,12 +45,8 @@ def translation_length_estimate(oracle, g, lengths, horizon: int) -> Translation
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    fn = lengths if callable(lengths) else lengths.__call__
-    trace = []
-    power = oracle.identity()
-    for n in range(1, horizon + 1):
-        power = oracle.multiply(power, g)
-        trace.append(fn(power) / n)
+    powers = accumulate(repeat(g, horizon), mul)
+    trace = [lengths(p) / n for n, p in enumerate(powers, start=1)]
     return TranslationTrace(upper=min(trace), trace=trace)
 
 
@@ -82,14 +79,14 @@ def certify_loxodromic(g, embedding=None) -> tuple[bool, str, float]:
     return False, "", 0.0
 
 
-def classify_isometry(oracle, g, lengths, horizon: int, embedding=None) -> IsometryClass:
+def classify_isometry(g, lengths, horizon: int, embedding=None) -> IsometryClass:
     """Estimate, then certify where an exact argument exists.
 
     The certificate (cyclic reduction, t-exponent sum, trace test) refers to
     the canonical action of g's kind; tau_lower bounds tau_upper only when
     `lengths` is an orbit length of that same action.
     """
-    est = translation_length_estimate(oracle, g, lengths, horizon)
+    est = translation_length_estimate(g, lengths, horizon)
     certified, kind, tau_lower = certify_loxodromic(g, embedding)
     if certified:
         return IsometryClass(LOXODROMIC, est.upper, tau_lower, horizon, certificate=kind)
@@ -148,30 +145,22 @@ def build_quasi_axis(oracle, g, gamma, window: int) -> QuasiAxis:
         steps = list(gamma)
         prefixes = [oracle.identity()]
         for s in steps[:-1] if steps else []:
-            prefixes.append(oracle.multiply(prefixes[-1], s))
-        spelled = oracle.multiply(prefixes[-1], steps[-1]) if steps else oracle.identity()
-        if not oracle.equal(spelled, g):
+            prefixes.append(prefixes[-1] * s)
+        spelled = prefixes[-1] * steps[-1] if steps else oracle.identity()
+        if spelled != g:
             raise ValueError("label does not spell the element")
     axis = QuasiAxis(element=g, base_word=gamma, window=window)
     segment_len = max(len(prefixes), 1)
     # the materialized path runs from g^-window s to g^window s (window >= 1);
     # window 0 is just the base segment from s to gs
     last_k = max(window - 1, 0)
-    power = _oracle_power(oracle, g, -window)
+    power = g ** -window
     for k in range(-window, last_k + 1):
         for i, p in enumerate(prefixes):
-            axis.vertices.append((k * segment_len + i, oracle.multiply(power, p)))
-        power = oracle.multiply(power, g)
+            axis.vertices.append((k * segment_len + i, power * p))
+        power = power * g
     axis.vertices.append(((last_k + 1) * segment_len, power))
     return axis
-
-
-def _oracle_power(oracle, g, k: int):
-    acc = oracle.identity()
-    step = g if k >= 0 else oracle.invert(g)
-    for _ in range(abs(k)):
-        acc = oracle.multiply(acc, step)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +176,9 @@ class EquivalenceWitness:
 
     def check(self, oracle, g, h, dist) -> bool:
         """Re-evaluate max{d(a, 1), d(a g^m, h^n)} <= epsilon."""
-        gm = _oracle_power(oracle, g, self.m)
-        hn = _oracle_power(oracle, h, self.n)
         value = max(
             dist(self.a, oracle.identity()),
-            dist(oracle.multiply(self.a, gm), hn),
+            dist(self.a * g**self.m, h**self.n),
         )
         return value <= self.epsilon + 1e-12
 
@@ -237,8 +224,8 @@ def equivalence_witness_search(
         power_cap = N + max(4, radius)
     ball = oracle.enumerate_ball(radius)
     identity = oracle.identity()
-    g_pows = {m: _oracle_power(oracle, g, m) for m in range(N + 1, power_cap + 1)}
-    h_pows = {n: _oracle_power(oracle, h, n) for n in range(N + 1, power_cap + 1)}
+    g_pows = {m: g**m for m in range(N + 1, power_cap + 1)}
+    h_pows = {n: h**n for n in range(N + 1, power_cap + 1)}
     checked = 0
     pairs = sorted(
         ((m, n) for m in g_pows for n in h_pows), key=lambda p: (p[0] + p[1], p)
@@ -253,7 +240,7 @@ def equivalence_witness_search(
                     "witness search budget exhausted",
                     extent={"checked": checked},
                 )
-            if dist(oracle.multiply(a, g_pows[m]), h_pows[n]) <= epsilon:
+            if dist(a * g_pows[m], h_pows[n]) <= epsilon:
                 return EquivalenceWitness(a=a, m=m, n=n, epsilon=epsilon)
     return SearchExhausted(
         epsilon=epsilon,
@@ -277,10 +264,10 @@ class CompressionValue:
     trace_denominator: list[float]
 
 
-def compression_function(oracle, g, lengths_compressed, lengths_reference, horizon: int) -> CompressionValue:
+def compression_function(g, lengths_compressed, lengths_reference, horizon: int) -> CompressionValue:
     """Ratio of horizon translation-length estimates: compressed over reference."""
-    num = translation_length_estimate(oracle, g, lengths_compressed, horizon)
-    den = translation_length_estimate(oracle, g, lengths_reference, horizon)
+    num = translation_length_estimate(g, lengths_compressed, horizon)
+    den = translation_length_estimate(g, lengths_reference, horizon)
     if den.upper <= 1e-12:
         raise NotLoxodromic(
             "not-loxodromic-downstairs: reference translation length estimate is 0"
@@ -359,11 +346,11 @@ class IsotropyReport:
         return self.successes / self.pairs_checked if self.pairs_checked else 1.0
 
 
-def match_pair(oracle, candidates, x, y, x2, y2, dist):
+def match_pair(candidates, x, y, x2, y2, dist):
     """Best g among candidates for max{d(gx, x'), d(gy, y')}: (cost, g)."""
     best_c, best_g = float("inf"), None
     for g in candidates:
-        c = max(dist(oracle.multiply(g, x), x2), dist(oracle.multiply(g, y), y2))
+        c = max(dist(g * x, x2), dist(g * y, y2))
         if c < best_c:
             best_c, best_g = c, g
             if c == 0:
@@ -396,7 +383,7 @@ def isotropy_probe(oracle, ball, D: float, sample_size: int, seed: int = 0, dist
     for _ in range(sample_size):
         d = rng.choice(eligible)
         (x, y), (x2, y2) = rng.sample(by_distance[d], 2)
-        best_c, best_g = match_pair(oracle, elements, x, y, x2, y2, dist)
+        best_c, best_g = match_pair(elements, x, y, x2, y2, dist)
         ok = best_c <= D
         successes += ok
         results.append(

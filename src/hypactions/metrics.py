@@ -46,24 +46,16 @@ class PseudoLength:
     def __len__(self):
         return len(self.values)
 
-    def scaled(self, c: float) -> "PseudoLength":
-        return PseudoLength({g: c * v for g, v in self.values.items()})
-
     @classmethod
     def from_word_lengths(cls, ball) -> "PseudoLength":
         return cls({g: float(r) for g, r in ball.length.items()})
 
-    @classmethod
-    def from_function(cls, fn, domain) -> "PseudoLength":
-        return cls({g: float(fn(g)) for g in domain})
 
-
-def orbit_pseudo_length(oracle, distances: dict, check: str = "all") -> PseudoLength:
-    """Wrap a map g -> d(s, gs) as a PseudoLength, verifying the axioms.
-
-    check: "all" verifies symmetry on every invertible pair and subadditivity
-    on every product that lands back in the domain; "none" skips verification.
-    Raises AxiomViolation with the offending element or pair.
+def orbit_pseudo_length(oracle, distances: dict) -> PseudoLength:
+    """Wrap a map g -> d(s, gs) as a PseudoLength, verifying the axioms:
+    symmetry on every invertible pair and subadditivity on every product that
+    lands back in the domain.  Raises AxiomViolation with the offending
+    element or pair.
     """
     values = {g: float(v) for g, v in distances.items()}
     e = oracle.identity()
@@ -74,22 +66,18 @@ def orbit_pseudo_length(oracle, distances: dict, check: str = "all") -> PseudoLe
     for g, v in values.items():
         if v < -ZERO_TOL:
             raise AxiomViolation("non-negativity", g, f"l(g) = {v} < 0")
-    if check == "all":
-        for g, v in values.items():
-            gi = oracle.invert(g)
-            if gi in values and abs(values[gi] - v) > ZERO_TOL:
-                raise AxiomViolation("symmetry", g, f"l(g)={v}, l(g^-1)={values[gi]}")
-        items = list(values.items())
-        for g, vg in items:
-            for h, vh in items:
-                gh = oracle.multiply(g, h)
-                vgh = values.get(gh)
-                if vgh is not None and vgh > vg + vh + ZERO_TOL:
-                    raise AxiomViolation(
-                        "subadditivity", (g, h), f"l(gh)={vgh} > {vg}+{vh}"
-                    )
-    elif check != "none":
-        raise ValueError(f"unknown check mode {check!r}")
+    for g, v in values.items():
+        gi = g.inverse()
+        if gi in values and abs(values[gi] - v) > ZERO_TOL:
+            raise AxiomViolation("symmetry", g, f"l(g)={v}, l(g^-1)={values[gi]}")
+    items = list(values.items())
+    for g, vg in items:
+        for h, vh in items:
+            vgh = values.get(g * h)
+            if vgh is not None and vgh > vg + vh + ZERO_TOL:
+                raise AxiomViolation(
+                    "subadditivity", (g, h), f"l(gh)={vgh} > {vg}+{vh}"
+                )
     return PseudoLength(values)
 
 
@@ -211,11 +199,6 @@ class FiniteMetricSpace:
     def as_array(self) -> np.ndarray:
         return np.array([[float(x) for x in r] for r in self.rows], dtype=np.float64)
 
-    @classmethod
-    def from_distance_fn(cls, points, fn, validate=False):
-        rows = [[fn(p, q) for q in points] for p in points]
-        return cls(rows, validate=validate)
-
 
 def free_ball_distance_matrix(ball) -> np.ndarray:
     """Exact word-metric matrix of a free-group ball, d = |u|+|v|-2*lcp."""
@@ -287,7 +270,7 @@ def gromov_product(dist, x, y, z) -> float:
     return (dist(x, z) + dist(y, z) - dist(x, y)) / 2.0
 
 
-def orbit_distance(oracle, lengths: PseudoLength):
+def orbit_distance(lengths: PseudoLength):
     """The pseudo-metric d(g, h) = l(g^-1 h) of a pseudo-length.
 
     Queries outside the materialized ball raise DomainMiss, so Gromov
@@ -295,7 +278,7 @@ def orbit_distance(oracle, lengths: PseudoLength):
     """
 
     def dist(g, h):
-        return lengths(oracle.multiply(oracle.invert(g), h))
+        return lengths(g.inverse() * h)
 
     return dist
 
@@ -538,30 +521,23 @@ def _parse_number(tok: str):
 # random metric generators for experiments and tests
 
 
-def random_rational_metric(n: int, rng: random.Random, coord_range: int = 20, denom: int = 4):
-    """L1 distances of distinct random points in (Z/denom)^2: rational, exact."""
+def random_rational_metric(n: int, rng: random.Random):
+    """L1 distances of distinct random points of (Z/4)^2 in [-5, 5]^2: rational, exact."""
     while True:
-        pts = [
-            (Fraction(rng.randint(-coord_range, coord_range), denom),
-             Fraction(rng.randint(-coord_range, coord_range), denom))
-            for _ in range(n)
-        ]
+        pts = [(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(n)]  # 4 * coordinates
         if len(set(pts)) == n:
             break
-    rows = [
-        [abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in pts]
-        for p in pts
-    ]
+    rows = [[Fraction(abs(p[0] - q[0]) + abs(p[1] - q[1]), 4) for q in pts] for p in pts]
     return FiniteMetricSpace(rows, validate=False)
 
 
-def random_tree_metric(n: int, rng: random.Random, max_weight: int = 9):
-    """Path metric of a random tree on n nodes with integer edge weights."""
+def random_tree_metric(n: int, rng: random.Random):
+    """Path metric of a random tree on n nodes with edge weights 1..9."""
     parent = [0] * n
     weight = [0] * n
     for v in range(1, n):
         parent[v] = rng.randrange(v)
-        weight[v] = rng.randint(1, max_weight)
+        weight[v] = rng.randint(1, 9)
     children = [[] for _ in range(n)]
     for v in range(1, n):
         children[parent[v]].append(v)

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
+from operator import mul
 
 from .baumslag import BSElement
 from .errors import CertificateError
@@ -101,15 +103,12 @@ class DefectEstimate:
         }
 
 
-def defect_empirical(q: QuasiMorphism, oracle, elements, pairs=None) -> DefectEstimate:
-    """max |q(gh) - q(g) - q(h)| over a pair set: a certified lower bound on
-    the true defect.  Default pair set: all ordered pairs of `elements`."""
-    if pairs is None:
-        elements = list(elements)
-        pairs = ((g, h) for g in elements for h in elements)
+def defect_empirical(q: QuasiMorphism, elements) -> DefectEstimate:
+    """max |q(gh) - q(g) - q(h)| over all ordered pairs of `elements`: a
+    certified lower bound on the true defect."""
+    elements = list(elements)
     best = 0.0
     witness = None
-    checked = 0
     values = {}
 
     def q_of(g):
@@ -117,13 +116,13 @@ def defect_empirical(q: QuasiMorphism, oracle, elements, pairs=None) -> DefectEs
             values[g] = q(g)
         return values[g]
 
-    for g, h in pairs:
-        checked += 1
-        d = abs(q_of(oracle.multiply(g, h)) - q_of(g) - q_of(h))
-        if d > best:
-            best = d
-            witness = (g, h)
-    return DefectEstimate(value=best, witness=witness, pairs_checked=checked)
+    for g in elements:
+        for h in elements:
+            d = abs(q_of(g * h) - q_of(g) - q_of(h))
+            if d > best:
+                best = d
+                witness = (g, h)
+    return DefectEstimate(value=best, witness=witness, pairs_checked=len(elements) ** 2)
 
 
 @dataclass
@@ -134,7 +133,7 @@ class HomogenizedValue:
     trace: list[float]
 
 
-def homogenize(q: QuasiMorphism, oracle, g, n: int, defect: float | None = None) -> HomogenizedValue:
+def homogenize(q: QuasiMorphism, g, n: int, defect: float | None = None) -> HomogenizedValue:
     """q(g^n)/n with the telescoped error bound D/n.
 
     `defect` defaults to the analytic bound attached to q; supply an empirical
@@ -146,11 +145,7 @@ def homogenize(q: QuasiMorphism, oracle, g, n: int, defect: float | None = None)
         defect = q.defect_bound
     if defect is None:
         raise ValueError("homogenization needs a defect bound (analytic or empirical)")
-    trace = []
-    power = oracle.identity()
-    for i in range(1, n + 1):
-        power = oracle.multiply(power, g)
-        trace.append(q(power) / i)
+    trace = [q(p) / i for i, p in enumerate(accumulate(repeat(g, n), mul), start=1)]
     return HomogenizedValue(value=trace[-1], error_bound=defect / n, power=n, trace=trace)
 
 
@@ -250,9 +245,9 @@ def anisotropy_certificate(
     The caller asserts that the pseudo-length comes from a general-type
     action; the conclusion text presumes it.
     """
-    defect = defect_empirical(q, oracle, ball.elements)
+    defect = defect_empirical(q, ball.elements)
     bound = q.defect_bound if q.defect_bound is not None else defect.value
-    hom = homogenize(q, oracle, g, power, defect=bound)
+    hom = homogenize(q, g, power, defect=bound)
     if abs(hom.value) <= ZERO_TOL:
         raise CertificateError("zero-value", f"homogenized value at {oracle.format_element(g)} is 0")
     fit = subordination_fit(q, lengths)
@@ -283,19 +278,17 @@ def anisotropy_certificate(
     )
 
 
-def commutator_scan(q: QuasiMorphism, oracle, elements, cap: int | None = None) -> float:
+def commutator_scan(q: QuasiMorphism, elements, cap: int | None = None) -> float:
     """Diagnostic (heuristic) scan: max |q([g, h])| over pairs from a ball."""
     elements = list(elements)
     best = 0.0
     checked = 0
     for g in elements:
-        gi = oracle.invert(g)
+        gi = g.inverse()
         for h in elements:
             if cap is not None and checked >= cap:
                 return best
             checked += 1
-            comm = oracle.multiply(
-                oracle.multiply(g, h), oracle.multiply(gi, oracle.invert(h))
-            )
+            comm = (g * h) * (gi * h.inverse())
             best = max(best, abs(q(comm)))
     return best

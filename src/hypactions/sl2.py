@@ -9,6 +9,7 @@ met.  The basepoint of the upper half-plane is fixed at i.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -17,16 +18,29 @@ from fractions import Fraction
 from .errors import NotLoxodromic
 from .groups import GroupOracle
 
+# bits of the first dyadic bracket; refinement doubles it
+START_BITS = 64
 
+
+@functools.cache
 def _is_square_free(d: int) -> bool:
+    """Is d >= 2 free of square factors?
+
+    Trial division strips every prime p <= d^(1/3), failing on a repeated
+    one.  What remains has only prime factors above d^(1/3), so at most two
+    of them, and is square-free exactly when it is not a perfect square.
+    """
     if d < 2:
         return False
+    m = d
     k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
+    while k * k * k <= d:
+        if m % k == 0:
+            m //= k
+            if m % k == 0:
+                return False
         k += 1
-    return True
+    return m == 1 or math.isqrt(m) ** 2 != m
 
 
 def _sign(x) -> int:
@@ -114,10 +128,6 @@ class QuadFieldElement:
             return self.a + c * root_lo, self.a + c * root_hi
         return self.a + c * root_hi, self.a + c * root_lo
 
-    def float_under(self, embedding: "RealEmbedding", bits: int = 80) -> float:
-        lo, hi = self.interval_under(embedding, bits)
-        return float((lo + hi) / 2)
-
     def refine_until_sign(self, embedding: "RealEmbedding") -> tuple[Fraction, Fraction, int]:
         """Double the precision until the dyadic bracket excludes 0.
 
@@ -127,7 +137,7 @@ class QuadFieldElement:
         """
         if self.is_zero():
             raise ValueError("zero has no sign-certifying interval")
-        bits = max(self.d.bit_length(), embedding.precision, 8)
+        bits = max(self.d.bit_length(), START_BITS)
         while True:
             lo, hi = self.interval_under(embedding, bits)
             if lo > 0 or hi < 0:
@@ -187,7 +197,6 @@ class RealEmbedding:
     """The field embedding determined by sqrt(d) |-> sign * sqrt(d)."""
 
     sign: int = 1
-    precision: int = 64
 
     def __post_init__(self):
         if self.sign not in (1, -1):
@@ -306,7 +315,7 @@ def _acosh_interval(lo: Fraction, hi: Fraction) -> tuple[float, float]:
 def _refine_acosh(value: QuadFieldElement, embedding: RealEmbedding, tol: float) -> float:
     if value.b == 0 and value.a == 1:
         return 0.0
-    bits = max(embedding.precision, 64)
+    bits = START_BITS
     while True:
         lo, hi = value.interval_under(embedding, bits)
         if lo >= 1:
@@ -362,20 +371,11 @@ class SL2Oracle(GroupOracle):
     def identity(self):
         return mat2_identity(self.d)
 
-    def multiply(self, x, y):
-        return x * y
-
-    def invert(self, x):
-        return x.inverse()
-
     def generators(self):
         return list(self.gens)
 
     def generator_names(self):
         return list(self.names)
-
-    def sort_key(self, x):
-        return x.sort_key()
 
     def format_element(self, x):
         for g, name in zip(self.gens, self.names):
@@ -394,26 +394,14 @@ class SL2Oracle(GroupOracle):
         return f"SL2Oracle(d={self.d}, gens={len(self.gens)})"
 
 
-def embedding_spectrum_compare(
-    gens: list[Mat2],
-    e1: RealEmbedding,
-    e2: RealEmbedding,
-    radius: int,
-    d: int | None = None,
-    names: list[str] | None = None,
-    tol: float = 1e-12,
-):
-    """Classify every element of the word ball under both embeddings.
+def embedding_spectrum_compare(ball, e1: RealEmbedding, e2: RealEmbedding, tol: float = 1e-12):
+    """Classify every element of a word ball of matrices under both embeddings.
 
     Returns (rows, witnesses): one row per ball element with its word, exact
     trace, classes and translation lengths under e1 / e2; witnesses lists the
     rows whose class differs, any one of which certifies that the two induced
     translation-length profiles are not Lipschitz equivalent.
     """
-    if d is None:
-        d = gens[0].field_d
-    oracle = SL2Oracle(d=d, gens=gens, names=names)
-    ball = oracle.enumerate_ball(radius)
     rows = []
     witnesses = []
     for i, A in enumerate(ball.elements):

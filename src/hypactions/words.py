@@ -110,6 +110,10 @@ class FreeWord:
     def inverse(self) -> "FreeWord":
         return FreeWord._raw(tuple(-x for x in reversed(self.signed)))
 
+    def sort_key(self):
+        """Shortlex order: length first, then the signed letters."""
+        return (len(self.signed), self.signed)
+
     def __pow__(self, n: int) -> "FreeWord":
         if n < 0:
             return self.inverse() ** (-n)

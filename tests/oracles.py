@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive and separate from the package
 implementations: repeated-scan free reduction, exhaustive product
-enumeration, materialized-graph Dijkstra, a plain-loop four-point scan, and
+enumeration, materialized-graph Dijkstra, a plain-loop four-point scan,
 per-source BFS and per-pair geodesic walks for the in-ball graph metric and
-cone-off.
+cone-off, and trial division up to sqrt(d) for square-freeness.
 """
 
 import math
@@ -165,3 +165,15 @@ def acosh_decimal(x, places=40):
     getcontext().prec = places + 10
     d = Decimal(x)
     return float((d + (d * d - 1).sqrt()).ln())
+
+
+def is_square_free_naive(d):
+    """Trial division by every k with k^2 <= d."""
+    if d < 2:
+        return False
+    k = 2
+    while k * k <= d:
+        if d % (k * k) == 0:
+            return False
+        k += 1
+    return True

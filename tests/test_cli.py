@@ -326,7 +326,7 @@ def test_verify_tau_rejects_a_result_for_another_element(tmp_path, capsys):
     summary = json.loads(summary_path.read_text())
     # a self-consistent result, but for g = ab and horizon 2, not the config's
     oracle = group_from_spec(cfg["group"])
-    est = translation_length_estimate(oracle, oracle.parse_element("ab"), lambda w: float(len(w)), 2)
+    est = translation_length_estimate(oracle.parse_element("ab"), lambda w: float(len(w)), 2)
     summary["result"].update(g="ab", horizon=2, trace=est.trace, upper=est.upper, exact_free_value=2.0)
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
@@ -343,3 +343,30 @@ def test_verify_compress_rejects_a_summary_without_reports(tmp_path, capsys):
     code, lines = _verify(summary_path, capsys)
     assert code == 1
     assert lines == ["FAIL  one report per family and k of the config"]
+
+
+def test_verify_tightspan_rederives_the_kuratowski_count(tmp_path, capsys):
+    _, out = run_config(tmp_path, BASE_CONFIGS["tightspan"], "tightspan")
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    summary["result"].update(trials=999, kuratowski_exact_isometric=999)
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert "FAIL  points and trials match the config" in lines
+    assert "FAIL  Kuratowski count re-derives from the seed" in lines
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda rows: [],
+    lambda rows: rows[::-1],
+], ids=["emptied", "reordered"])
+def test_verify_sl2_embed_ties_rows_to_the_ball(tmp_path, capsys, tamper):
+    _, out = run_config(tmp_path, BASE_CONFIGS["sl2-embed"], "sl2")
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    summary["result"]["rows"] = tamper(summary["result"]["rows"])
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert "FAIL  rows are the ball's words in ball order" in lines

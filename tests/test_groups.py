@@ -48,7 +48,7 @@ def test_bs_layer_index_is_min_product_length():
             for combo in iproduct(gens, repeat=k):
                 acc = bs.identity()
                 for x in combo:
-                    acc = bs.multiply(acc, x)
+                    acc = acc * x
                 if acc == g:
                     found = k
                     break
@@ -83,15 +83,13 @@ def test_group_axioms_spot_check():
         e = oracle.identity()
         sample = ball.elements[:12]
         for x in sample:
-            assert oracle.equal(oracle.multiply(x, e), x)
-            assert oracle.equal(oracle.multiply(e, x), x)
-            assert oracle.equal(oracle.multiply(x, oracle.invert(x)), e)
+            assert x * e == x
+            assert e * x == x
+            assert x * x.inverse() == e
         for x in sample[:6]:
             for y in sample[:6]:
                 for z in sample[:6]:
-                    lhs = oracle.multiply(oracle.multiply(x, y), z)
-                    rhs = oracle.multiply(x, oracle.multiply(y, z))
-                    assert oracle.equal(lhs, rhs)
+                    assert (x * y) * z == x * (y * z)
 
 
 def test_ball_words_are_geodesic_spellings():

@@ -21,11 +21,11 @@ word_len = lambda g: float(len(g))
 
 
 def test_translation_length_estimate_examples():
-    est = translation_length_estimate(F2, F2.identity(), word_len, 5)
+    est = translation_length_estimate(F2.identity(), word_len, 5)
     assert est.upper == 0.0
-    est = translation_length_estimate(F2, parse_word("ab"), word_len, 5)
+    est = translation_length_estimate(parse_word("ab"), word_len, 5)
     assert est.upper == 2.0 and est.trace == [2.0] * 5
-    est = translation_length_estimate(F2, parse_word("aba^-1"), word_len, 5)
+    est = translation_length_estimate(parse_word("aba^-1"), word_len, 5)
     assert est.trace == [3.0, 2.0, 5.0 / 3.0, 1.5, 7.0 / 5.0]
     assert est.is_non_increasing()
 
@@ -43,7 +43,7 @@ def test_estimate_trace_law():
     for text in ("aba^-1", "a^2ba^-2", "ab", "b^3"):
         g = parse_word(text)
         tau = translation_length_exact_free(g)
-        est = translation_length_estimate(F2, g, word_len, 6)
+        est = translation_length_estimate(g, word_len, 6)
         for n, ratio in enumerate(est.trace, start=1):
             assert ratio * n == n * tau + (len(g) - tau)
 
@@ -59,13 +59,13 @@ def test_tau_power_and_conjugation_laws():
 
 
 def test_classify_isometry():
-    cls = classify_isometry(F2, parse_word("ab"), word_len, 6)
+    cls = classify_isometry(parse_word("ab"), word_len, 6)
     assert cls.verdict == "loxodromic"
     assert cls.tau_lower == 2.0 and cls.tau_upper == 2.0
-    cls = classify_isometry(F2, F2.identity(), word_len, 6)
+    cls = classify_isometry(F2.identity(), word_len, 6)
     assert cls.verdict != "loxodromic"
     bs = BSOracle(2, 3)
-    cls = classify_isometry(bs, bs.parse_element("t"), lambda g: float(g.t_syllable_count()), 6)
+    cls = classify_isometry(bs.parse_element("t"), lambda g: float(g.t_syllable_count()), 6)
     assert cls.verdict == "loxodromic" and cls.certificate == "bs-t-exponent-sum"
 
 
@@ -114,13 +114,13 @@ def test_equivalence_witness_exhausted_for_independent():
 
 def test_compression_function():
     g = parse_word("ab")
-    val = compression_function(F2, g, word_len, word_len, 5)
+    val = compression_function(g, word_len, word_len, 5)
     assert val.ratio == 1.0
     half = lambda w: 0.5 * len(w)
-    val = compression_function(F2, g, half, word_len, 5)
+    val = compression_function(g, half, word_len, 5)
     assert val.ratio == 0.5
     with pytest.raises(NotLoxodromic):
-        compression_function(F2, F2.identity(), word_len, word_len, 5)
+        compression_function(F2.identity(), word_len, word_len, 5)
 
 
 def test_compression_against_enlarged_genset():
@@ -128,7 +128,7 @@ def test_compression_against_enlarged_genset():
     extra = F2.symmetrize([parse_word("a"), parse_word("b"), parse_word("ab")])
     ball = F2.enumerate_ball(6, gens=extra)
     compressed = lambda g: float(ball.length[g])
-    val = compression_function(F2, parse_word("ab"), compressed, word_len, 3)
+    val = compression_function(parse_word("ab"), compressed, word_len, 3)
     assert val.ratio == 0.5
 
 
@@ -138,24 +138,21 @@ def test_compression_invariant_under_powers():
     ball = F2.enumerate_ball(8, gens=extra)
     compressed = lambda g: float(ball.length[g])
     g = parse_word("ab")
-    base = compression_function(F2, g, compressed, word_len, 4).ratio
+    base = compression_function(g, compressed, word_len, 4).ratio
     for k in (2, 3):
         horizon = 8 // (2 * k) or 1
-        assert compression_function(F2, g**k, compressed, word_len, horizon).ratio == base
+        assert compression_function(g**k, compressed, word_len, horizon).ratio == base
 
 
 def test_classify_isometry_sl2_certificate():
     from hypactions.loxodromic import certify_loxodromic
-    from hypactions.sl2 import RealEmbedding, SL2Oracle, lemma_emb_matrix, mat2, orbit_distance_h2, parse_qfe
+    from hypactions.sl2 import RealEmbedding, lemma_emb_matrix, mat2, orbit_distance_h2, parse_qfe
 
     minus = RealEmbedding(-1)
     A = lemma_emb_matrix(parse_qfe("sqrt2-1", 2))
     ok, kind, tau = certify_loxodromic(A, embedding=minus)
     assert ok and kind == "sl2-trace" and tau > 0
-    oracle = SL2Oracle(d=2, gens=[A], names=["A"])
-    cls = classify_isometry(
-        oracle, A, lambda M: orbit_distance_h2(M, minus), 4, embedding=minus
-    )
+    cls = classify_isometry(A, lambda M: orbit_distance_h2(M, minus), 4, embedding=minus)
     assert cls.verdict == "loxodromic" and cls.tau_upper >= cls.tau_lower - 1e-9
     ok, kind, _ = certify_loxodromic(mat2([[0, -1], [1, 0]]), embedding=minus)
     assert not ok and kind == "sl2-trace"
@@ -187,11 +184,11 @@ def test_match_pair_trivial_cases():
     ball = F2.enumerate_ball(2)
     x, y = parse_word("a"), parse_word("ab")
     # identical target pair: the identity matches with cost 0
-    c, g = match_pair(F2, ball.elements, x, y, x, y, tree_distance)
+    c, g = match_pair(ball.elements, x, y, x, y, tree_distance)
     assert c == 0 and g == F2.identity()
     # translated target pair: equivariance gives an exact match at D = 0
     z = parse_word("b^-1")
-    c, g = match_pair(F2, ball.elements, x, y, z * x, z * y, tree_distance)
+    c, g = match_pair(ball.elements, x, y, z * x, z * y, tree_distance)
     assert c == 0 and g == z
 
 
@@ -202,7 +199,7 @@ def test_match_pair_incompatible_directions():
     # gx = 1 and g a^2 = ab has no solution in the tree
     ball = F2.enumerate_ball(2)
     e = F2.identity()
-    c, _ = match_pair(F2, ball.elements, e, parse_word("a^2"), e, parse_word("ab"), tree_distance)
+    c, _ = match_pair(ball.elements, e, parse_word("a^2"), e, parse_word("ab"), tree_distance)
     assert c >= 1
 
 

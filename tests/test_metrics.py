@@ -51,7 +51,7 @@ def test_gromov_product_on_pseudo_length_misses_domain():
 
     ball = F2.enumerate_ball(2)
     lengths = PseudoLength.from_word_lengths(ball)
-    dist = orbit_distance(F2, lengths)
+    dist = orbit_distance(lengths)
     assert gromov_product(dist, parse_word("a"), parse_word("b"), F2.identity()) == 0.0
     with pytest.raises(DomainMiss):
         # a^2 and b^-2 sit in the ball, but their quotient word does not
@@ -199,12 +199,12 @@ def cyclic_orbit(oracle, ball, word):
     """The powers h^k, k in [-radius, radius], of h = word that lie in the ball."""
     h = oracle.parse_element(word)
     orbit = []
-    for step in (h, oracle.invert(h)):
+    for step in (h, h.inverse()):
         g = oracle.identity()
         for _ in range(ball.radius + 1):
             if g in ball.index and g not in orbit:
                 orbit.append(g)
-            g = oracle.multiply(g, step)
+            g = g * step
     return orbit
 
 

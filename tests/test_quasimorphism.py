@@ -51,34 +51,34 @@ def test_defect_examples():
     bs = BSOracle(2, 3)
     ball = bs.enumerate_ball(3)
     qt = exponent_sum_qm()
-    assert defect_empirical(qt, bs, ball.elements).value == 0.0
+    assert defect_empirical(qt, ball.elements).value == 0.0
 
     q = brooks_qm(w("ab"))
     fball = F2.enumerate_ball(4)
-    est = defect_empirical(q, F2, fball.elements)
+    est = defect_empirical(q, fball.elements)
     assert est.value >= 1.0  # e.g. q(ab) - q(a) - q(b) = 1
     g, h = est.witness
-    assert abs(q(F2.multiply(g, h)) - q(g) - q(h)) == est.value
+    assert abs(q(g * h) - q(g) - q(h)) == est.value
 
     zero = linear_combination([])
-    assert defect_empirical(zero, F2, fball.elements[:10]).value == 0.0
+    assert defect_empirical(zero, fball.elements[:10]).value == 0.0
 
 
 def test_homogenize():
     bs = BSOracle(2, 3)
     qt = exponent_sum_qm()
     g = bs.parse_element("ta")
-    hom = homogenize(qt, bs, g, 6)
+    hom = homogenize(qt, g, 6)
     assert hom.value == 1.0 and hom.error_bound == 0.0
 
     q = brooks_qm(w("ab"))
-    hom = homogenize(q, F2, w("ab"), 8, defect=1.0)
+    hom = homogenize(q, w("ab"), 8, defect=1.0)
     assert hom.value == 1.0
     assert hom.error_bound == 1.0 / 8
-    hom = homogenize(q, F2, FreeWord.identity(), 4, defect=1.0)
+    hom = homogenize(q, FreeWord.identity(), 4, defect=1.0)
     assert hom.value == 0.0
     with pytest.raises(ValueError):
-        homogenize(q, F2, w("ab"), 4)  # no defect bound anywhere
+        homogenize(q, w("ab"), 4)  # no defect bound anywhere
 
 
 def test_homogenization_consistency():
@@ -87,8 +87,8 @@ def test_homogenization_consistency():
     for text in ("ab", "ab^2", "ba"):
         g = w(text)
         for n in (2, 4):
-            v1 = homogenize(q, F2, g, n, defect=D).value
-            v2 = homogenize(q, F2, g, 2 * n, defect=D).value
+            v1 = homogenize(q, g, n, defect=D).value
+            v2 = homogenize(q, g, 2 * n, defect=D).value
             assert abs(v1 - v2) <= D / n + 1e-12
 
 
@@ -138,7 +138,7 @@ def test_brooks_defect_plateau():
     values = []
     for radius in (2, 3, 4, 5):
         ball = F2.enumerate_ball(radius)
-        values.append(defect_empirical(q, F2, ball.elements).value)
+        values.append(defect_empirical(q, ball.elements).value)
     # |w| = 2: the sampled defect stabilizes beyond radius 2|w| + 2
     assert values[-1] == values[-2]
 
@@ -186,5 +186,5 @@ def test_linear_combination():
 def test_commutator_scan_bounded():
     q = brooks_qm(w("ab"))
     ball = F2.enumerate_ball(2)
-    value = commutator_scan(q, F2, ball.elements, cap=200)
+    value = commutator_scan(q, ball.elements, cap=200)
     assert value <= 3 * 2.0  # |q([g,h])| <= 3 D(q) always; D <= 2 empirically

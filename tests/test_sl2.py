@@ -8,6 +8,7 @@ from hypactions.metrics import orbit_pseudo_length
 from hypactions.sl2 import (
     RealEmbedding,
     SL2Oracle,
+    _is_square_free,
     classify,
     embedding_spectrum_compare,
     lemma_emb_matrix,
@@ -19,7 +20,7 @@ from hypactions.sl2 import (
     qfe,
     translation_length_h2,
 )
-from oracles import acosh_decimal
+from oracles import acosh_decimal, is_square_free_naive
 
 PLUS = RealEmbedding(1)
 MINUS = RealEmbedding(-1)
@@ -176,20 +177,20 @@ def test_orbit_distance_is_pseudo_length():
 def test_spectrum_compare_same_embedding():
     x = parse_qfe("sqrt2-1", 2)
     gens = [lemma_emb_matrix(x), mat2([[1, 1], [0, 1]])]
-    rows, witnesses = embedding_spectrum_compare(gens, PLUS, PLUS, 1)
+    rows, witnesses = embedding_spectrum_compare(SL2Oracle(gens=gens).enumerate_ball(1), PLUS, PLUS)
     assert witnesses == []
 
 
 def test_spectrum_compare_rational_matrices_agree():
     gens = [mat2([[1, 1], [0, 1]]), mat2([[0, -1], [1, 0]])]
-    rows, witnesses = embedding_spectrum_compare(gens, PLUS, MINUS, 2)
+    rows, witnesses = embedding_spectrum_compare(SL2Oracle(gens=gens).enumerate_ball(2), PLUS, MINUS)
     assert witnesses == []  # both embeddings restrict to the identity on Q
 
 
 def test_spectrum_compare_finds_split_witness():
     x = parse_qfe("sqrt2-1", 2)
     gens = [lemma_emb_matrix(x), mat2([[1, 1], [0, 1]])]
-    rows, witnesses = embedding_spectrum_compare(gens, PLUS, MINUS, 1)
+    rows, witnesses = embedding_spectrum_compare(SL2Oracle(gens=gens).enumerate_ball(1), PLUS, MINUS)
     assert witnesses
     assert any(r["class_e1"] == "elliptic" and r["class_e2"] == "loxodromic" for r in witnesses)
 
@@ -199,3 +200,27 @@ def test_mat2_json_roundtrip():
     blob = [[{"a": str(e.a), "b": str(e.b)} for e in (A.a, A.b)],
             [{"a": str(e.a), "b": str(e.b)} for e in (A.c, A.d)]]
     assert mat2_from_json(blob, 2) == A
+
+
+def _next_prime(n):
+    while any(n % k == 0 for k in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+def test_square_free_matches_trial_division():
+    assert [d for d in range(20_000) if _is_square_free(d)] == [d for d in range(20_000) if is_square_free_naive(d)]
+    # p^2 q with p above the cube root of d: the square shows only in the cofactor
+    for p in (_next_prime(1_000), _next_prime(3_000)):
+        for q in (1, 2, 3, p, _next_prime(p + 1), _next_prime(10 * p)):
+            for d in (p * p * q, p * q, p * _next_prime(p + 1) * q):
+                assert _is_square_free(d) == is_square_free_naive(d), d
+
+
+def test_square_free_with_prime_factors_near_ten_million():
+    p, r = _next_prime(10**7), _next_prime(10**7 + 100)
+    assert (p, r) == (10_000_019, 10_000_103)
+    for q in (1, 2, 3, 30):
+        assert not _is_square_free(p * p * q)
+        assert _is_square_free(p * r * q)
+    assert not _is_square_free(4 * p * r)
