@@ -45,7 +45,6 @@ from .groups import GroupOracle, group_from_spec
 from .loxodromic import isotropy_probe, translation_length_estimate, translation_length_exact_free
 from .metrics import (
     ZERO_TOL,
-    FiniteMetricSpace,
     PseudoLength,
     cone_off,
     four_point_delta,
@@ -395,8 +394,10 @@ def _run_borel_order(c):
 
 
 def _verify_borel_order(c, res):
-    diffs = [a - b for a, b in zip(res["r"], res["s"])]
+    r, s = c.params["r"], c.params["s"]
+    diffs = [a - b for a, b in zip(r, s)]
     return [
+        ("r and s match the config", (res["r"], res["s"]) == (r, s)),
         ("sup diff re-computes", max(diffs) == res["sup_diff"]),
         ("bound is 2^k", res["bound"] == 2 ** max(max(diffs), 0)),
         ("no violations", not res["violations"]),
@@ -462,7 +463,7 @@ def _sl2_ball(c):
     d = c.oracle.d
     x = parse_qfe(c.params["x"], d)
     oracle = SL2Oracle(d=d, gens=[lemma_emb_matrix(x), mat2([[1, 1], [0, 1]], d)], names=["A", "T"])
-    return x, oracle.enumerate_ball(c.params["radius"])
+    return x, oracle.enumerate_ball(c.params["radius"], max_size=c.budgets["ball_cap"])
 
 
 def _matrices(ball):
@@ -505,63 +506,77 @@ def _verify_sl2_embed(c, res):
     ]
 
 
-def _kuratowski_isometric(n, trials, rng):
-    """How many of `trials` random rational metrics on n points (drawn from
-    rng) the Kuratowski embedding maps exactly isometrically.
+def _tightspan_draws(c):
+    """Replay random.Random(seed) as the tightspan run draws from it: the
+    Kuratowski metrics, then each projection trial's metric and start (a
+    random row of the metric plus noise), then the random tree."""
+    rng = random.Random(c.seed)
+    n = c.params["points"]
+    kuratowski = [random_rational_metric(n, rng) for _ in range(c.params["trials"])]
+    projections = []
+    for _ in range(c.params["proj_trials"]):
+        X = random_rational_metric(n, rng)
+        projections.append((X, [float(v) + rng.random() * 3 for v in X.rows[rng.randrange(n)]]))
+    return kuratowski, projections, random_tree_metric(c.params["tree_points"], rng)
+
+
+def _kuratowski_isometric(metrics):
+    """How many of the metrics the Kuratowski embedding maps exactly isometrically.
 
     Both the metric and the sup-distance are symmetric and vanish on the
     diagonal, so the pairs i < j decide it.
     """
     count = 0
-    for _ in range(trials):
-        X = random_rational_metric(n, rng)
+    for X in metrics:
+        n = X.size
         K = [kuratowski_embed(i, X) for i in range(n)]
         count += all(sup_distance(K[i], K[j]) == X.rows[i][j] for i in range(n) for j in range(i + 1, n))
     return count
 
 
+def _tree_sample_delta(tree):
+    return hull_sample_delta(tree, [kuratowski_embed(i, tree) for i in range(tree.size)]).to_json()
+
+
+def _tree_matrix(tree):
+    return [[int(v) for v in row] for row in tree.rows]
+
+
 def _run_tightspan(c):
-    rng = random.Random(c.seed)
-    n, trials, proj_trials, tol = (c.params[k] for k in ("points", "trials", "proj_trials", "tol"))
-    kuratowski_ok = _kuratowski_isometric(n, trials, rng)
+    kuratowski, projections, tree = _tightspan_draws(c)
     slacks = []
     iterations = []
-    for _ in range(proj_trials):
-        X = random_rational_metric(n, rng)
-        start = [float(v) + rng.random() * 3 for v in X.rows[rng.randrange(n)]]
-        f, its = project_to_hull(start, X, tol=tol)
-        _, slack = is_extremal(f, X, tol)
+    for X, start in projections:
+        f, its = project_to_hull(start, X, tol=c.params["tol"])
+        _, slack = is_extremal(f, X, c.params["tol"])
         slacks.append(slack)
         iterations.append(its)
-    tree = random_tree_metric(c.params["tree_points"], rng)
-    est = hull_sample_delta(tree, [kuratowski_embed(i, tree) for i in range(tree.size)])
     result = {
-        "points": n,
-        "trials": trials,
-        "kuratowski_exact_isometric": kuratowski_ok,
-        "projection_trials": proj_trials,
+        "points": c.params["points"],
+        "trials": c.params["trials"],
+        "kuratowski_exact_isometric": _kuratowski_isometric(kuratowski),
+        "projection_trials": c.params["proj_trials"],
         "max_slack": max(slacks) if slacks else 0.0,
         "max_iterations": max(iterations) if iterations else 0,
-        "tree_sample_delta": est.to_json(),
-        "tree_matrix": [[int(v) for v in row] for row in tree.rows],
+        "tree_sample_delta": _tree_sample_delta(tree),
+        "tree_matrix": _tree_matrix(tree),
     }
     return result, []
 
 
 def _verify_tightspan(c, res):
-    tree = FiniteMetricSpace(res["tree_matrix"], validate=False)
-    sample = [kuratowski_embed(i, tree) for i in range(tree.size)]
-    rows = [[float(sup_distance(f, g)) for g in sample] for f in sample]
-    defect = quadruple_defect(np.array(rows), tuple(res["tree_sample_delta"]["witness"]))
+    # max_slack and max_iterations are trusted: re-deriving them means re-running every projection
+    kuratowski, _, tree = _tightspan_draws(c)
     n, trials = c.params["points"], c.params["trials"]
     return [
         ("points and trials match the config", (res["points"], res["trials"]) == (n, trials)),
         ("Kuratowski count re-derives from the seed",
-         res["kuratowski_exact_isometric"] == _kuratowski_isometric(n, trials, random.Random(c.seed))),
+         res["kuratowski_exact_isometric"] == _kuratowski_isometric(kuratowski)),
         ("all Kuratowski embeddings exactly isometric", res["kuratowski_exact_isometric"] == res["trials"]),
         ("projection slacks within tolerance", res["max_slack"] <= 1e-9),
+        ("tree matrix re-derives from the seed", res["tree_matrix"] == _tree_matrix(tree)),
+        ("tree hull sample delta re-derives from the seed", res["tree_sample_delta"] == _tree_sample_delta(tree)),
         ("tree hull sample is 0-hyperbolic", res["tree_sample_delta"]["delta"] == 0.0),
-        ("tree delta witness re-evaluates", abs(defect - res["tree_sample_delta"]["raw_max"]) <= 1e-12),
     ]
 
 

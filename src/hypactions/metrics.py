@@ -319,6 +319,97 @@ def quadruple_defect(D: np.ndarray, quad) -> float:
     return min(gp(i, j), gp(j, k)) - gp(i, k)
 
 
+SCAN_STEP_BYTES = 1 << 17  # bytes per array in one step of the exhaustive scan, sized to stay in cache
+
+
+def _scan_dtype(D: np.ndarray):
+    """The narrowest integer type holding every sum the scan forms (|value|
+    <= 4 max|d|) when the distances are integers, else float64."""
+    if np.array_equal(D, np.round(D)):
+        span = 4 * float(np.abs(D).max())
+        for dtype in (np.int8, np.int16, np.int32):
+            if span <= np.iinfo(dtype).max:
+                return dtype
+    return np.float64
+
+
+def _defect_blocks(D: np.ndarray):
+    """Twice the worst defect of every unordered quadruple, in blocks of about
+    SCAN_STEP_BYTES per array.
+
+    Yields (block, offsets): the block's axis k runs over points offsets[k],
+    offsets[k] + 1, ..., so the points of the quadruple at a block position
+    are its coordinates plus the offsets.
+
+    With A = d(x,y) + d(z,t), B = d(y,z) + d(x,t) and C = d(x,z) + d(y,t),
+    the defect of the ordered quadruple (x, y, z, t) is (C - max(A, B))/2.
+    Its maximum over the orderings of {x, y, z, t}, with any of the four
+    points as the basepoint t, is (largest - middle)/2 of the three sums.
+    Distinct points x < y < z < t go one step per y: x < y against a block
+    of pairs z, t > y, every operand a slice or a broadcast of D.  A block
+    also holds some pairs with t <= z; those are the quadruple {x, y, t, z}
+    again, or {x, y, z, z}, whose value is just as real.  A quadruple with
+    a repeated point {a, a, b, c} has sums d(b, c) and twice d(a, b) +
+    d(a, c), so it is worth max(0, d(b, c) - d(a, b) - d(a, c))/2; the max
+    with 0 is the quadruple (0, 0, 0, 0), which the caller starts from.
+    """
+    n = D.shape[0]
+    step = SCAN_STEP_BYTES // D.itemsize
+    rows = max(1, step // (n * n))
+    for a in range(0, n, rows):
+        yield D[None] - D[a : a + rows, :, None] - D[a : a + rows, None, :], (a, 0, 0)
+    for y in range(1, n - 2):
+        rest = n - y - 1  # points after y
+        dxy = D[:y, y, None, None]
+        dy = D[y, y + 1 :]
+        dx = D[:y, y + 1 :]
+        after = D[y + 1 :, y + 1 :]
+        width = max(1, min(rest - 1, step // (y * rest)))
+        for z0 in range(0, rest - 1, width):
+            z, t = slice(z0, min(z0 + width, rest - 1)), slice(z0 + 1, rest)
+            A = dxy + after[z, t]
+            B = dy[z, None] + dx[:, None, t]
+            C = dx[:, z, None] + dy[t]
+            hi, lo = np.maximum(A, B), np.minimum(A, B)
+            np.minimum(hi, C, out=A)
+            np.maximum(lo, A, out=lo)  # the middle sum
+            np.maximum(hi, C, out=hi)  # the largest sum
+            hi -= lo
+            yield hi, (0, y + 1 + z0, y + 2 + z0)
+
+
+def _first_worst_point(D: np.ndarray) -> int:
+    """The smallest point of any quadruple, repeated points allowed, whose
+    worst defect is the largest over all quadruples."""
+    D = D.astype(_scan_dtype(D))
+    best, low = 0, 0  # the quadruple (0, 0, 0, 0)
+    for block, offsets in _defect_blocks(D):
+        m = block.max()
+        if m > best or (m == best and low > 0):
+            first = min(o + int(at.min()) for o, at in zip(offsets, np.nonzero(block == m)))
+            low = first if m > best else min(low, first)
+            best = m
+    return low
+
+
+def _basepoint_scan(D: np.ndarray, l: int):
+    """(max, first maximising (x, y, z, l) in row-major order) of the ordered
+    defects with basepoint t = l, built from the n x n Gromov products at l
+    a few rows of x at a time."""
+    n = D.shape[0]
+    col = D[:, l]
+    G = (col[:, None] + col[None, :] - D) / 2.0
+    rows = max(1, SCAN_STEP_BYTES // G.itemsize // (n * n))
+    best, witness = -math.inf, None
+    for i0 in range(0, n, rows):
+        T = np.minimum(G[i0 : i0 + rows, :, None], G[None, :, :]) - G[i0 : i0 + rows, None, :]
+        m = float(T.max())
+        if m > best:
+            i, j, k = np.unravel_index(int(np.argmax(T)), T.shape)
+            best, witness = m, (i0 + int(i), int(j), int(k), l)
+    return best, witness
+
+
 def four_point_delta(
     metric,
     mode: str = "exhaustive",
@@ -327,16 +418,35 @@ def four_point_delta(
     quadruple_cap: int = 200_000_000,
     labels=None,
 ) -> DeltaEstimate:
-    """Scan ordered quadruples for the worst four-point defect, clamped at 0.
+    """The worst four-point defect over ordered quadruples, clamped at 0.
 
-    metric: FiniteMetricSpace or a square numpy array.
-    mode "exhaustive" checks all n^4 ordered quadruples (error above the cap);
+    metric: FiniteMetricSpace or a square numpy array, which must be finite,
+    symmetric and zero on the diagonal (ValueError otherwise); negative
+    entries and triangle violations are scanned as they are.
+    mode "exhaustive" covers all n^4 ordered quadruples; `quadruple_cap` and
+    `quadruples_checked` count them, so the cap is crossed above n^4.  It
+    evaluates each unordered quadruple once, as (largest - middle)/2 of its
+    three matching sums (see `_defect_blocks`), about n^4/24 evaluations in
+    O(n^2) memory.  Integer distances are scanned exactly in a narrow integer
+    type.  The first point l of a maximising quadruple then reruns the
+    ordered scan with basepoint l, whose maximum is `raw_max` and whose first
+    argmax is `witness`: the first basepoint, and the first (x, y, z) at it,
+    that reach the maximum, as a scan over every basepoint in turn finds
+    them (exactly so when sums of two distances are exact in float64).
     mode "sampled" draws `count` quadruples from a seeded PRNG.
     """
     D = metric.as_array() if isinstance(metric, FiniteMetricSpace) else np.asarray(metric, dtype=np.float64)
+    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+        raise ValueError("distance matrix must be square")
     n = D.shape[0]
     if n < 1:
         raise ValueError("need at least one point")
+    if not np.isfinite(D).all():
+        raise ValueError("distances must be finite")
+    if not np.array_equal(D, D.T):
+        raise ValueError("distance matrix must be symmetric")
+    if np.diagonal(D).any():
+        raise ValueError("distance matrix must be zero on the diagonal")
     if mode == "exhaustive":
         total = n**4
         if total > quadruple_cap:
@@ -344,17 +454,7 @@ def four_point_delta(
                 f"{total} ordered quadruples exceed cap {quadruple_cap}",
                 extent={"points": n},
             )
-        best = -math.inf
-        best_w = (0, 0, 0, 0)
-        for l in range(n):
-            col = D[:, l]
-            G = (col[:, None] + col[None, :] - D) / 2.0
-            T = np.minimum(G[:, :, None], G[None, :, :]) - G[:, None, :]
-            m = float(T.max())
-            if m > best:
-                i, j, k = np.unravel_index(int(np.argmax(T)), T.shape)
-                best = m
-                best_w = (int(i), int(j), int(k), l)
+        best, best_w = _basepoint_scan(D, _first_worst_point(D))
         return DeltaEstimate(
             delta=max(0.0, best),
             raw_max=best,

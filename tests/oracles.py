@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive and separate from the package
 implementations: repeated-scan free reduction, exhaustive product
-enumeration, materialized-graph Dijkstra, a plain-loop four-point scan,
-per-source BFS and per-pair geodesic walks for the in-ball graph metric and
+enumeration, materialized-graph Dijkstra, a plain-loop four-point scan and
+the n^3-per-basepoint four-point scan, per-source BFS and per-pair geodesic walks for the in-ball graph metric and
 cone-off, and trial division up to sqrt(d) for square-freeness.
 """
 
 import math
 from itertools import product
+
+import numpy as np
 
 
 def reduce_naive(letters):
@@ -107,6 +109,26 @@ def four_point_delta_naive(rows):
                     xz = (rows[x][t] + rows[z][t] - rows[x][z]) / 2
                     best = max(best, min(xy, yz) - xz)
     return best
+
+
+def four_point_delta_basepoint(D):
+    """The ordered scan one basepoint l at a time: all n^3 defects with t = l
+    in one array.  Returns (raw max, first maximising (i, j, k, l)): the first
+    basepoint reaching the maximum, and its first argmax in row-major order.
+    """
+    n = D.shape[0]
+    best = -math.inf
+    best_w = (0, 0, 0, 0)
+    for l in range(n):
+        col = D[:, l]
+        G = (col[:, None] + col[None, :] - D) / 2.0
+        T = np.minimum(G[:, :, None], G[None, :, :]) - G[:, None, :]
+        m = float(T.max())
+        if m > best:
+            i, j, k = np.unravel_index(int(np.argmax(T)), T.shape)
+            best = m
+            best_w = (int(i), int(j), int(k), l)
+    return best, best_w
 
 
 def graph_metric_naive(adj):

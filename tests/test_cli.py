@@ -370,3 +370,34 @@ def test_verify_sl2_embed_ties_rows_to_the_ball(tmp_path, capsys, tamper):
     code, lines = _verify(summary_path, capsys)
     assert code == 1
     assert "FAIL  rows are the ball's words in ball order" in lines
+
+
+def test_sl2_embed_honours_the_ball_cap(tmp_path):
+    cfg = _with("sl2-embed", lambda c: (c["parameters"].update(radius=2), c.update(budgets={"ball_cap": 1})))
+    code, out = run_config(tmp_path, cfg, "sl2")
+    assert code == 2
+    assert json.loads((out / "summary.json").read_text())["status"] == "budget-exceeded"
+
+
+def test_verify_tightspan_rederives_the_tree_matrix(tmp_path, capsys):
+    _, out = run_config(tmp_path, BASE_CONFIGS["tightspan"], "tightspan")
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    tree = summary["result"]["tree_matrix"]
+    tree[0][1] = tree[1][0] = tree[0][1] + 1
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert [line for line in lines if line.startswith("FAIL")] == ["FAIL  tree matrix re-derives from the seed"]
+
+
+def test_verify_borel_order_reads_r_and_s_from_the_config(tmp_path, capsys):
+    _, out = run_config(tmp_path, BASE_CONFIGS["borel-order"], "borel")
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    summary["result"]["s"] = [1, 2, 3]  # r - s = 0: a self-consistent sup diff of 0 and bound 1
+    summary["result"].update(sup_diff=0, bound=1)
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert "FAIL  r and s match the config" in lines

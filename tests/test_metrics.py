@@ -1,10 +1,14 @@
 import math
 import random
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypactions.cli import _delta_inputs, parse_config
 from hypactions.errors import AxiomViolation, BudgetExceeded, DomainMiss
 from hypactions.groups import BSOracle, FreeGroupOracle
 from hypactions.metrics import (
@@ -25,7 +29,7 @@ from hypactions.metrics import (
     random_tree_metric,
 )
 from hypactions.words import parse_word, tree_distance
-from oracles import cone_off_edges_naive, four_point_delta_naive, graph_metric_naive
+from oracles import cone_off_edges_naive, four_point_delta_basepoint, four_point_delta_naive, graph_metric_naive
 
 F2 = FreeGroupOracle(2)
 BS23 = BSOracle(2, 3)
@@ -112,6 +116,98 @@ def test_four_point_delta_budget():
     D = np.zeros((60, 60))
     with pytest.raises(BudgetExceeded):
         four_point_delta(D, quadruple_cap=10_000)
+
+
+@pytest.mark.parametrize("group, radius", [
+    ({"kind": "free", "rank": 2}, 3),
+    ({"kind": "free", "rank": 2}, 4),
+    ({"kind": "bs", "m": 1, "n": 2}, 3),
+    ({"kind": "bs", "m": 1, "n": 2}, 4),
+    ({"kind": "bs", "m": 2, "n": 3}, 3),
+])
+def test_exhaustive_scan_matches_the_basepoint_scan_on_balls(group, radius):
+    cfg = {"format": 1, "group": group, "experiment": "delta", "parameters": {"radius": radius}}
+    _, D, _ = _delta_inputs(parse_config(cfg)[0])
+    est = four_point_delta(D, quadruple_cap=10**9)
+    assert (est.raw_max, est.witness) == four_point_delta_basepoint(D)
+    assert est.quadruples_checked == D.shape[0] ** 4
+
+
+# the diameter is 4 * scale: each side of where the scan leaves int8, int16
+# and int32, and 31, whose sums of two distances overflow int8
+@pytest.mark.parametrize("scale", [7, 8, 31, 2047, 2048, 2**27 - 1, 2**27])
+def test_exhaustive_scan_is_exact_at_every_scan_width(scale):
+    D = scale * graph_metric_matrix(BS23.enumerate_ball(2))
+    est = four_point_delta(D)
+    assert (est.raw_max, est.witness) == four_point_delta_basepoint(D)
+
+
+@st.composite
+def integer_distances(draw):
+    """A symmetric integer matrix with zero diagonal; not necessarily a metric."""
+    n = draw(st.integers(1, 9))
+    D = np.zeros((n, n))
+    for i, j in combinations(range(n), 2):
+        D[i, j] = D[j, i] = draw(st.integers(-2, 8))
+    return D
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(integer_distances())
+def test_exhaustive_scan_matches_both_oracles(D):
+    est = four_point_delta(D)
+    assert (est.raw_max, est.witness) == four_point_delta_basepoint(D)
+    assert est.raw_max == four_point_delta_naive(D.tolist())
+    assert est.delta == max(0.0, est.raw_max)
+    assert est.quadruples_checked == D.shape[0] ** 4
+
+
+@pytest.mark.parametrize("scale", [1, 10, 10**4, 10**9])  # scanned in int8, int16, int32, float64
+def test_exhaustive_scan_finds_a_triangle_violation_through_a_repeated_point(scale):
+    # b = 0, a = 1, c = 2, x = 3, y = 4: d(b, c) = 9 > d(b, a) + d(a, c) = 2,
+    # so {a, a, b, c} is worth (9 - 2)/2; no four distinct points reach it
+    D = scale * np.array([
+        [0, 1, 9, 5, 5],
+        [1, 0, 1, 1, 1],
+        [9, 1, 0, 5, 5],
+        [5, 1, 5, 0, 1],
+        [5, 1, 5, 1, 0],
+    ], dtype=float)
+    distinct = max(
+        (lambda s: (s[2] - s[1]) / 2)(sorted([D[x, y] + D[z, t], D[y, z] + D[x, t], D[x, z] + D[y, t]]))
+        for x, y, z, t in combinations(range(5), 4)
+    )
+    est = four_point_delta(D)
+    assert distinct < est.raw_max == 3.5 * scale
+    assert (est.raw_max, est.witness) == four_point_delta_basepoint(D)
+    assert est.witness[3] == 0
+    assert quadruple_defect(D, est.witness) == est.raw_max
+
+
+def test_exhaustive_scan_on_inexact_floats_agrees_up_to_rounding():
+    # sums of thirds round, so the basepoint that first reaches the maximum
+    # may differ; the value may differ in the last bits, and the witness
+    # re-evaluates to it exactly
+    rng = random.Random(3)
+    for _ in range(100):
+        n = rng.randint(4, 8)
+        D = np.zeros((n, n))
+        for i, j in combinations(range(n), 2):
+            D[i, j] = D[j, i] = rng.randint(0, 30) / 3
+        est = four_point_delta(D)
+        assert est.raw_max == pytest.approx(four_point_delta_basepoint(D)[0], abs=1e-12)
+        assert quadruple_defect(D, est.witness) == est.raw_max
+
+
+@pytest.mark.parametrize("D, message", [
+    (np.zeros((2, 3)), "square"),
+    (np.array([[0.0, 1.0], [2.0, 0.0]]), "symmetric"),
+    (np.array([[1.0, 1.0], [1.0, 0.0]]), "diagonal"),
+    (np.array([[0.0, math.inf], [math.inf, 0.0]]), "finite"),
+], ids=["non-square", "asymmetric", "nonzero-diagonal", "infinite"])
+def test_four_point_delta_rejects_what_the_identity_does_not_cover(D, message):
+    with pytest.raises(ValueError, match=message):
+        four_point_delta(D)
 
 
 def test_orbit_pseudo_length_word_metric_valid():
