@@ -4,8 +4,9 @@
 Every run is fully determined by (config, tool version); the config is echoed
 into the summary, all randomness is seeded, and re-running a config produces
 byte-identical outputs.  Exit codes: 0 success, 1 validation error, 2 budget
-exceeded.  Summaries carry enough witness data for `verify` to re-check every
-claim without re-running any search.
+exceeded.  `verify` re-derives each claim from the config echoed in the
+summary (rebuilding balls, replaying seeds, re-running the cheap searches)
+and checks the stored result against it.
 
 Each experiment is declared once, in `EXPERIMENTS`: the group kinds it
 accepts, its parameters (type, default, bound), its runner and its verifier.
@@ -23,8 +24,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import mul
 from pathlib import Path
 from typing import Callable
 
@@ -68,7 +67,7 @@ from .sl2 import (
     parse_qfe,
 )
 from .tightspan import hull_sample_delta, is_extremal, kuratowski_embed, project_to_hull, sup_distance
-from .words import FreeWord, parse_word, tree_distance
+from .words import FreeWord, parse_word
 
 FORMAT_VERSION = 1
 EXIT_OK = 0
@@ -126,6 +125,7 @@ class Experiment:
     parameters: dict[str, Field]
     run: Callable  # Config -> (result, tables), each table (name, header, rows)
     verify: Callable  # (Config, result) -> [(label, ok)]
+    check: Callable | None = None  # (group kind, parameters) -> problems no single field can see
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,8 @@ def parse_config(cfg):
     """Check a config against the declarations in one walk.
 
     Returns (Config, []) when it is valid, else (None, offending paths): wrong
-    type, out of range, missing required field, unknown key, or a group kind
-    the experiment does not accept.
+    type, out of range, missing required field, unknown key, a group kind
+    the experiment does not accept, or parameters that do not fit the group.
     """
     name, group = (cfg.get("experiment"), cfg.get("group")) if type(cfg) is dict else (None, None)
     experiment = EXPERIMENTS.get(name) if type(name) is str else None
@@ -208,6 +208,8 @@ def parse_config(cfg):
     }
     problems = []
     typed = _walk(Field(declared), cfg, "", problems)
+    if not problems and experiment.check:
+        problems = experiment.check(kind, typed["parameters"])
     if problems:
         return None, problems
     oracle = group_from_spec(cfg["group"])
@@ -409,53 +411,59 @@ def _qm(spec):
     return exponent_sum_qm() if spec == "exponent-sum" else brooks_qm(parse_word(spec["brooks"]))
 
 
-def _run_qm_certify(c):
+def _check_qm_certify(kind, params):
+    """The exponent sum and t-syllables live on bs groups, counting words on free ones."""
+    problems = []
+    if kind == "bs" and params["qm"] != "exponent-sum":
+        problems.append('parameters.qm: must be "exponent-sum" on a bs group')
+    if kind == "free" and params["qm"] == "exponent-sum":
+        problems.append('parameters.qm: must be {"brooks": ...} on a free group')
+    if kind == "free" and params["length"] == "t-syllable":
+        problems.append("parameters.length: t-syllable needs a bs group")
+    return problems
+
+
+def _qm_certificate(c):
+    """The length kind and the certificate (as JSON) of the config's ball."""
     params, oracle = c.params, c.oracle
     g = oracle.parse_element(params["g"])
-    bs = isinstance(g, BSElement)
-    length_kind = params["length"] or ("t-syllable" if bs else "word")
     ball = oracle.enumerate_ball(params["radius"], max_size=c.budgets["ball_cap"])
+    length_kind = params["length"] or ("t-syllable" if isinstance(g, BSElement) else "word")
     if length_kind == "word":
         lengths = PseudoLength.from_word_lengths(ball)
-    elif bs:
-        lengths = PseudoLength({h: float(h.t_syllable_count()) for h in ball.elements})
     else:
-        raise ValueError("t-syllable length needs a bs group")
+        lengths = PseudoLength({h: float(h.t_syllable_count()) for h in ball.elements})
     cert = anisotropy_certificate(
         oracle, _qm(params["qm"]), lengths, g, ball, power=params["power"], m_cap=params["m_cap"]
     )
-    result = {
-        "qm": params["qm"],
-        "length": length_kind,
-        "certificate": cert.to_json(fmt=oracle.format_element),
-    }
-    return result, [("subordination_rows", ["element", "abs_q", "length"], [list(r) for r in cert.rows])]
+    return length_kind, cert.to_json(fmt=oracle.format_element)
+
+
+def _run_qm_certify(c):
+    length_kind, cert = _qm_certificate(c)
+    result = {"qm": c.params["qm"], "length": length_kind, "certificate": cert}
+    return result, [("subordination_rows", ["element", "abs_q", "length"], cert["rows"])]
 
 
 def _verify_qm_certify(c, res):
-    oracle, q = c.oracle, _qm(c.params["qm"])
+    length_kind, fresh = _qm_certificate(c)
     cert = res["certificate"]
-    M = cert["subordination_M"]
-    rows_ok = all(
-        abs(abs(q(oracle.parse_element(name))) - abs_q) <= 1e-9 and abs_q <= M * length + M + 1e-9
-        for name, abs_q, length in cert["rows"]
-    )
-    trace = cert["homogenization_trace"]
-    powers = accumulate(repeat(oracle.parse_element(cert["witness"]), len(trace)), mul)
-    trace_ok = all(abs(q(p) / i - claimed) <= 1e-9 for i, (p, claimed) in enumerate(zip(powers, trace), start=1))
-    checks = [
-        ("every subordination row re-verifies", rows_ok),
-        ("homogenization trace re-evaluates", trace_ok),
-        ("homogenized value is nonzero", abs(cert["homogenized_value"]) > 1e-12),
+
+    def same(*keys):
+        return [cert[k] for k in keys] == [fresh[k] for k in keys]
+
+    return [
+        ("qm, length, witness and power match the config",
+         (res["qm"], res["length"]) == (c.params["qm"], length_kind) and same("witness", "power", "ball_radius")),
+        ("rows are the ball's elements in sorted order with |q| and length re-derived", same("rows")),
+        ("subordination M and mode re-fit from the ball", same("subordination_M", "subordination_mode")),
+        ("defect re-derives: source, value, witness pair and pairs checked", same("defect")),
+        ("homogenization error is the defect over the power",
+         cert["homogenization_error"] == cert["defect"]["value"] / fresh["power"]),
+        ("homogenization trace and value re-evaluate", same("homogenization_trace", "homogenized_value")),
+        ("homogenized value is nonzero", abs(cert["homogenized_value"]) > ZERO_TOL),
+        ("conclusion re-derives", same("conclusion")),
     ]
-    dw = cert["defect"]["witness_pair"]
-    if dw is not None:
-        gg, hh = (oracle.parse_element(x) for x in dw)
-        val = abs(q(gg * hh) - q(gg) - q(hh))
-        checks.append(("defect witness re-evaluates", abs(val - cert["defect"]["value"]) <= 1e-9))
-    else:
-        checks.append(("defect witness re-evaluates", cert["defect"]["value"] == 0.0))
-    return checks
 
 
 def _sl2_ball(c):
@@ -633,7 +641,7 @@ def _verify_cone_off(c, res):
     ]
 
 
-def _run_isotropy_probe(c):
+def _isotropy_result(c):
     ball = c.oracle.enumerate_ball(c.params["radius"], max_size=c.budgets["ball_cap"])
     report = isotropy_probe(c.oracle, ball, c.params["D"], c.params["pairs"], seed=c.seed)
     fmt = c.oracle.format_element
@@ -642,7 +650,7 @@ def _run_isotropy_probe(c):
     def pair(r):
         return [fmt(r.x), fmt(r.y), fmt(r.x2), fmt(r.y2)]
 
-    result = {
+    return {
         "D": c.params["D"],
         "pairs_checked": report.pairs_checked,
         "successes": report.successes,
@@ -658,19 +666,17 @@ def _run_isotropy_probe(c):
             for r in report.failures
         ],
     }
-    return result, []
+
+
+def _run_isotropy_probe(c):
+    return _isotropy_result(c), []
 
 
 def _verify_isotropy_probe(c, res):
-    if res["hardest"] is None:
-        return [("no pairs sampled", True)]
-    oracle = c.oracle
-    x, y, x2, y2 = (oracle.parse_element(w) for w in res["hardest"]["pair"])
-    g = oracle.parse_element(res["hardest"]["best_g"])
-    const = max(tree_distance(g * x, x2), tree_distance(g * y, y2))
-    return [
-        ("hardest pair constant re-evaluates", abs(const - res["hardest"]["best_constant"]) <= 1e-12),
-        ("equidistance holds", tree_distance(x, y) == tree_distance(x2, y2)),
+    fresh = _isotropy_result(c)
+    return [("D matches the config", res["D"] == fresh["D"])] + [
+        (f"{key} replays from the config's seed and ball", res[key] == fresh[key])
+        for key in ("pairs_checked", "successes", "success_rate", "failures", "hardest")
     ]
 
 
@@ -702,7 +708,7 @@ EXPERIMENTS = {
         "length": Field(("t-syllable", "word"), None),  # None: t-syllable on bs groups, else word
         "qm": Field(("exponent-sum", {"brooks": Field(str)}), "exponent-sum"),
         "m_cap": Field(float, None),
-    }, _run_qm_certify, _verify_qm_certify),
+    }, _run_qm_certify, _verify_qm_certify, _check_qm_certify),
     "sl2-embed": Experiment(("sl2",), {
         "x": Field(str, "sqrt2-1"),
         "radius": Field(int, 1, at_least(0)),

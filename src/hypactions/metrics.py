@@ -176,14 +176,15 @@ class FiniteMetricSpace:
             self.validate(tol)
 
     def validate(self, tol: float = ZERO_TOL):
+        """Exact symmetry and an exactly zero diagonal, as `four_point_delta`
+        requires; negative distances and triangle violations up to `tol`."""
         n = self.size
         for i in range(n):
-            if abs(self.rows[i][i]) > tol:
+            if self.rows[i][i] != 0:
                 raise ValueError(f"nonzero diagonal at {i}")
             for j in range(i + 1, n):
                 if self.rows[i][j] != self.rows[j][i]:
-                    if abs(self.rows[i][j] - self.rows[j][i]) > tol:
-                        raise ValueError(f"asymmetry at ({i},{j})")
+                    raise ValueError(f"asymmetry at ({i},{j})")
                 if self.rows[i][j] < -tol:
                     raise ValueError(f"negative distance at ({i},{j})")
         D = self.as_array()

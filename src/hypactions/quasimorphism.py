@@ -90,13 +90,22 @@ def linear_combination(terms) -> QuasiMorphism:
 
 @dataclass
 class DefectEstimate:
+    """The defect a certificate uses and where it comes from.
+
+    source "analytic": the quasi-morphism's own `defect_bound`, no pairs
+    scanned; source "scan": the max over ordered pairs of a ball, with the
+    first pair that reaches it.
+    """
+
     value: float
-    witness: tuple
+    witness: tuple | None
     pairs_checked: int
+    source: str = "scan"
 
     def to_json(self, fmt=str):
         g, h = self.witness if self.witness else (None, None)
         return {
+            "source": self.source,
             "value": self.value,
             "witness_pair": [fmt(g), fmt(h)] if g is not None else None,
             "pairs_checked": self.pairs_checked,
@@ -105,20 +114,15 @@ class DefectEstimate:
 
 def defect_empirical(q: QuasiMorphism, elements) -> DefectEstimate:
     """max |q(gh) - q(g) - q(h)| over all ordered pairs of `elements`: a
-    certified lower bound on the true defect."""
+    certified lower bound on the true defect.  The witness is the first pair,
+    in the order of `elements` (g outer, h inner), that reaches the max."""
     elements = list(elements)
+    qs = [q(g) for g in elements]
     best = 0.0
     witness = None
-    values = {}
-
-    def q_of(g):
-        if g not in values:
-            values[g] = q(g)
-        return values[g]
-
-    for g in elements:
-        for h in elements:
-            d = abs(q_of(g * h) - q_of(g) - q_of(h))
+    for g, qg in zip(elements, qs):
+        for h, qh in zip(elements, qs):
+            d = abs(q(g * h) - qg - qh)
             if d > best:
                 best = d
                 witness = (g, h)
@@ -242,12 +246,16 @@ def anisotropy_certificate(
     """Emit a certificate iff the homogenized value at g is nonzero and q is
     subordinate to the supplied orbit pseudo-length on the ball.
 
-    The caller asserts that the pseudo-length comes from a general-type
-    action; the conclusion text presumes it.
+    The defect behind the error bar is q's analytic bound when it has one,
+    else the empirical defect over ordered pairs of the ball.  The caller
+    asserts that the pseudo-length comes from a general-type action; the
+    conclusion text presumes it.
     """
-    defect = defect_empirical(q, ball.elements)
-    bound = q.defect_bound if q.defect_bound is not None else defect.value
-    hom = homogenize(q, g, power, defect=bound)
+    if q.defect_bound is not None:
+        defect = DefectEstimate(value=q.defect_bound, witness=None, pairs_checked=0, source="analytic")
+    else:  # counting quasi-morphisms have no analytic bound
+        defect = defect_empirical(q, ball.elements)
+    hom = homogenize(q, g, power, defect=defect.value)
     if abs(hom.value) <= ZERO_TOL:
         raise CertificateError("zero-value", f"homogenized value at {oracle.format_element(g)} is 0")
     fit = subordination_fit(q, lengths)

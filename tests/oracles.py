@@ -4,7 +4,8 @@ Everything here is deliberately naive and separate from the package
 implementations: repeated-scan free reduction, exhaustive product
 enumeration, materialized-graph Dijkstra, a plain-loop four-point scan and
 the n^3-per-basepoint four-point scan, per-source BFS and per-pair geodesic walks for the in-ball graph metric and
-cone-off, and trial division up to sqrt(d) for square-freeness.
+cone-off, trial division up to sqrt(d) for square-freeness, and the
+memoised pairwise scan for the defect of a quasi-morphism.
 """
 
 import math
@@ -199,3 +200,25 @@ def is_square_free_naive(d):
             return False
         k += 1
     return True
+
+
+def defect_naive(q, elements):
+    """max |q(gh) - q(g) - q(h)| over ordered pairs, memoising q on every
+    element and product; returns (value, first maximising pair or None)."""
+    elements = list(elements)
+    best = 0.0
+    witness = None
+    values = {}
+
+    def q_of(g):
+        if g not in values:
+            values[g] = q(g)
+        return values[g]
+
+    for g in elements:
+        for h in elements:
+            d = abs(q_of(g * h) - q_of(g) - q_of(h))
+            if d > best:
+                best = d
+                witness = (g, h)
+    return best, witness

@@ -235,6 +235,11 @@ MALFORMED = [
     ("parameters.qm.brooks", _with("qm-certify", lambda c: c["parameters"].update(qm={"brooks": 3}))),
     ("budgets.thread_cap", _with("delta", lambda c: c.update(budgets={"thread_cap": 2}))),
     ("group.field.d", _with("sl2-embed", lambda c: c["group"]["field"].update(d=4))),
+    ("parameters.qm", _with("qm-certify", lambda c: c.update(group={"kind": "free", "rank": 2},
+                                                             parameters={"g": "ab", "radius": 2}))),
+    ("parameters.qm", _with("qm-certify", lambda c: c["parameters"].update(qm={"brooks": "ab"}))),
+    ("parameters.length", _with("qm-certify", lambda c: c.update(group={"kind": "free", "rank": 2}, parameters={
+        "g": "ab", "radius": 2, "qm": {"brooks": "ab"}, "length": "t-syllable"}))),
 ]
 
 
@@ -401,3 +406,59 @@ def test_verify_borel_order_reads_r_and_s_from_the_config(tmp_path, capsys):
     code, lines = _verify(summary_path, capsys)
     assert code == 1
     assert "FAIL  r and s match the config" in lines
+
+
+BROOKS = {
+    "format": 1,
+    "group": {"kind": "free", "rank": 2},
+    "experiment": "qm-certify",
+    "parameters": {"g": "ab", "radius": 3, "qm": {"brooks": "ab"}},
+    "seed": 0,
+}
+
+
+def _zero_defect(cert):
+    cert["defect"].update(value=0.0, witness_pair=None)
+    cert["homogenization_error"] = 0.0
+
+
+ROWS = "FAIL  rows are the ball's elements in sorted order with |q| and length re-derived"
+DEFECT = "FAIL  defect re-derives: source, value, witness pair and pairs checked"
+
+
+@pytest.mark.parametrize("forge, failure", [
+    (lambda cert: cert.update(rows=[]), ROWS),
+    (lambda cert: cert["rows"].pop(len(cert["rows"]) // 2), ROWS),
+    (lambda cert: cert["rows"].reverse(), ROWS),
+    (_zero_defect, DEFECT),
+    (lambda cert: cert.update(subordination_M=cert["subordination_M"] + 1.0),
+     "FAIL  subordination M and mode re-fit from the ball"),
+    (lambda cert: cert["defect"].update(source="analytic"), DEFECT),
+], ids=["rows-emptied", "row-dropped", "rows-reordered", "defect-zeroed", "M-forged", "source-analytic"])
+def test_verify_qm_certify_rederives_the_certificate(tmp_path, capsys, forge, failure):
+    code, out = run_config(tmp_path, BROOKS, "brooks")
+    assert code == 0
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    assert summary["result"]["certificate"]["defect"]["source"] == "scan"
+    forge(summary["result"]["certificate"])
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert failure in lines
+
+
+def test_verify_isotropy_probe_replays_its_pairs(tmp_path, capsys):
+    _, out = run_config(tmp_path, BASE_CONFIGS["isotropy-probe"], "iso")
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    result = summary["result"]
+    assert result["failures"]
+    # every sampled pair matched: self-consistent, but not what the seed draws
+    result.update(failures=[], successes=result["pairs_checked"], success_rate=1.0)
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL  {key} replays from the config's seed and ball" for key in ("successes", "success_rate", "failures")
+    ]

@@ -23,6 +23,7 @@ from hypactions.metrics import (
     gromov_product,
     graph_metric_matrix,
     log_transform,
+    metric_from_csv,
     orbit_pseudo_length,
     quadruple_defect,
     random_rational_metric,
@@ -289,6 +290,16 @@ def test_finite_metric_space_validation():
         FiniteMetricSpace([[0, 5], [5, 1]])  # nonzero diagonal
     with pytest.raises(ValueError):
         FiniteMetricSpace([[0, 1, 9], [1, 0, 1], [9, 1, 0]])  # triangle fails
+
+
+@pytest.mark.parametrize("text", ["0,1\n1.0000000000001,0\n", "1e-13,1\n1,0\n"],
+                         ids=["asymmetric-by-1e-13", "diagonal-1e-13"])
+def test_metric_validation_and_the_four_point_scan_apply_one_rule(text):
+    rows = metric_from_csv(text, validate=False).rows
+    with pytest.raises(ValueError):
+        metric_from_csv(text)
+    with pytest.raises(ValueError):
+        four_point_delta(np.array(rows, dtype=float))
 
 
 def cyclic_orbit(oracle, ball, word):

@@ -15,6 +15,7 @@ from hypactions.quasimorphism import (
     subordination_fit,
 )
 from hypactions.words import FreeWord, parse_word
+from oracles import defect_naive
 
 F2 = FreeGroupOracle(2)
 w = parse_word
@@ -171,6 +172,31 @@ def test_anisotropy_certificate_brooks():
     cert = anisotropy_certificate(F2, q, lengths, w("ab"), ball)
     assert cert.homogenized_value == 1.0
     assert cert.subordination_M <= 1.0
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (1, 2)])
+def test_exponent_sum_defect_is_analytic_and_matches_the_scan(m, n):
+    bs = BSOracle(m, n)
+    ball = bs.enumerate_ball(3)
+    qt = exponent_sum_qm()
+    tsyl = PseudoLength({g: float(g.t_syllable_count()) for g in ball.elements})
+    cert = anisotropy_certificate(bs, qt, tsyl, bs.parse_element("t"), ball)
+    assert cert.defect.to_json() == {"source": "analytic", "value": 0.0, "witness_pair": None, "pairs_checked": 0}
+    assert defect_naive(qt, ball.elements) == (cert.defect.value, None)
+    assert cert.homogenization_error == 0.0
+
+
+@pytest.mark.parametrize("radius", [3, 4])
+@pytest.mark.parametrize("word", ["ab", "aab", "abAB"])
+def test_brooks_defect_scan_matches_the_naive_scan(word, radius):
+    ball = F2.enumerate_ball(radius)
+    q = brooks_qm(w(word))
+    est = defect_empirical(q, ball.elements)
+    assert (est.value, est.witness) == defect_naive(q, ball.elements)
+    assert (est.source, est.pairs_checked) == ("scan", len(ball) ** 2)
+    cert = anisotropy_certificate(F2, q, PseudoLength.from_word_lengths(ball), w(word), ball)
+    assert cert.defect == est
+    assert cert.homogenization_error == est.value / cert.power
 
 
 def test_linear_combination():
