@@ -22,7 +22,7 @@ print("ba in S(ab, 1):", subword_membership(w("ba"), w("ab"), 1))
 
 W = CompressedGenSet(2, [("ab^3", 2), ("ab^9", 3)])
 print(f"\n{W!r}")
-print(f"{len(W.generators())} generators, longest jump {W.max_jump_len()} letters")
+print(f"{len(W.generators())} generators, longest jump {max(map(len, W.jump_table()))} letters")
 
 for j, (word, cap) in enumerate(W.families):
     lengths = [compressed_word_length(word**k, W) for k in range(1, 13)]

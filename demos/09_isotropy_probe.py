@@ -12,13 +12,13 @@ F2 = FreeGroupOracle(2)
 ball = F2.enumerate_ball(3)
 
 for D in (0.0, 1.0, 2.0):
-    report = isotropy_probe(F2, ball, D=D, sample_size=25, seed=42)
+    report = isotropy_probe(ball, D=D, sample_size=25, seed=42)
     print(
         f"D = {D}: matched {report.successes}/{report.pairs_checked} sampled pairs "
         f"(success rate {report.success_rate:.2f})"
     )
 
-report = isotropy_probe(F2, ball, D=1.0, sample_size=25, seed=42)
+report = isotropy_probe(ball, D=1.0, sample_size=25, seed=42)
 hard = report.hardest
 print(
     f"\nhardest pair: ({hard.x}, {hard.y}) vs ({hard.x2}, {hard.y2}) "

@@ -60,7 +60,6 @@ from .sl2 import (
     RealEmbedding,
     SL2Oracle,
     _is_square_free,
-    classify,
     embedding_spectrum_compare,
     lemma_emb_matrix,
     mat2,
@@ -333,20 +332,24 @@ def _verify_tau(c, res):
     return checks
 
 
-def _run_compress(c):
+def _compress_reports(c):
+    """The config's generating set and its length report (as JSON) at every (family, k)."""
     W = CompressedGenSet(c.oracle.rank, [(f["w"], f["cap"]) for f in c.params["families"]])
+    return W, [
+        verify_length_bounds(j, k, W, c.params["alpha"], budget=c.budgets["probe_cap"]).to_json()
+        for j in range(len(W.families))
+        for k in range(1, c.params["k_max"] + 1)
+    ]
+
+
+def _run_compress(c):
+    W, reports = _compress_reports(c)
     alpha = c.params["alpha"]
     # the paper-style alpha depends on the quasi-geodesity constant of the
     # family words; cyclically reduced words have stretch 1
     K_measured = max(len(w) / max(translation_length_exact_free(w), 1) for w, _ in W.families)
-    rows = []
-    reports = []
-    for j in range(len(W.families)):
-        for k in range(1, c.params["k_max"] + 1):
-            rep = verify_length_bounds(j, k, W, alpha, budget=c.budgets["probe_cap"])
-            reports.append(rep.to_json())
-            rows.append([j, k, rep.exact_length, rep.upper_bound, int(rep.upper_ok),
-                         rep.lower_bound, int(rep.lower_ok), rep.fitted_alpha])
+    rows = [[r["family"], r["k"], r["exact_length"], r["upper_bound"], int(r["upper_ok"]),
+             r["lower_bound"], int(r["lower_ok"]), r["fitted_alpha"]] for r in reports]
     result = {
         "genset": W.to_json(),
         "alpha": alpha,
@@ -361,26 +364,27 @@ def _run_compress(c):
 
 
 def _verify_compress(c, res):
-    families, alpha = c.params["families"], c.params["alpha"]
-    expected = [(j, k, f["cap"], alpha) for j, f in enumerate(families) for k in range(1, c.params["k_max"] + 1)]
+    fresh = {(r["family"], r["k"]): r for r in _compress_reports(c)[1]}
     found = [(rep["family"], rep["k"], rep["cap"], rep["alpha"]) for rep in res["reports"]]
+    expected = [(r["family"], r["k"], r["cap"], r["alpha"]) for r in fresh.values()]
     checks = [("one report per family and k of the config", found == expected)]
     for rep in res["reports"]:
-        k, cap = rep["k"], rep["cap"]
+        j, k, cap = rep["family"], rep["k"], rep["cap"]
         up_ok = rep["exact_length"] <= -(-k // cap)
         low_ok = rep["exact_length"] >= rep["alpha"] * k / cap - 2 - 1e-12
         fit_ok = abs(rep["fitted_alpha"] - (rep["exact_length"] + 2) * cap / k) <= 1e-9
-        checks.append((f"family {rep['family']} k={k}: bounds re-check", up_ok and low_ok and fit_ok))
+        checks.append((f"family {j} k={k}: report re-derives from the config", rep == fresh.get((j, k))))
+        checks.append((f"family {j} k={k}: bounds re-check", up_ok and low_ok and fit_ok))
     return checks
 
 
-def _run_borel_order(c):
+def _borel_order_result(c):
     config = BorelMapConfig(c.oracle.rank, c.params["families"], c.params["N"])
     r = PiPrefix(tuple(c.params["r"]))
     s = PiPrefix(tuple(c.params["s"]))
     rep = order_preservation_check(r, s, config, budget=c.budgets["probe_cap"])
     cmp = qks_compare(r, s)
-    result = {
+    return {
         "r": list(r.values),
         "s": list(s.values),
         "sup_diff": cmp.sup_diff,
@@ -392,16 +396,22 @@ def _run_borel_order(c):
         "violations": rep.violations,
         "exact_searches": rep.exact_searches,
     }
-    return result, []
+
+
+def _run_borel_order(c):
+    return _borel_order_result(c), []
 
 
 def _verify_borel_order(c, res):
-    r, s = c.params["r"], c.params["s"]
-    diffs = [a - b for a, b in zip(r, s)]
+    fresh = _borel_order_result(c)
+    replayed = ("generators_checked", "max_length", "max_ratio", "violations", "exact_searches")
     return [
-        ("r and s match the config", (res["r"], res["s"]) == (r, s)),
-        ("sup diff re-computes", max(diffs) == res["sup_diff"]),
-        ("bound is 2^k", res["bound"] == 2 ** max(max(diffs), 0)),
+        ("r and s match the config", (res["r"], res["s"]) == (fresh["r"], fresh["s"])),
+        ("sup diff and max abs diff re-compute",
+         (res["sup_diff"], res["max_abs_diff"]) == (fresh["sup_diff"], fresh["max_abs_diff"])),
+        ("bound is 2^k", res["bound"] == fresh["bound"]),
+        ("generator count, lengths, violations and exact searches replay from the config",
+         all(res[key] == fresh[key] for key in replayed)),
         ("no violations", not res["violations"]),
         ("max length within bound", res["max_length"] <= res["bound"]),
     ]
@@ -499,18 +509,14 @@ def _run_sl2_embed(c):
 
 def _verify_sl2_embed(c, res):
     x, ball = _sl2_ball(c)
-    e1, e2 = RealEmbedding(1), RealEmbedding(-1)
-    rows = res["rows"]
-    classes = [(classify(M, e1), classify(M, e2)) for M in ball.elements]
+    rows, witnesses = embedding_spectrum_compare(ball, RealEmbedding(1), RealEmbedding(-1))
     return [
         ("field and x match the config", (res["d"], res["x"]) == (c.oracle.d, str(x))),
-        ("rows are the ball's words in ball order", [r["word"] for r in rows] == ball.words),
+        ("rows are the ball's words in ball order", [r["word"] for r in res["rows"]] == ball.words),
         ("stored matrices are the rebuilt ball elements", res["matrices"] == _matrices(ball)),
-        ("exact classifications re-derive from the rebuilt elements",
-         [(r["class_e1"], r["class_e2"]) for r in rows] == classes),
+        ("traces, classes and translation lengths re-derive from the rebuilt elements", res["rows"] == rows),
         ("witnesses are the rows whose classes differ",
-         res["witnesses"] == [r for r in rows if r["class_e1"] != r["class_e2"]]
-         and res["equivalent_profiles"] == (not res["witnesses"])),
+         res["witnesses"] == witnesses and res["equivalent_profiles"] == (not witnesses)),
     ]
 
 
@@ -550,22 +556,27 @@ def _tree_matrix(tree):
     return [[int(v) for v in row] for row in tree.rows]
 
 
+def _projection_maxima(c, projections):
+    """(max slack, max iterations) over the projection trials, 0 when there are none."""
+    tol = c.params["tol"]
+    slacks, iterations = [], []
+    for X, start in projections:
+        f, its = project_to_hull(start, X, tol=tol)
+        slacks.append(is_extremal(f, X, tol)[1])
+        iterations.append(its)
+    return max(slacks, default=0.0), max(iterations, default=0)
+
+
 def _run_tightspan(c):
     kuratowski, projections, tree = _tightspan_draws(c)
-    slacks = []
-    iterations = []
-    for X, start in projections:
-        f, its = project_to_hull(start, X, tol=c.params["tol"])
-        _, slack = is_extremal(f, X, c.params["tol"])
-        slacks.append(slack)
-        iterations.append(its)
+    max_slack, max_iterations = _projection_maxima(c, projections)
     result = {
         "points": c.params["points"],
         "trials": c.params["trials"],
         "kuratowski_exact_isometric": _kuratowski_isometric(kuratowski),
         "projection_trials": c.params["proj_trials"],
-        "max_slack": max(slacks) if slacks else 0.0,
-        "max_iterations": max(iterations) if iterations else 0,
+        "max_slack": max_slack,
+        "max_iterations": max_iterations,
         "tree_sample_delta": _tree_sample_delta(tree),
         "tree_matrix": _tree_matrix(tree),
     }
@@ -573,14 +584,15 @@ def _run_tightspan(c):
 
 
 def _verify_tightspan(c, res):
-    # max_slack and max_iterations are trusted: re-deriving them means re-running every projection
-    kuratowski, _, tree = _tightspan_draws(c)
+    kuratowski, projections, tree = _tightspan_draws(c)
     n, trials = c.params["points"], c.params["trials"]
     return [
         ("points and trials match the config", (res["points"], res["trials"]) == (n, trials)),
         ("Kuratowski count re-derives from the seed",
          res["kuratowski_exact_isometric"] == _kuratowski_isometric(kuratowski)),
         ("all Kuratowski embeddings exactly isometric", res["kuratowski_exact_isometric"] == res["trials"]),
+        ("max slack and max iterations replay the projections from the seed",
+         (res["max_slack"], res["max_iterations"]) == _projection_maxima(c, projections)),
         ("projection slacks within tolerance", res["max_slack"] <= 1e-9),
         ("tree matrix re-derives from the seed", res["tree_matrix"] == _tree_matrix(tree)),
         ("tree hull sample delta re-derives from the seed", res["tree_sample_delta"] == _tree_sample_delta(tree)),
@@ -643,7 +655,7 @@ def _verify_cone_off(c, res):
 
 def _isotropy_result(c):
     ball = c.oracle.enumerate_ball(c.params["radius"], max_size=c.budgets["ball_cap"])
-    report = isotropy_probe(c.oracle, ball, c.params["D"], c.params["pairs"], seed=c.seed)
+    report = isotropy_probe(ball, c.params["D"], c.params["pairs"], seed=c.seed)
     fmt = c.oracle.format_element
     hardest = report.hardest
 

@@ -3,11 +3,12 @@ word lengths, the overlap scanner, exponential families of loxodromics, and
 the order-embedding of prefix sequences via cap vectors.
 
 The compressed Cayley graph of W = X u S(w_1, n_1) u ... is implicit and
-infinite; exact distances reduce to a uniform-cost search over the letter
-positions of the target word, since W is closed under subwords and tree
-geodesics project onto the target's prefix path.  Budgets surface as
-BudgetExceeded, never as silently wrong answers; unit tests cross-check
-against an independent materialized-graph oracle.
+infinite.  Since W is closed under subwords and tree geodesics project onto
+the target's prefix path, an exact distance is one greedy forward walk along
+the target word: each hop takes the longest generator that starts where the
+last one ended.  Budgets surface as BudgetExceeded, never as silently wrong
+answers; unit tests cross-check against an independent materialized-graph
+oracle.
 """
 
 from __future__ import annotations
@@ -131,13 +132,6 @@ class CompressedGenSet:
             seen.setdefault(g.signed, g)
         return [seen[k] for k in sorted(seen)]
 
-    def max_jump_len(self) -> int:
-        longest = 1
-        for w, cap in self.families:
-            if cap is not INF:
-                longest = max(longest, cap * len(w))
-        return longest
-
     def __contains__(self, u: FreeWord) -> bool:
         if len(u) == 1:
             return abs(u.signed[0]) - 1 < self.rank
@@ -178,59 +172,50 @@ def compressed_word_length(
 ):
     """Exact distance from the identity to g in the Cayley graph of W.
 
-    The search runs on the letter positions 0..|g| of the reduced word of g:
-    positions i, j are adjacent iff the segment g[i:j] is a W-generator.
-    This is exact because W is closed under taking subwords, so projecting a
-    compressed geodesic onto the prefix path of g (in the tree, each hop's
-    geodesic covers the spanned segment of [1, g], which is then itself a
-    generator) gives an equally short position path.  The result is therefore
-    independent of search order, and no corridor prune is needed.
+    Write g = g[0:L] as a reduced word.  A compressed geodesic projects onto
+    the prefix path of g: in the tree, each hop's geodesic covers a segment
+    of [1, g], and W is closed under subwords, so that segment is itself a
+    generator.  The distance is therefore the fewest hops i -> j between
+    the letter positions 0..L with g[i:j] (or g[j:i]) in W.
 
-    budget caps the number of position-pair membership probes; cutoff turns
-    the call into a bounded query returning None when the distance exceeds it.
+    The walk jumps from i to J(i), the largest j with g[i:j] in W.  Closure
+    under subwords makes membership of g[i:j] monotone in j, so J(i) is
+    found by extending one letter at a time until a probe fails.  Greedy
+    jumps are never behind: if another position path stands at q <= p after
+    k hops, with p the walk's position, and hops on to q' > p, then g[p:q']
+    is a subword of the generator g[q:q'], hence J(p) >= q'.  Backward hops
+    only fall further behind, so the walk reaches L first.
+
+    budget caps the number of membership probes; cutoff turns the call into
+    a bounded query returning None when the distance exceeds it.
     """
     target = g.signed
     L = len(target)
-    if L == 0:
-        return 0
     jump_sigs = {u.signed for u in W.jump_table()}
-    span = W.max_jump_len()
     rank = W.rank
-    dist = [None] * (L + 1)
-    dist[0] = 0
-    frontier = [0]
-    d = 0
-    probes = 0
-    while frontier:
-        if dist[L] is not None:
-            return dist[L]
-        d += 1
-        if cutoff is not None and d > cutoff:
+    i = hops = probes = 0
+    while i < L:
+        hops += 1
+        if cutoff is not None and hops > cutoff:
             return None
-        nxt = []
-        for i in frontier:
-            lo, hi = max(0, i - span), min(L, i + span)
-            for j in range(lo, hi + 1):
-                if j == i or dist[j] is not None:
-                    continue
-                probes += 1
-                if probes > budget:
-                    raise BudgetExceeded(
-                        f"compressed length probe budget {budget} exhausted",
-                        best_upper=L,
-                        extent={"positions": L + 1, "depth_reached": d - 1},
-                    )
-                a, b = (i, j) if i < j else (j, i)
-                seg = target[a:b]
-                if (b - a == 1 and abs(seg[0]) <= rank) or seg in jump_sigs:
-                    dist[j] = d
-                    nxt.append(j)
-        frontier = nxt
-    if dist[L] is not None:
-        return dist[L]
-    if cutoff is not None:
-        return None
-    raise ValueError("element is not generated by the base alphabet and families")
+        j = i
+        while j < L:
+            probes += 1
+            if probes > budget:
+                raise BudgetExceeded(
+                    f"compressed length probe budget {budget} exhausted",
+                    extent={"positions": L + 1, "depth_reached": hops - 1},
+                )
+            seg = target[i : j + 1]
+            if not ((j == i and abs(seg[0]) <= rank) or seg in jump_sigs):
+                break
+            j += 1
+        if j == i:
+            if cutoff is not None:
+                return None
+            raise ValueError("element is not generated by the base alphabet and families")
+        i = j
+    return hops
 
 
 @dataclass
@@ -288,7 +273,7 @@ class OverlapScan:
     per_translate: list = field(default_factory=list)
 
 
-def overlap_scan(axis_i: QuasiAxis, axis_j: QuasiAxis, r: float, translates, dist=tree_distance) -> OverlapScan:
+def overlap_scan(axis_i: QuasiAxis, axis_j: QuasiAxis, r: float, translates) -> OverlapScan:
     """max over translates a of diam{p on axis_i : d(p, a . axis_j) <= r}."""
     pts_i = axis_i.points()
     pts_j = axis_j.points()
@@ -297,11 +282,11 @@ def overlap_scan(axis_i: QuasiAxis, axis_j: QuasiAxis, r: float, translates, dis
     per = []
     for a in translates:
         moved = [a * q for q in pts_j]
-        close = [p for p in pts_i if min(dist(p, q) for q in moved) <= r]
+        close = [p for p in pts_i if min(tree_distance(p, q) for q in moved) <= r]
         diam = 0.0
         for idx, p in enumerate(close):
             for q in close[idx + 1 :]:
-                d = dist(p, q)
+                d = tree_distance(p, q)
                 if d > diam:
                     diam = d
         per.append((a, diam))
@@ -311,7 +296,7 @@ def overlap_scan(axis_i: QuasiAxis, axis_j: QuasiAxis, r: float, translates, dis
     return OverlapScan(max_diameter=best, witness_translate=best_a, per_translate=per)
 
 
-def surrogate_overlap_caps(axes, r: float, translates, margin: int = 2, dist=tree_distance):
+def surrogate_overlap_caps(axes, r: float, translates, margin: int = 2):
     """Finite-scale N_i surrogates: cross-overlap scan maxima plus a margin.
 
     The true overlap bound ranges over the whole group; this replaces it by
@@ -324,7 +309,7 @@ def surrogate_overlap_caps(axes, r: float, translates, margin: int = 2, dist=tre
         for j, other in enumerate(axes):
             if j == i:
                 continue
-            scan = overlap_scan(axis, other, r, translates, dist=dist)
+            scan = overlap_scan(axis, other, r, translates)
             worst = max(worst, scan.max_diameter)
         out.append(int(worst) + margin)
     return out

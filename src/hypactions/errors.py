@@ -8,14 +8,11 @@ class ToolkitError(Exception):
 class BudgetExceeded(ToolkitError):
     """A search or enumeration hit its configured cap.
 
-    `best_upper` carries the best verified upper bound found so far (when the
-    aborted computation was a distance), `extent` a description of how far the
-    search got.
+    `extent` describes how far the search got.
     """
 
-    def __init__(self, message, best_upper=None, extent=None):
+    def __init__(self, message, extent=None):
         super().__init__(message)
-        self.best_upper = best_upper
         self.extent = extent
 
 
@@ -46,7 +43,8 @@ class NotLoxodromic(ToolkitError, ValueError):
 class CertificateError(ToolkitError, ValueError):
     """Raised when an anisotropy certificate cannot be emitted.
 
-    `reason` is one of "zero-value" or "not-subordinate".
+    `reason` is one of "zero-value", "not-subordinate" or
+    "witness-outside-ball".
     """
 
     def __init__(self, reason, detail=""):

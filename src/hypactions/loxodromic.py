@@ -206,20 +206,15 @@ def equivalence_witness_search(
     N: int,
     radius: int,
     power_cap: int | None = None,
-    dist=None,
     budget: int = 5_000_000,
 ):
     """Search for (a, m, n), m, n > N, with max{d(as,s), d(a g^m s, h^n s)} <= eps.
 
-    The basepoint s is the identity and d defaults to the exact free-group
-    word metric.  Candidates are scanned in lexicographic (|a|, m+n, m) order,
+    The basepoint s is the identity and d is the exact free-group word
+    metric.  Candidates are scanned in lexicographic (|a|, m+n, m) order,
     so the returned witness is minimal in that order.  Exhaustion at finite
     scale is evidence, not proof, of non-equivalence.
     """
-    if dist is None:
-        if not isinstance(g, FreeWord):
-            raise ValueError("supply dist for non-free oracles")
-        dist = tree_distance
     if power_cap is None:
         power_cap = N + max(4, radius)
     ball = oracle.enumerate_ball(radius)
@@ -231,7 +226,7 @@ def equivalence_witness_search(
         ((m, n) for m in g_pows for n in h_pows), key=lambda p: (p[0] + p[1], p)
     )
     for a in ball.elements:  # BFS order: |a| ascending, then lexicographic
-        if dist(a, identity) > epsilon:
+        if tree_distance(a, identity) > epsilon:
             continue
         for m, n in pairs:
             checked += 1
@@ -240,7 +235,7 @@ def equivalence_witness_search(
                     "witness search budget exhausted",
                     extent={"checked": checked},
                 )
-            if dist(a * g_pows[m], h_pows[n]) <= epsilon:
+            if tree_distance(a * g_pows[m], h_pows[n]) <= epsilon:
                 return EquivalenceWitness(a=a, m=m, n=n, epsilon=epsilon)
     return SearchExhausted(
         epsilon=epsilon,
@@ -358,23 +353,20 @@ def match_pair(candidates, x, y, x2, y2, dist):
     return best_c, best_g
 
 
-def isotropy_probe(oracle, ball, D: float, sample_size: int, seed: int = 0, dist=None) -> IsotropyReport:
+def isotropy_probe(ball, D: float, sample_size: int, seed: int = 0) -> IsotropyReport:
     """Sample equidistant point pairs in the ball and look for g matching them.
 
     For each sampled ((x, y), (x', y')) with d(x, y) = d(x', y') (exact
-    integer equality), scan g in the ball for max{d(gx, x'), d(gy, y')} <= D.
+    integer equality, d the free-group word metric), scan g in the ball for
+    max{d(gx, x'), d(gy, y')} <= D.
     A failing pair is finite-scale evidence against isotropy with constant D.
     """
-    if dist is None:
-        if not isinstance(oracle.identity(), FreeWord):
-            raise ValueError("supply dist for non-free oracles")
-        dist = tree_distance
     rng = random.Random(seed)
     elements = ball.elements
     by_distance: dict[int, list[tuple]] = {}
     for i, x in enumerate(elements):
         for y in elements[i:]:
-            d = dist(x, y)
+            d = tree_distance(x, y)
             if d > 0:
                 by_distance.setdefault(int(d), []).append((x, y))
     eligible = [d for d, pairs in sorted(by_distance.items()) if len(pairs) >= 2]
@@ -383,7 +375,7 @@ def isotropy_probe(oracle, ball, D: float, sample_size: int, seed: int = 0, dist
     for _ in range(sample_size):
         d = rng.choice(eligible)
         (x, y), (x2, y2) = rng.sample(by_distance[d], 2)
-        best_c, best_g = match_pair(elements, x, y, x2, y2, dist)
+        best_c, best_g = match_pair(elements, x, y, x2, y2, tree_distance)
         ok = best_c <= D
         successes += ok
         results.append(

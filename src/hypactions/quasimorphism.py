@@ -243,14 +243,18 @@ def anisotropy_certificate(
     power: int = 8,
     m_cap: float | None = None,
 ) -> AnisotropyCertificate:
-    """Emit a certificate iff the homogenized value at g is nonzero and q is
-    subordinate to the supplied orbit pseudo-length on the ball.
+    """Emit a certificate iff g lies in the ball, the homogenized value at g
+    is nonzero and q is subordinate to the supplied orbit pseudo-length on
+    the ball.
 
     The defect behind the error bar is q's analytic bound when it has one,
     else the empirical defect over ordered pairs of the ball.  The caller
     asserts that the pseudo-length comes from a general-type action; the
     conclusion text presumes it.
     """
+    if g not in ball:
+        detail = f"{oracle.format_element(g)} is not in the radius-{ball.radius} ball"
+        raise CertificateError("witness-outside-ball", detail)
     if q.defect_bound is not None:
         defect = DefectEstimate(value=q.defect_bound, witness=None, pairs_checked=0, source="analytic")
     else:  # counting quasi-morphisms have no analytic bound

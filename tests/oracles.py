@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and separate from the package
 implementations: repeated-scan free reduction, exhaustive product
-enumeration, materialized-graph Dijkstra, a plain-loop four-point scan and
+enumeration, materialized-graph Dijkstra, a breadth-first search over the
+letter positions for compressed lengths, a plain-loop four-point scan and
 the n^3-per-basepoint four-point scan, per-source BFS and per-pair geodesic walks for the in-ball graph metric and
 cone-off, trial division up to sqrt(d) for square-freeness, and the
 memoised pairwise scan for the defect of a quasi-morphism.
@@ -95,6 +96,37 @@ def dijkstra_compressed_naive(target, generators, radius):
             dist[v] = dist[u] + 1
             queue.append(v)
     return dist.get(tuple(target))
+
+
+def compressed_length_bfs(target, jump_sigs, rank, cutoff=None):
+    """Compressed length of a reduced word by BFS over its letter positions.
+
+    Positions i, j in 0..len(target) are adjacent iff the segment between
+    them is a base letter (|letter| <= rank) or lies in jump_sigs; hops go
+    both ways and span at most the longest jump.  Returns None when the
+    distance exceeds cutoff or the last position is unreachable.
+    """
+    L = len(target)
+    span = max(map(len, jump_sigs), default=1)
+    dist = [None] * (L + 1)
+    dist[0] = 0
+    frontier = [0]
+    d = 0
+    while frontier and dist[L] is None:
+        d += 1
+        if cutoff is not None and d > cutoff:
+            return None
+        nxt = []
+        for i in frontier:
+            for j in range(max(0, i - span), min(L, i + span) + 1):
+                if j == i or dist[j] is not None:
+                    continue
+                seg = target[min(i, j) : max(i, j)]
+                if (len(seg) == 1 and abs(seg[0]) <= rank) or seg in jump_sigs:
+                    dist[j] = d
+                    nxt.append(j)
+        frontier = nxt
+    return dist[L]
 
 
 def four_point_delta_naive(rows):

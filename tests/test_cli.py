@@ -350,6 +350,22 @@ def test_verify_compress_rejects_a_summary_without_reports(tmp_path, capsys):
     assert lines == ["FAIL  one report per family and k of the config"]
 
 
+def test_verify_compress_rederives_every_length(tmp_path, capsys):
+    _, out = run_config(tmp_path, BASE_CONFIGS["compress"], "compress")
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    reports = summary["result"]["reports"]
+    # every length forged to 1, each fitted alpha made to match: the bounds still re-check
+    for rep in reports:
+        rep.update(exact_length=1, fitted_alpha=3 * rep["cap"] / rep["k"])
+    summary["result"]["min_fitted_alpha"] = min(rep["fitted_alpha"] for rep in reports)
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert "FAIL  family 0 k=6: report re-derives from the config" in lines
+    assert "PASS  family 0 k=6: bounds re-check" in lines
+
+
 def test_verify_tightspan_rederives_the_kuratowski_count(tmp_path, capsys):
     _, out = run_config(tmp_path, BASE_CONFIGS["tightspan"], "tightspan")
     summary_path = out / "summary.json"
@@ -360,6 +376,19 @@ def test_verify_tightspan_rederives_the_kuratowski_count(tmp_path, capsys):
     assert code == 1
     assert "FAIL  points and trials match the config" in lines
     assert "FAIL  Kuratowski count re-derives from the seed" in lines
+
+
+def test_verify_tightspan_replays_the_projections(tmp_path, capsys):
+    _, out = run_config(tmp_path, BASE_CONFIGS["tightspan"], "tightspan")
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    summary["result"].update(max_slack=0.0, max_iterations=999)
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL  max slack and max iterations replay the projections from the seed"
+    ]
 
 
 @pytest.mark.parametrize("tamper", [
@@ -375,6 +404,18 @@ def test_verify_sl2_embed_ties_rows_to_the_ball(tmp_path, capsys, tamper):
     code, lines = _verify(summary_path, capsys)
     assert code == 1
     assert "FAIL  rows are the ball's words in ball order" in lines
+
+
+def test_verify_sl2_embed_rederives_the_translation_lengths(tmp_path, capsys):
+    _, out = run_config(tmp_path, _with("sl2-embed", lambda c: c["parameters"].update(radius=3)), "sl2")
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    row = next(r for r in summary["result"]["rows"] if r["class_e1"] == "loxodromic")
+    row["tau_e1"] += 1e-6
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert "FAIL  traces, classes and translation lengths re-derive from the rebuilt elements" in lines
 
 
 def test_sl2_embed_honours_the_ball_cap(tmp_path):
@@ -406,6 +447,20 @@ def test_verify_borel_order_reads_r_and_s_from_the_config(tmp_path, capsys):
     code, lines = _verify(summary_path, capsys)
     assert code == 1
     assert "FAIL  r and s match the config" in lines
+
+
+def test_verify_borel_order_replays_the_check(tmp_path, capsys):
+    _, out = run_config(tmp_path, BASE_CONFIGS["borel-order"], "borel")
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    result = summary["result"]
+    result.update(generators_checked=result["generators_checked"] + 1, max_length=1, max_ratio=1 / result["bound"])
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL  generator count, lengths, violations and exact searches replay from the config"
+    ]
 
 
 BROOKS = {
@@ -446,6 +501,13 @@ def test_verify_qm_certify_rederives_the_certificate(tmp_path, capsys, forge, fa
     code, lines = _verify(summary_path, capsys)
     assert code == 1
     assert failure in lines
+
+
+def test_qm_certify_witness_outside_the_ball_fails(tmp_path, capsys):
+    cfg = _with("qm-certify", lambda c: c["parameters"].update(radius=0))
+    code, _ = run_config(tmp_path, cfg)
+    assert code == 1
+    assert "experiment failed: witness-outside-ball" in capsys.readouterr().err
 
 
 def test_verify_isotropy_probe_replays_its_pairs(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hypactions.compression import (
     INF,
@@ -17,10 +19,11 @@ from hypactions.compression import (
     subword_set,
     verify_length_bounds,
 )
+from hypactions.errors import BudgetExceeded
 from hypactions.groups import FreeGroupOracle
 from hypactions.loxodromic import build_quasi_axis
-from hypactions.words import parse_word
-from oracles import dijkstra_compressed_naive
+from hypactions.words import FreeWord, parse_word
+from oracles import compressed_length_bfs, dijkstra_compressed_naive
 
 F2 = FreeGroupOracle(2)
 w = parse_word
@@ -74,6 +77,86 @@ def test_compressed_word_length_two_families_against_naive():
         g = w(text)
         naive = dijkstra_compressed_naive(g.signed, gens, radius=6)
         assert compressed_word_length(g, W) == naive
+
+
+def agrees_with_bfs(g, W, cutoff=None):
+    """The walk returns what the position BFS returns, or, with no cutoff on
+    an unreachable word, raises ValueError."""
+    sigs = {u.signed for u in W.jump_table()}
+    expected = compressed_length_bfs(g.signed, sigs, W.rank, cutoff)
+    if expected is None and cutoff is None:
+        with pytest.raises(ValueError):
+            compressed_word_length(g, W)
+        return True
+    return compressed_word_length(g, W, cutoff=cutoff) == expected
+
+
+LETTERS = st.sampled_from([1, -1, 2, -2])
+
+
+@st.composite
+def genset_and_word(draw):
+    """A rank-2 compressed set with one to three families (caps 1-4) and a
+    target: a reduced word of length <= 60, a family power w^-20 .. w^59, or
+    a product of jump generators, optionally with a letter outside the base."""
+    families = []
+    for _ in range(draw(st.integers(1, 3))):
+        word = FreeWord(draw(st.lists(LETTERS, min_size=1, max_size=5)))
+        while len(word) >= 2 and word.signed[0] == -word.signed[-1]:
+            word = FreeWord(word.signed[1:-1])
+        if word:
+            families.append((word, draw(st.integers(1, 4))))
+    if not families:
+        families = [(FreeWord((1, 2)), 2)]
+    W = CompressedGenSet(2, families)
+    kind = draw(st.sampled_from(["word", "power", "product"]))
+    if kind == "word":
+        g = FreeWord(draw(st.lists(LETTERS, max_size=60)))
+    elif kind == "power":
+        g = draw(st.sampled_from([w for w, _ in families])) ** draw(st.integers(-20, 59))
+    else:
+        g = FreeWord()
+        for u in draw(st.lists(st.sampled_from(sorted(W.jump_table(), key=lambda u: u.signed)), max_size=8)):
+            g = g * u
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(g)))
+        g = FreeWord(g.signed[:at] + (3,) + g.signed[at:])
+    return W, g
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(genset_and_word(), st.one_of(st.none(), st.integers(0, 5)))
+def test_walk_agrees_with_position_bfs(case, cutoff):
+    W, g = case
+    assert agrees_with_bfs(g, W, cutoff)
+
+
+def test_walk_agrees_with_position_bfs_on_the_k80_lengths():
+    W = CompressedGenSet(2, [(w("ab^3"), 2), (w("ab^9"), 3)])
+    for word, _ in W.families:
+        for k in range(1, 81):
+            assert agrees_with_bfs(word**k, W)
+
+
+def test_walk_agrees_with_position_bfs_on_the_borel_order_generators():
+    cfg = BorelMapConfig(2, ["ab", "ab^2", "a^2b"], [1, 1, 1])
+    r, s = PiPrefix((1, 2, 3)), PiPrefix((1, 1, 1))
+    bound = order_preservation_check(r, s, cfg).bound
+    Wr = borel_map_f(r, cfg)
+    generators = borel_map_f(s, cfg).jump_table()
+    assert len(generators) == 84
+    for u in generators:
+        assert agrees_with_bfs(u, Wr) and agrees_with_bfs(u, Wr, cutoff=bound)
+
+
+def test_walk_budget_counts_membership_probes():
+    W = CompressedGenSet(2, [(w("ab"), 2)])
+    g = w("ab") ** 6  # three hops of four letters: five probes, the last hop four
+    assert compressed_word_length(g, W, budget=14) == 3
+    with pytest.raises(BudgetExceeded) as exc:
+        compressed_word_length(g, W, budget=13)
+    assert exc.value.extent == {"positions": 13, "depth_reached": 2}
 
 
 def test_compressed_monotone_in_caps():

@@ -205,11 +205,11 @@ def test_match_pair_incompatible_directions():
 
 def test_isotropy_probe_tree():
     ball = F2.enumerate_ball(2)
-    report = isotropy_probe(F2, ball, D=2.0, sample_size=6, seed=3)
+    report = isotropy_probe(ball, D=2.0, sample_size=6, seed=3)
     assert report.pairs_checked == 6
     assert 0.0 <= report.success_rate <= 1.0
     # the probe is reproducible
-    again = isotropy_probe(F2, ball, D=2.0, sample_size=6, seed=3)
+    again = isotropy_probe(ball, D=2.0, sample_size=6, seed=3)
     assert [r.best_constant for r in report.failures] == [r.best_constant for r in again.failures]
     # matched pairs are exactly equidistant
     assert all(tree_distance(r.x, r.y) == tree_distance(r.x2, r.y2) for r in report.failures)

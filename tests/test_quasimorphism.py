@@ -194,7 +194,13 @@ def test_brooks_defect_scan_matches_the_naive_scan(word, radius):
     est = defect_empirical(q, ball.elements)
     assert (est.value, est.witness) == defect_naive(q, ball.elements)
     assert (est.source, est.pairs_checked) == ("scan", len(ball) ** 2)
-    cert = anisotropy_certificate(F2, q, PseudoLength.from_word_lengths(ball), w(word), ball)
+    lengths = PseudoLength.from_word_lengths(ball)
+    if len(word) > radius:  # a certificate needs its witness in the ball
+        with pytest.raises(CertificateError) as info:
+            anisotropy_certificate(F2, q, lengths, w(word), ball)
+        assert info.value.reason == "witness-outside-ball"
+        return
+    cert = anisotropy_certificate(F2, q, lengths, w(word), ball)
     assert cert.defect == est
     assert cert.homogenization_error == est.value / cert.power
 
