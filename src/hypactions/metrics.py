@@ -529,6 +529,15 @@ def induced_metric(A: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return D
 
 
+def boundary_warnings(D0: np.ndarray, radius: int) -> list[str]:
+    """The cone-off warning for pairs whose in-ball geodesics may exit the ball."""
+    boundary_pairs = int(np.sum(np.triu(D0 >= radius, 1)))
+    if not boundary_pairs:
+        return []
+    return [f"{boundary_pairs} vertex pairs have in-ball distance >= radius {radius}; "
+            "their geodesics may exit the ball"]
+
+
 def cone_off(ball, orbit, A: float) -> ConeOffResult:
     """Add an edge between ball vertices joined by a geodesic that avoids the
     closed A-neighborhood of the orbit, then recompute shortest paths.
@@ -550,14 +559,7 @@ def cone_off(ball, orbit, A: float) -> ConeOffResult:
     D0 = graph_metric_matrix(ball)
     orbit_dist = set_distance(D0, orbit_idx)
     allowed = orbit_dist > A + ZERO_TOL
-
-    warnings = []
-    boundary_pairs = int(np.sum(np.triu(D0 >= ball.radius, 1)))
-    if boundary_pairs:
-        warnings.append(
-            f"{boundary_pairs} vertex pairs have in-ball distance >= radius "
-            f"{ball.radius}; their geodesics may exit the ball"
-        )
+    warnings = boundary_warnings(D0, ball.radius)
 
     D_allowed = induced_metric(adj, allowed)
     avoids = np.isfinite(D0) & (D0 >= 2) & (D_allowed == D0)

@@ -98,13 +98,13 @@ def dijkstra_compressed_naive(target, generators, radius):
     return dist.get(tuple(target))
 
 
-def compressed_length_bfs(target, jump_sigs, rank, cutoff=None):
+def compressed_length_bfs(target, jump_sigs, rank):
     """Compressed length of a reduced word by BFS over its letter positions.
 
     Positions i, j in 0..len(target) are adjacent iff the segment between
     them is a base letter (|letter| <= rank) or lies in jump_sigs; hops go
     both ways and span at most the longest jump.  Returns None when the
-    distance exceeds cutoff or the last position is unreachable.
+    last position is unreachable.
     """
     L = len(target)
     span = max(map(len, jump_sigs), default=1)
@@ -114,8 +114,6 @@ def compressed_length_bfs(target, jump_sigs, rank, cutoff=None):
     d = 0
     while frontier and dist[L] is None:
         d += 1
-        if cutoff is not None and d > cutoff:
-            return None
         nxt = []
         for i in frontier:
             for j in range(max(0, i - span), min(L, i + span) + 1):

@@ -195,8 +195,9 @@ def test_verify_cone_off_rejects_an_edge_whose_geodesics_meet_the_orbit(tmp_path
     capsys.readouterr()
     assert main(["verify", str(summary_path)]) == 1
     lines = capsys.readouterr().out.strip().splitlines()
-    assert [line for line in lines if line.startswith("FAIL")] == [
-        "FAIL  some geodesic of every new edge avoids the A-neighborhood"
+    assert _fails(lines) == [
+        "FAIL  some geodesic of every new edge avoids the A-neighborhood",
+        "FAIL  the edge rows are every such pair, in row-major order",
     ]
 
 
@@ -284,6 +285,47 @@ def _verify(path, capsys):
     return code, capsys.readouterr().out.strip().splitlines()
 
 
+def _fails(lines):
+    return [line for line in lines if line.startswith("FAIL")]
+
+
+def _rederives(*keys):
+    return [f"FAIL  {key} re-derives from the config" for key in keys]
+
+
+def _forged(tmp_path, cfg, forge, name="forged"):
+    """Run `cfg`, apply `forge` to the summary's result and write it back."""
+    code, out = run_config(tmp_path, cfg, name)
+    assert code == 0
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    forge(summary["result"])
+    summary_path.write_text(json.dumps(summary))
+    return summary_path
+
+
+REDERIVED = ["tau", "compress", "borel-order", "qm-certify", "sl2-embed", "tightspan", "isotropy-probe"]
+
+
+@pytest.mark.parametrize("name", REDERIVED)
+def test_verify_fails_an_extra_result_key(tmp_path, capsys, name):
+    path = _forged(tmp_path, BASE_CONFIGS[name], lambda result: result.update(extra=1))
+    code, lines = _verify(path, capsys)
+    assert code == 1
+    assert _fails(lines) == _rederives("extra")
+
+
+@pytest.mark.parametrize("name", REDERIVED)
+def test_verify_fails_each_deleted_result_key(tmp_path, capsys, name):
+    _, out = run_config(tmp_path, BASE_CONFIGS[name], name)
+    summary = json.loads((out / "summary.json").read_text())
+    for key in summary["result"]:
+        path = _forged(tmp_path, BASE_CONFIGS[name], lambda result: result.pop(key), f"{name}-{key}")
+        code, lines = _verify(path, capsys)
+        assert code == 1
+        assert _rederives(key)[0] in lines
+
+
 def test_verify_delta_rejects_a_self_consistent_fabricated_block(tmp_path, capsys):
     _, out = run_config(tmp_path, BASE_CONFIGS["delta"], "delta")
     summary_path = out / "summary.json"
@@ -296,6 +338,35 @@ def test_verify_delta_rejects_a_self_consistent_fabricated_block(tmp_path, capsy
     assert code == 1
     assert "FAIL  witness distances re-compute from the group" in lines
     assert "FAIL  witness quadruple reproduces raw max" in lines
+
+
+@pytest.mark.parametrize("parameters, forge", [
+    ({"radius": 2}, lambda est: est.update(quadruples_checked=7, sampled=True, seed=99)),
+    ({"radius": 2, "mode": "sampled", "count": 500}, lambda est: est.update(seed=99)),
+], ids=["exhaustive", "sampled"])
+def test_verify_delta_checks_the_scan_metadata(tmp_path, capsys, parameters, forge):
+    cfg = _with("delta", lambda c: c.update(group={"kind": "bs", "m": 1, "n": 2}, parameters=parameters))
+    path = _forged(tmp_path, cfg, lambda result: (result.update(metric="word"), forge(result["delta"])))
+    code, lines = _verify(path, capsys)
+    assert code == 1
+    assert _fails(lines) == ["FAIL  metric, sampling, seed and quadruple count match the config"]
+
+
+def test_verify_cone_off_rederives_the_edge_list_and_its_metadata(tmp_path, capsys):
+    cfg = _with("cone-off", lambda c: c.update(group={"kind": "bs", "m": 2, "n": 3},
+                                               parameters={"radius": 3, "orbit": "t", "A": 0}))
+
+    def forge(result):
+        assert len(result["edge_rows"]) == 383 and result["warnings"]
+        del result["edge_rows"][1:]
+        result.update(new_edges=1, warnings=[], orbit_size=result["orbit_size"] + 1, radius=2, A=1.0)
+
+    code, lines = _verify(_forged(tmp_path, cfg, forge), capsys)
+    assert code == 1
+    assert _fails(lines) == [
+        "FAIL  radius, A, orbit size and warnings re-derive from the config",
+        "FAIL  the edge rows are every such pair, in row-major order",
+    ]
 
 
 def _tamper_missing_distances(summary):
@@ -336,7 +407,7 @@ def test_verify_tau_rejects_a_result_for_another_element(tmp_path, capsys):
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
-    assert lines == ["FAIL  trace re-evaluates from the config", "FAIL  upper bound dominates the exact value"]
+    assert _fails(lines) == _rederives("g", "horizon", "upper", "trace", "exact_free_value")
 
 
 def test_verify_compress_rejects_a_summary_without_reports(tmp_path, capsys):
@@ -347,7 +418,7 @@ def test_verify_compress_rejects_a_summary_without_reports(tmp_path, capsys):
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
-    assert lines == ["FAIL  one report per family and k of the config"]
+    assert _fails(lines) == _rederives("reports")
 
 
 def test_verify_compress_rederives_every_length(tmp_path, capsys):
@@ -362,8 +433,46 @@ def test_verify_compress_rederives_every_length(tmp_path, capsys):
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
-    assert "FAIL  family 0 k=6: report re-derives from the config" in lines
-    assert "PASS  family 0 k=6: bounds re-check" in lines
+    assert _fails(lines) == _rederives("reports", "min_fitted_alpha")
+    assert "PASS  bounds re-check" in lines
+
+
+def test_verify_compress_rederives_the_summary_fields(tmp_path, capsys):
+    path = _forged(tmp_path, BASE_CONFIGS["compress"], lambda result: result.update(
+        all_upper_ok=False, all_lower_ok=False, min_fitted_alpha=99.0, K_measured=7.0))
+    code, lines = _verify(path, capsys)
+    assert code == 1
+    assert _fails(lines) == _rederives("K_measured", "min_fitted_alpha", "all_upper_ok", "all_lower_ok")
+
+
+def _upper_ok_as_one(result):
+    result["all_upper_ok"] = 1
+    result["reports"][0]["upper_ok"] = 1
+
+
+@pytest.mark.parametrize("name, forge, keys", [
+    ("compress", _upper_ok_as_one, ["reports", "all_upper_ok"]),
+    ("tau", lambda result: result.update(horizon=float(result["horizon"])), ["horizon"]),
+    ("tightspan", lambda result: result.update(max_iterations=float(result["max_iterations"])),
+     ["max_iterations"]),
+], ids=["true-as-1", "int-as-float", "int-as-float-tightspan"])
+def test_verify_compares_values_as_json_stores_them(tmp_path, capsys, name, forge, keys):
+    # equal under Python's ==, but not the text that `run` writes
+    code, lines = _verify(_forged(tmp_path, BASE_CONFIGS[name], forge), capsys)
+    assert code == 1
+    assert _fails(lines) == _rederives(*keys)
+
+
+def test_verify_tightspan_checks_slacks_against_the_config_tol(tmp_path, capsys):
+    cfg = _with("tightspan", lambda c: c["parameters"].update(points=5, trials=3, proj_trials=5, tol=0.001))
+    code, out = run_config(tmp_path, cfg, "tightspan")
+    assert code == 0
+    summary_path = out / "summary.json"
+    # the projections stop at the config's tol, well above the default 1e-9
+    assert 1e-9 < json.loads(summary_path.read_text())["result"]["max_slack"] <= 0.001
+    code, lines = _verify(summary_path, capsys)
+    assert code == 0
+    assert "PASS  projection slacks within tolerance" in lines
 
 
 def test_verify_tightspan_rederives_the_kuratowski_count(tmp_path, capsys):
@@ -374,8 +483,7 @@ def test_verify_tightspan_rederives_the_kuratowski_count(tmp_path, capsys):
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
-    assert "FAIL  points and trials match the config" in lines
-    assert "FAIL  Kuratowski count re-derives from the seed" in lines
+    assert _fails(lines) == _rederives("trials", "kuratowski_exact_isometric")
 
 
 def test_verify_tightspan_replays_the_projections(tmp_path, capsys):
@@ -386,9 +494,7 @@ def test_verify_tightspan_replays_the_projections(tmp_path, capsys):
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
-    assert [line for line in lines if line.startswith("FAIL")] == [
-        "FAIL  max slack and max iterations replay the projections from the seed"
-    ]
+    assert _fails(lines) == _rederives("max_slack", "max_iterations")
 
 
 @pytest.mark.parametrize("tamper", [
@@ -403,7 +509,7 @@ def test_verify_sl2_embed_ties_rows_to_the_ball(tmp_path, capsys, tamper):
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
-    assert "FAIL  rows are the ball's words in ball order" in lines
+    assert _rederives("rows")[0] in lines
 
 
 def test_verify_sl2_embed_rederives_the_translation_lengths(tmp_path, capsys):
@@ -415,7 +521,7 @@ def test_verify_sl2_embed_rederives_the_translation_lengths(tmp_path, capsys):
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
-    assert "FAIL  traces, classes and translation lengths re-derive from the rebuilt elements" in lines
+    assert _rederives("rows")[0] in lines
 
 
 def test_sl2_embed_honours_the_ball_cap(tmp_path):
@@ -434,7 +540,7 @@ def test_verify_tightspan_rederives_the_tree_matrix(tmp_path, capsys):
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
-    assert [line for line in lines if line.startswith("FAIL")] == ["FAIL  tree matrix re-derives from the seed"]
+    assert _fails(lines) == _rederives("tree_matrix")
 
 
 def test_verify_borel_order_reads_r_and_s_from_the_config(tmp_path, capsys):
@@ -446,7 +552,7 @@ def test_verify_borel_order_reads_r_and_s_from_the_config(tmp_path, capsys):
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
-    assert "FAIL  r and s match the config" in lines
+    assert _rederives("s")[0] in lines
 
 
 def test_verify_borel_order_replays_the_check(tmp_path, capsys):
@@ -458,9 +564,7 @@ def test_verify_borel_order_replays_the_check(tmp_path, capsys):
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
-    assert [line for line in lines if line.startswith("FAIL")] == [
-        "FAIL  generator count, lengths, violations and exact searches replay from the config"
-    ]
+    assert _fails(lines) == _rederives("generators_checked", "max_length", "max_ratio")
 
 
 BROOKS = {
@@ -477,20 +581,15 @@ def _zero_defect(cert):
     cert["homogenization_error"] = 0.0
 
 
-ROWS = "FAIL  rows are the ball's elements in sorted order with |q| and length re-derived"
-DEFECT = "FAIL  defect re-derives: source, value, witness pair and pairs checked"
-
-
-@pytest.mark.parametrize("forge, failure", [
-    (lambda cert: cert.update(rows=[]), ROWS),
-    (lambda cert: cert["rows"].pop(len(cert["rows"]) // 2), ROWS),
-    (lambda cert: cert["rows"].reverse(), ROWS),
-    (_zero_defect, DEFECT),
-    (lambda cert: cert.update(subordination_M=cert["subordination_M"] + 1.0),
-     "FAIL  subordination M and mode re-fit from the ball"),
-    (lambda cert: cert["defect"].update(source="analytic"), DEFECT),
+@pytest.mark.parametrize("forge", [
+    lambda cert: cert.update(rows=[]),
+    lambda cert: cert["rows"].pop(len(cert["rows"]) // 2),
+    lambda cert: cert["rows"].reverse(),
+    _zero_defect,
+    lambda cert: cert.update(subordination_M=cert["subordination_M"] + 1.0),
+    lambda cert: cert["defect"].update(source="analytic"),
 ], ids=["rows-emptied", "row-dropped", "rows-reordered", "defect-zeroed", "M-forged", "source-analytic"])
-def test_verify_qm_certify_rederives_the_certificate(tmp_path, capsys, forge, failure):
+def test_verify_qm_certify_rederives_the_certificate(tmp_path, capsys, forge):
     code, out = run_config(tmp_path, BROOKS, "brooks")
     assert code == 0
     summary_path = out / "summary.json"
@@ -500,7 +599,7 @@ def test_verify_qm_certify_rederives_the_certificate(tmp_path, capsys, forge, fa
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
-    assert failure in lines
+    assert _fails(lines) == _rederives("certificate")
 
 
 def test_qm_certify_witness_outside_the_ball_fails(tmp_path, capsys):
@@ -521,6 +620,4 @@ def test_verify_isotropy_probe_replays_its_pairs(tmp_path, capsys):
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
-    assert [line for line in lines if line.startswith("FAIL")] == [
-        f"FAIL  {key} replays from the config's seed and ball" for key in ("successes", "success_rate", "failures")
-    ]
+    assert _fails(lines) == _rederives("successes", "success_rate", "failures")
