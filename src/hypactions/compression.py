@@ -14,7 +14,7 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 from .loxodromic import QuasiAxis, build_quasi_axis, certify_loxodromic
@@ -260,7 +260,6 @@ def verify_length_bounds(j: int, k: int, W: CompressedGenSet, alpha: float, budg
 class OverlapScan:
     max_diameter: float
     witness_translate: object
-    per_translate: list = field(default_factory=list)
 
 
 def overlap_scan(axis_i: QuasiAxis, axis_j: QuasiAxis, r: float, translates) -> OverlapScan:
@@ -269,7 +268,6 @@ def overlap_scan(axis_i: QuasiAxis, axis_j: QuasiAxis, r: float, translates) -> 
     pts_j = axis_j.points()
     best = 0.0
     best_a = None
-    per = []
     for a in translates:
         moved = [a * q for q in pts_j]
         close = [p for p in pts_i if min(tree_distance(p, q) for q in moved) <= r]
@@ -279,11 +277,10 @@ def overlap_scan(axis_i: QuasiAxis, axis_j: QuasiAxis, r: float, translates) -> 
                 d = tree_distance(p, q)
                 if d > diam:
                     diam = d
-        per.append((a, diam))
         if diam > best:
             best = diam
             best_a = a
-    return OverlapScan(max_diameter=best, witness_translate=best_a, per_translate=per)
+    return OverlapScan(max_diameter=best, witness_translate=best_a)
 
 
 def surrogate_overlap_caps(axes, r: float, translates, margin: int = 2):
@@ -309,9 +306,6 @@ def surrogate_overlap_caps(axes, r: float, translates, margin: int = 2):
 class BFFamily:
     """g_n = f1 * f2^(c^n): an exponentially separated loxodromic family."""
 
-    f1: object
-    f2: object
-    base: int
     members: list
     axes: list
     K: float
@@ -351,7 +345,7 @@ def make_bf_family(oracle, f1, f2, count: int, base: int = 3, window: int = 1) -
                 t1, p = verts[ii]
                 t2, q = verts[jj]
                 L = max(L, (t2 - t1) - K * tree_distance(p, q))
-    return BFFamily(f1=f1, f2=f2, base=base, members=members, axes=axes, K=K, L=L)
+    return BFFamily(members=members, axes=axes, K=K, L=L)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ class DomainMiss(ToolkitError, KeyError):
 
     def __init__(self, element):
         super().__init__(f"element outside materialized domain: {element!r}")
-        self.element = element
 
 
 class AxiomViolation(ToolkitError, ValueError):
@@ -53,6 +52,4 @@ class CertificateError(ToolkitError, ValueError):
 
 
 class NoConvergence(ToolkitError, RuntimeError):
-    def __init__(self, message, final_slack=None):
-        super().__init__(message)
-        self.final_slack = final_slack
+    pass

@@ -3,9 +3,9 @@
 Elements carry the group law themselves: `x * y`, `x.inverse()`, `x ** k`,
 `==`, hashing, and a total order through `x.sort_key()`, so balls are
 deduplicated with a hash map instead of quadratic equality scans.  An oracle
-holds only what an element cannot know: the identity, the generators and
-their names, the text form of elements, and ball enumeration.  Generating
-sets are always symmetrized before use.
+holds only what an element cannot know: the identity, the generators, the
+text form of elements, and ball enumeration.  Generating sets are always
+symmetrized before use.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .baumslag import BSElement, bs_identity, format_bs, parse_bs
 from .errors import BudgetExceeded
-from .words import FreeWord, format_word, generator_name, parse_word
+from .words import FreeWord, format_word, parse_word
 
 DEFAULT_BALL_CAP = 2_000_000
 
@@ -26,9 +26,6 @@ class GroupOracle:
         raise NotImplementedError
 
     def generators(self) -> list:
-        raise NotImplementedError
-
-    def generator_names(self) -> list[str]:
         raise NotImplementedError
 
     def format_element(self, x) -> str:
@@ -61,7 +58,6 @@ class Ball:
 
     oracle: GroupOracle
     gens: list
-    gen_labels: list[str]
     radius: int
     elements: list = field(default_factory=list)
     index: dict = field(default_factory=dict)
@@ -93,7 +89,7 @@ def enumerate_ball(oracle: GroupOracle, radius: int, gens=None, max_size: int = 
     raw = oracle.generators() if gens is None else list(gens)
     sym = oracle.symmetrize(raw)
     labels = [oracle.format_element(g) for g in sym]
-    ball = Ball(oracle=oracle, gens=sym, gen_labels=labels, radius=radius)
+    ball = Ball(oracle=oracle, gens=sym, radius=radius)
 
     e = oracle.identity()
     ball.elements.append(e)
@@ -145,9 +141,6 @@ class FreeGroupOracle(GroupOracle):
     def generators(self):
         return [FreeWord.generator(i) for i in range(self.rank)]
 
-    def generator_names(self):
-        return [generator_name(i) for i in range(self.rank)]
-
     def format_element(self, x):
         return format_word(x)
 
@@ -174,9 +167,6 @@ class BSOracle(GroupOracle):
         a = BSElement(self.m, self.n, (), 1)
         t = BSElement(self.m, self.n, ((0, 1),), 0)
         return [a, t]
-
-    def generator_names(self):
-        return ["a", "t"]
 
     def format_element(self, x):
         return format_bs(x)

@@ -23,7 +23,6 @@ class IsometryClass:
     verdict: str
     tau_upper: float
     tau_lower: float
-    horizon: int
     certificate: str = ""
 
 
@@ -32,8 +31,8 @@ class TranslationTrace:
     upper: float
     trace: list[float]
 
-    def is_non_increasing(self, tol: float = 1e-12) -> bool:
-        return all(a >= b - tol for a, b in zip(self.trace, self.trace[1:]))
+    def is_non_increasing(self) -> bool:
+        return all(a >= b - 1e-12 for a, b in zip(self.trace, self.trace[1:]))
 
 
 def translation_length_estimate(g, lengths, horizon: int) -> TranslationTrace:
@@ -89,7 +88,7 @@ def classify_isometry(g, lengths, horizon: int, embedding=None) -> IsometryClass
     est = translation_length_estimate(g, lengths, horizon)
     certified, kind, tau_lower = certify_loxodromic(g, embedding)
     if certified:
-        return IsometryClass(LOXODROMIC, est.upper, tau_lower, horizon, certificate=kind)
+        return IsometryClass(LOXODROMIC, est.upper, tau_lower, certificate=kind)
     # affine lower-bound fit l(g^n) >= lam*n - c across the horizon: evidence only
     values = [r * (i + 1) for i, r in enumerate(est.trace)]
     if horizon >= 2:
@@ -97,12 +96,12 @@ def classify_isometry(g, lengths, horizon: int, embedding=None) -> IsometryClass
         c = max(lam * (i + 1) - v for i, v in enumerate(values))
         if lam > 0:
             return IsometryClass(
-                UNKNOWN, est.upper, 0.0, horizon,
+                UNKNOWN, est.upper, 0.0,
                 certificate=f"affine-fit-evidence lam={lam:.6g} c={c:.6g}",
             )
     if max(values) <= values[0] + 1e-12:
-        return IsometryClass(ELLIPTIC_EVIDENCE, est.upper, 0.0, horizon)
-    return IsometryClass(UNKNOWN, est.upper, 0.0, horizon)
+        return IsometryClass(ELLIPTIC_EVIDENCE, est.upper, 0.0)
+    return IsometryClass(UNKNOWN, est.upper, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +116,6 @@ class QuasiAxis:
     endpoint vertices, so parameters run in steps of 1 along the path.
     """
 
-    element: object
-    base_word: object
-    window: int
     vertices: list = field(default_factory=list)
 
     def points(self):
@@ -149,7 +145,7 @@ def build_quasi_axis(oracle, g, gamma, window: int) -> QuasiAxis:
         spelled = prefixes[-1] * steps[-1] if steps else oracle.identity()
         if spelled != g:
             raise ValueError("label does not spell the element")
-    axis = QuasiAxis(element=g, base_word=gamma, window=window)
+    axis = QuasiAxis()
     segment_len = max(len(prefixes), 1)
     # the materialized path runs from g^-window s to g^window s (window >= 1);
     # window 0 is just the base segment from s to gs
@@ -182,41 +178,28 @@ class EquivalenceWitness:
         )
         return value <= self.epsilon + 1e-12
 
-    def to_json(self, fmt=str):
-        return {"a": fmt(self.a), "m": self.m, "n": self.n, "epsilon": self.epsilon}
-
 
 @dataclass
 class SearchExhausted:
     epsilon: float
     N: int
     radius: int
-    power_cap: int
     candidates_checked: int
 
-    def to_json(self):
-        return dict(self.__dict__, exhausted=True)
+
+WITNESS_SEARCH_BUDGET = 5_000_000  # candidates (a, m, n) checked before BudgetExceeded
 
 
-def equivalence_witness_search(
-    oracle,
-    g,
-    h,
-    epsilon: float,
-    N: int,
-    radius: int,
-    power_cap: int | None = None,
-    budget: int = 5_000_000,
-):
+def equivalence_witness_search(oracle, g, h, epsilon: float, N: int, radius: int):
     """Search for (a, m, n), m, n > N, with max{d(as,s), d(a g^m s, h^n s)} <= eps.
 
     The basepoint s is the identity and d is the exact free-group word
-    metric.  Candidates are scanned in lexicographic (|a|, m+n, m) order,
-    so the returned witness is minimal in that order.  Exhaustion at finite
-    scale is evidence, not proof, of non-equivalence.
+    metric.  The exponents run up to N + max(4, radius), and candidates are
+    scanned in lexicographic (|a|, m+n, m) order, so the returned witness is
+    minimal in that order.  Exhaustion at finite scale is evidence, not
+    proof, of non-equivalence.
     """
-    if power_cap is None:
-        power_cap = N + max(4, radius)
+    power_cap = N + max(4, radius)
     ball = oracle.enumerate_ball(radius)
     identity = oracle.identity()
     g_pows = {m: g**m for m in range(N + 1, power_cap + 1)}
@@ -230,7 +213,7 @@ def equivalence_witness_search(
             continue
         for m, n in pairs:
             checked += 1
-            if checked > budget:
+            if checked > WITNESS_SEARCH_BUDGET:
                 raise BudgetExceeded(
                     "witness search budget exhausted",
                     extent={"checked": checked},
@@ -241,7 +224,6 @@ def equivalence_witness_search(
         epsilon=epsilon,
         N=N,
         radius=radius,
-        power_cap=power_cap,
         candidates_checked=checked,
     )
 
@@ -253,10 +235,6 @@ def equivalence_witness_search(
 @dataclass
 class CompressionValue:
     ratio: float
-    upper_numerator: float
-    upper_denominator: float
-    trace_numerator: list[float]
-    trace_denominator: list[float]
 
 
 def compression_function(g, lengths_compressed, lengths_reference, horizon: int) -> CompressionValue:
@@ -267,13 +245,7 @@ def compression_function(g, lengths_compressed, lengths_reference, horizon: int)
         raise NotLoxodromic(
             "not-loxodromic-downstairs: reference translation length estimate is 0"
         )
-    return CompressionValue(
-        ratio=num.upper / den.upper,
-        upper_numerator=num.upper,
-        upper_denominator=den.upper,
-        trace_numerator=num.trace,
-        trace_denominator=den.trace,
-    )
+    return CompressionValue(ratio=num.upper / den.upper)
 
 
 def chain_lower_bound(segment_lengths, C: float, delta: float) -> float:
@@ -285,14 +257,16 @@ def chain_lower_bound(segment_lengths, C: float, delta: float) -> float:
     return float(sum(segment_lengths)) - 2.0 * (n - 1) * (C + 8.0 * delta)
 
 
-def tau_profiles_proportional(profile1, profile2, tol: float = 1e-9):
+def tau_profiles_proportional(profile1, profile2):
     """Are two translation-length profiles positive multiples of each other?
 
     Profiles are parallel sequences of values over a common element list; a
     nonzero proportionality constant c with profile1 = c * profile2 is the
-    finite-scale shadow of equality of projective classes.  Returns
+    finite-scale shadow of equality of projective classes.  Values within
+    1e-9 of 0 count as 0, and ratios agree to a relative 1e-9.  Returns
     (verdict, c or None).
     """
+    tol = 1e-9
     p1 = [float(v) for v in profile1]
     p2 = [float(v) for v in profile2]
     if len(p1) != len(p2):
@@ -329,12 +303,10 @@ class ProbePairResult:
 
 @dataclass
 class IsotropyReport:
-    D: float
     pairs_checked: int
     successes: int
     failures: list
     hardest: ProbePairResult | None
-    seed: int
 
     @property
     def success_rate(self) -> float:
@@ -383,10 +355,8 @@ def isotropy_probe(ball, D: float, sample_size: int, seed: int = 0) -> IsotropyR
         )
     hardest = max(results, key=lambda r: r.best_constant, default=None)
     return IsotropyReport(
-        D=D,
         pairs_checked=len(results),
         successes=successes,
         failures=[r for r in results if not r.success],
         hardest=hardest,
-        seed=seed,
     )

@@ -96,33 +96,17 @@ class ComparisonReport:
     direction: str
     constant: float
     worst_witness: object
-    certified: bool = False
     note: str = ""
     probe_ratios: list = field(default_factory=list)
 
-    def to_json(self, fmt=str):
-        return {
-            "direction": self.direction,
-            "constant": self.constant,
-            "worst_witness": fmt(self.worst_witness),
-            "certified": self.certified,
-            "note": self.note,
-            "probe_ratios": list(self.probe_ratios),
-        }
 
-
-def compare_pseudo_lengths(
-    l1: PseudoLength,
-    l2: PseudoLength,
-    probe=None,
-    certificate: str | None = None,
-) -> ComparisonReport:
+def compare_pseudo_lengths(l1: PseudoLength, l2: PseudoLength, probe=None) -> ComparisonReport:
     """Fit the minimal C with l1 <= C*l2 + C on the shared domain.
 
     If `probe` (a sequence of elements) is supplied and the ratios
     (l1+1)/(l2+1) increase strictly along it, the verdict flips to
-    NOT_DOMINATED; without an analytic `certificate` that verdict is finite-
-    scale evidence only and flagged as such.
+    NOT_DOMINATED; that verdict is finite-scale evidence only and its note
+    says so.
     """
     shared = [g for g in l1.domain if g in l2]
     if not shared:
@@ -143,8 +127,7 @@ def compare_pseudo_lengths(
             direction=NOT_DOMINATED,
             constant=best_c,
             worst_witness=worst,
-            certified=certificate is not None,
-            note=certificate or "finite-scale evidence only (inconclusive)",
+            note="finite-scale evidence only (inconclusive)",
             probe_ratios=ratios,
         )
     return ComparisonReport(
@@ -167,17 +150,17 @@ class FiniteMetricSpace:
     for the vectorized scans.
     """
 
-    def __init__(self, rows, validate: bool = True, tol: float = ZERO_TOL):
+    def __init__(self, rows, validate: bool = True):
         self.rows = [list(r) for r in rows]
         self.size = len(self.rows)
         if any(len(r) != self.size for r in self.rows):
             raise ValueError("distance matrix must be square")
         if validate:
-            self.validate(tol)
+            self.validate()
 
-    def validate(self, tol: float = ZERO_TOL):
+    def validate(self):
         """Exact symmetry and an exactly zero diagonal, as `four_point_delta`
-        requires; negative distances and triangle violations up to `tol`."""
+        requires; negative distances and triangle violations up to ZERO_TOL."""
         n = self.size
         for i in range(n):
             if self.rows[i][i] != 0:
@@ -185,41 +168,38 @@ class FiniteMetricSpace:
             for j in range(i + 1, n):
                 if self.rows[i][j] != self.rows[j][i]:
                     raise ValueError(f"asymmetry at ({i},{j})")
-                if self.rows[i][j] < -tol:
+                if self.rows[i][j] < -ZERO_TOL:
                     raise ValueError(f"negative distance at ({i},{j})")
         D = self.as_array()
         for k in range(n):
             slack = D - (D[:, k][:, None] + D[k, :][None, :])
-            if slack.max() > tol:
+            if slack.max() > ZERO_TOL:
                 i, j = np.unravel_index(np.argmax(slack), slack.shape)
                 raise ValueError(f"triangle inequality fails for ({i},{j},{k})")
-
-    def dist(self, i: int, j: int):
-        return self.rows[i][j]
 
     def as_array(self) -> np.ndarray:
         return np.array([[float(x) for x in r] for r in self.rows], dtype=np.float64)
 
 
 def free_ball_distance_matrix(ball) -> np.ndarray:
-    """Exact word-metric matrix of a free-group ball, d = |u|+|v|-2*lcp."""
+    """Exact word-metric matrix of a free-group ball, d = |u|+|v|-2*lcp.
+
+    The common prefixes grow one letter column at a time, in O(n^2) memory:
+    `same` marks the pairs that agree on every column so far.  Letters are
+    nonzero and the padding is 0, so a word that has ended matches nothing.
+    """
     words = [g.signed for g in ball.elements]
     n = len(words)
-    width = max((len(w) for w in words), default=0)
-    if width == 0:
-        return np.zeros((1, 1))
-    pad = np.zeros((n, width), dtype=np.int8)
-    lens = np.zeros(n, dtype=np.int64)
+    pad = np.zeros((n, max(map(len, words))), dtype=np.int32)
     for i, w in enumerate(words):
-        lens[i] = len(w)
         pad[i, : len(w)] = w
-    # positions beyond a word's end are 0 and never match a letter, but two
-    # pads match each other; clamp the prefix length by both word lengths
-    eq = pad[:, None, :] == pad[None, :, :]
-    prefix_all = np.cumprod(eq, axis=2)
-    lcp = prefix_all.sum(axis=2)
-    lcp = np.minimum(lcp, np.minimum(lens[:, None], lens[None, :]))
-    return (lens[:, None] + lens[None, :] - 2 * lcp).astype(np.float64)
+    lens = np.array([len(w) for w in words], dtype=np.float64)
+    D = lens[:, None] + lens[None, :]
+    same = np.ones((n, n), dtype=bool)
+    for col in pad.T:
+        same &= (col[:, None] == col[None, :]) & (col != 0)[:, None]
+        D -= 2 * same
+    return D
 
 
 def _bfs_metric(A: np.ndarray) -> np.ndarray:
@@ -313,11 +293,13 @@ class DeltaEstimate:
         }
 
 
-def quadruple_defect(D: np.ndarray, quad) -> float:
-    """Re-evaluate one ordered quadruple (x, y, z, t); the witness checker."""
+def quadruple_defect(D: np.ndarray, quad):
+    """The defect min{(x,y)_t, (y,z)_t} - (x,z)_t of the ordered quadruple
+    (x, y, z, t): the witness checker, and the sampled scan when x, y, z and
+    t are index arrays (one defect per position)."""
     i, j, k, l = quad
     gp = lambda a, b: (D[a, l] + D[b, l] - D[a, b]) / 2.0
-    return min(gp(i, j), gp(j, k)) - gp(i, k)
+    return np.minimum(gp(i, j), gp(j, k)) - gp(i, k)
 
 
 SCAN_STEP_BYTES = 1 << 17  # bytes per array in one step of the exhaustive scan, sized to stay in cache
@@ -476,16 +458,11 @@ def four_point_delta(
             m_now = min(chunk, remaining)
             remaining -= m_now
             idx = rng.integers(0, n, size=(4, m_now))
-            i, j, k, l = idx
-            gp_ij = (D[i, l] + D[j, l] - D[i, j]) / 2.0
-            gp_jk = (D[j, l] + D[k, l] - D[j, k]) / 2.0
-            gp_ik = (D[i, l] + D[k, l] - D[i, k]) / 2.0
-            defect = np.minimum(gp_ij, gp_jk) - gp_ik
+            defect = quadruple_defect(D, idx)
             m = float(defect.max())
             if m > best:
-                pos = int(np.argmax(defect))
                 best = m
-                best_w = (int(i[pos]), int(j[pos]), int(k[pos]), int(l[pos]))
+                best_w = tuple(int(v) for v in idx[:, int(np.argmax(defect))])
         return DeltaEstimate(
             delta=max(0.0, best),
             raw_max=best,

@@ -6,7 +6,7 @@ subordination fitting, and anisotropy certificates.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -24,10 +24,8 @@ class QuasiMorphism:
     sampled defects are lower-bound evidence only and stay out of this field.
     """
 
-    kind: str
     evaluate: callable
     defect_bound: float | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __call__(self, g) -> float:
         return float(self.evaluate(g))
@@ -47,11 +45,7 @@ def brooks_qm(w: FreeWord) -> QuasiMorphism:
     def evaluate(g: FreeWord) -> float:
         return float(count_occurrences(g, w) - count_occurrences(g, w_inv))
 
-    return QuasiMorphism(
-        kind=f"brooks({format_word(w)})",
-        evaluate=evaluate,
-        metadata={"counting": "all starting positions, overlaps allowed"},
-    )
+    return QuasiMorphism(evaluate)
 
 
 def _is_proper_power(w: FreeWord) -> bool:
@@ -69,7 +63,7 @@ def exponent_sum_qm() -> QuasiMorphism:
     def evaluate(g: BSElement) -> float:
         return float(g.t_exponent_sum())
 
-    return QuasiMorphism(kind="exponent-sum(t)", evaluate=evaluate, defect_bound=0.0)
+    return QuasiMorphism(evaluate, defect_bound=0.0)
 
 
 def linear_combination(terms) -> QuasiMorphism:
@@ -85,7 +79,7 @@ def linear_combination(terms) -> QuasiMorphism:
     def evaluate(g):
         return sum(c * q(g) for c, q in terms)
 
-    return QuasiMorphism(kind="linear-combination", evaluate=evaluate, defect_bound=bound)
+    return QuasiMorphism(evaluate, defect_bound=bound)
 
 
 @dataclass
@@ -157,12 +151,10 @@ def homogenize(q: QuasiMorphism, g, n: int, defect: float | None = None) -> Homo
 class SubordinationFit:
     M: float
     mode: str  # "slope" when q vanishes on the zero-length locus, else "affine"
-    slope_fit: float | None
-    affine_fit: float
     witness: object
 
-    def certifies(self, q, lengths: PseudoLength, tol: float = ZERO_TOL) -> bool:
-        return all(abs(q(g)) <= self.M * lengths(g) + self.M + tol for g in lengths.domain)
+    def certifies(self, q, lengths: PseudoLength) -> bool:
+        return all(abs(q(g)) <= self.M * lengths(g) + self.M + ZERO_TOL for g in lengths.domain)
 
 
 def subordination_fit(q: QuasiMorphism, lengths: PseudoLength) -> SubordinationFit:
@@ -192,8 +184,8 @@ def subordination_fit(q: QuasiMorphism, lengths: PseudoLength) -> SubordinationF
         else:
             slope = max(slope, value / length)
     if vanishes_on_kernel:
-        return SubordinationFit(M=slope, mode="slope", slope_fit=slope, affine_fit=affine, witness=witness)
-    return SubordinationFit(M=affine, mode="affine", slope_fit=None, affine_fit=affine, witness=witness)
+        return SubordinationFit(M=slope, mode="slope", witness=witness)
+    return SubordinationFit(M=affine, mode="affine", witness=witness)
 
 
 @dataclass

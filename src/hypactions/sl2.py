@@ -340,8 +340,8 @@ def translation_length_h2(A: Mat2, embedding: RealEmbedding, tol: float = 1e-12)
     return 2.0 * _refine_acosh(half, embedding, tol / 2)
 
 
-def orbit_distance_h2(A: Mat2, embedding: RealEmbedding, tol: float = 1e-12) -> float:
-    """d_{H^2}(i, A i), computed from an exact field expression for cosh d."""
+def orbit_distance_h2(A: Mat2, embedding: RealEmbedding) -> float:
+    """d_{H^2}(i, A i) to within 1e-12, from an exact field expression for cosh d."""
     a, b, c, d = A.entries()
     # A*i = u + v*i with u = (ac + bd)/(c^2 + d^2), v = 1/(c^2 + d^2)
     denom = c * c + d * d
@@ -350,7 +350,7 @@ def orbit_distance_h2(A: Mat2, embedding: RealEmbedding, tol: float = 1e-12) -> 
     one = QuadFieldElement(Fraction(1), Fraction(0), A.field_d)
     two = QuadFieldElement(Fraction(2), Fraction(0), A.field_d)
     cosh_d = one + (u * u + (v - one) * (v - one)) / (two * v)
-    return _refine_acosh(cosh_d, embedding, tol)
+    return _refine_acosh(cosh_d, embedding, 1e-12)
 
 
 class SL2Oracle(GroupOracle):
@@ -374,9 +374,6 @@ class SL2Oracle(GroupOracle):
     def generators(self):
         return list(self.gens)
 
-    def generator_names(self):
-        return list(self.names)
-
     def format_element(self, x):
         for g, name in zip(self.gens, self.names):
             if x == g:
@@ -394,7 +391,7 @@ class SL2Oracle(GroupOracle):
         return f"SL2Oracle(d={self.d}, gens={len(self.gens)})"
 
 
-def embedding_spectrum_compare(ball, e1: RealEmbedding, e2: RealEmbedding, tol: float = 1e-12):
+def embedding_spectrum_compare(ball, e1: RealEmbedding, e2: RealEmbedding):
     """Classify every element of a word ball of matrices under both embeddings.
 
     Returns (rows, witnesses): one row per ball element with its word, exact
@@ -406,8 +403,8 @@ def embedding_spectrum_compare(ball, e1: RealEmbedding, e2: RealEmbedding, tol: 
     witnesses = []
     for i, A in enumerate(ball.elements):
         c1, c2 = classify(A, e1), classify(A, e2)
-        t1 = translation_length_h2(A, e1, tol) if c1 == "loxodromic" else 0.0
-        t2 = translation_length_h2(A, e2, tol) if c2 == "loxodromic" else 0.0
+        t1 = translation_length_h2(A, e1) if c1 == "loxodromic" else 0.0
+        t2 = translation_length_h2(A, e2) if c2 == "loxodromic" else 0.0
         row = {
             "word": ball.words[i],
             "trace": str(A.trace()),

@@ -87,11 +87,7 @@ def project_to_hull(f, X: FiniteMetricSpace, tol: float = 1e-9, max_iter: int = 
         if slack <= tol:
             return ExtremalFunction(vals), it
         vals = tuple((a + b) / 2.0 for a, b in zip(vals, q))
-    _, final = is_extremal(ExtremalFunction(vals), X, tol)
-    raise NoConvergence(
-        f"projection did not reach slack {tol} in {max_iter} iterations",
-        final_slack=final,
-    )
+    raise NoConvergence(f"projection did not reach slack {tol} in {max_iter} iterations")
 
 
 def minimal_below_exact(f, X: FiniteMetricSpace) -> ExtremalFunction:
@@ -118,14 +114,15 @@ def minimal_below_exact(f, X: FiniteMetricSpace) -> ExtremalFunction:
     return result
 
 
-def hull_sample_delta(X: FiniteMetricSpace, sample, tol: float = 1e-9, **delta_kwargs) -> DeltaEstimate:
-    """Four-point scan of a hull sample under the sup-metric."""
+def hull_sample_delta(X: FiniteMetricSpace, sample) -> DeltaEstimate:
+    """Exhaustive four-point scan of a hull sample under the sup-metric; every
+    member must be extremal within 1e-9."""
     for f in sample:
-        ok, slack = is_extremal(f, X, tol)
+        ok, slack = is_extremal(f, X)
         if not ok:
             raise ValueError(f"sample member misses extremality by {slack}")
     rows = [[float(sup_distance(f, g)) for g in sample] for f in sample]
-    return four_point_delta(FiniteMetricSpace(rows, validate=False), **delta_kwargs)
+    return four_point_delta(FiniteMetricSpace(rows, validate=False))
 
 
 def hull_sample_csv(sample) -> str:

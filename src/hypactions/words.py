@@ -9,31 +9,9 @@ reducedness, so equality of group elements is equality of tuples.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 _ALPHA = "abcdefghijklmnopqrstuvwxyz"
 _TOKEN = re.compile(r"([a-zA-Z])(?:\^(-?\d+))?")
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A single alphabet letter with an orientation."""
-
-    index: int
-    sign: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("generator index must be >= 0")
-        if self.sign not in (1, -1):
-            raise ValueError("generator sign must be +1 or -1")
-
-    def inverse(self) -> "Generator":
-        return Generator(self.index, -self.sign)
-
-    @property
-    def signed(self) -> int:
-        return self.sign * (self.index + 1)
 
 
 def _reduce(seq):
@@ -64,8 +42,6 @@ class FreeWord:
     def __init__(self, letters=()):
         seq = []
         for x in letters:
-            if isinstance(x, Generator):
-                x = x.signed
             if not isinstance(x, int) or x == 0:
                 raise ValueError(f"bad letter {x!r}")
             seq.append(x)
@@ -87,10 +63,6 @@ class FreeWord:
     @classmethod
     def generator(cls, index: int, sign: int = 1) -> "FreeWord":
         return cls._raw((sign * (index + 1),))
-
-    @property
-    def letters(self) -> tuple[Generator, ...]:
-        return tuple(Generator(abs(x) - 1, 1 if x > 0 else -1) for x in self.signed)
 
     def __len__(self):
         return len(self.signed)
@@ -158,7 +130,7 @@ def generator_name(index: int) -> str:
     return f"x{index}"
 
 
-def format_word(w: FreeWord, names=None) -> str:
+def format_word(w: FreeWord) -> str:
     """Render with run-length exponents, e.g. a*b*b*b*a^-1 -> 'ab^3a^-1'."""
     s = w.signed
     if not s:
@@ -169,22 +141,18 @@ def format_word(w: FreeWord, names=None) -> str:
         j = i
         while j < len(s) and s[j] == s[i]:
             j += 1
-        idx = abs(s[i]) - 1
-        name = names[idx] if names else generator_name(idx)
+        name = generator_name(abs(s[i]) - 1)
         exp = (j - i) * (1 if s[i] > 0 else -1)
         parts.append(name if exp == 1 else f"{name}^{exp}")
         i = j
     return "".join(parts)
 
 
-def parse_word(text: str, rank: int | None = None, names=None) -> FreeWord:
+def parse_word(text: str, rank: int | None = None) -> FreeWord:
     """Parse 'ab^3a^-1' (uppercase letters are inverses: 'aB' == 'ab^-1')."""
     text = text.strip().replace(" ", "")
     if text in ("", "1"):
         return FreeWord.identity()
-    name_to_index = None
-    if names is not None:
-        name_to_index = {n: i for i, n in enumerate(names)}
     pos = 0
     letters: list[int] = []
     for match in _TOKEN.finditer(text):
@@ -193,13 +161,7 @@ def parse_word(text: str, rank: int | None = None, names=None) -> FreeWord:
         pos = match.end()
         char, exp = match.group(1), match.group(2)
         exp = 1 if exp is None else int(exp)
-        if name_to_index is not None:
-            low = char.lower()
-            if low not in name_to_index:
-                raise ValueError(f"unknown generator {char!r} in {text!r}")
-            index = name_to_index[low]
-        else:
-            index = _ALPHA.index(char.lower())
+        index = _ALPHA.index(char.lower())
         if char.isupper():
             exp = -exp
         if rank is not None and index >= rank:

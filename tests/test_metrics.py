@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -73,6 +74,36 @@ def test_gromov_product_identity():
                 gp2 = gromov_product(tree_dist, x, z, y)
                 assert gp1 >= 0
                 assert gp1 + gp2 == pytest.approx(tree_dist(y, z))
+
+
+@pytest.mark.parametrize("rank, radius", [(2, r) for r in range(5)] + [(3, r) for r in range(4)] + [(130, 1)])
+def test_free_ball_distance_matrix_is_the_tree_distance(rank, radius):
+    ball = FreeGroupOracle(rank).enumerate_ball(radius)
+    D = free_ball_distance_matrix(ball)
+    assert D.dtype == np.float64
+    assert D.tolist() == [[float(tree_distance(u, v)) for v in ball.elements] for u in ball.elements]
+
+
+def test_free_ball_distance_matrix_memory_is_quadratic():
+    ball = F2.enumerate_ball(6)
+    tracemalloc.start()
+    try:
+        D = free_ball_distance_matrix(ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert D.shape == (1457, 1457)
+    assert peak < 60 * 2**20  # an n^2 x width prefix product would take about 200 MB here
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_quadruple_defect_on_index_arrays_is_its_scalar_value_at_each_position(dtype):
+    rng = np.random.default_rng(5)
+    D = rng.integers(0, 20, size=(9, 9)) if dtype is np.int64 else rng.random((9, 9)) * 20
+    quads = rng.integers(0, 9, size=(4, 300))
+    defects = quadruple_defect(D, quads)
+    assert defects.shape == (300,)
+    assert defects.tolist() == [float(quadruple_defect(D, tuple(int(v) for v in q))) for q in quads.T]
 
 
 def test_four_point_delta_tree_is_zero():
@@ -265,7 +296,7 @@ def test_compare_pseudo_lengths_divergence_probe():
     quadratic = PseudoLength({g: float(len(g)) ** 2 for g in domain})
     report = compare_pseudo_lengths(quadratic, linear, probe=domain[1:])
     assert report.direction == NOT_DOMINATED
-    assert not report.certified
+    assert report.note == "finite-scale evidence only (inconclusive)"
     with pytest.raises(ValueError):
         compare_pseudo_lengths(PseudoLength({}), linear)
 
