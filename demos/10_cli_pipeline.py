@@ -1,8 +1,9 @@
 # The batch driver end to end: write a config, run it, re-verify the summary.
 #
-# Summaries carry every witness needed for an independent re-check, so the
-# verify step replays no searches; re-running a config reproduces the output
-# byte for byte.
+# The summary is the run's only output.  It echoes the config, and the verify
+# step re-runs the experiment from that config and compares every stored key
+# with the fresh result; re-running a config reproduces the summary byte for
+# byte.
 
 import json
 import subprocess

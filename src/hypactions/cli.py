@@ -3,12 +3,13 @@
 
 Every run is fully determined by (config, tool version); the config is echoed
 into the summary, all randomness is seeded, and re-running a config produces
-byte-identical outputs.  Exit codes: 0 success, 1 validation error, 2 budget
-exceeded.  `verify` re-derives each claim from the config echoed in the
-summary.  Most experiments are re-run in full and every key of the stored
-result is compared with the fresh one, followed by the few claims that
-equality cannot show (see `_rederived`); `delta` and `cone-off`, whose
-scans are the costly part, re-check their witnesses instead.
+a byte-identical `summary.json`, the one file a run writes.  Exit codes:
+0 success, 1 validation error, 2 budget exceeded.  `verify` re-derives each
+claim from the config echoed in the summary.  Most experiments are re-run
+in full and every key of the stored result is compared with the fresh one,
+followed by the few claims that equality cannot show (see `_rederived`);
+`delta` and `cone-off`, whose scans are the costly part, re-check their
+witnesses instead.
 
 Each experiment is declared once, in `EXPERIMENTS`: the group kinds it
 accepts, its parameters (type, default, bound), its runner and its verifier.
@@ -19,7 +20,6 @@ returns typed values; validation, `run`, `verify` and `schema` all read it.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import random
@@ -125,7 +125,7 @@ TOP = {
 class Experiment:
     groups: tuple[str, ...]
     parameters: dict[str, Field]
-    run: Callable  # Config -> (result, tables), each table (name, header, rows)
+    run: Callable  # Config -> result
     verify: Callable  # (Config, result) -> [(label, ok)]
     check: Callable | None = None  # (group kind, parameters) -> problems no single field can see
 
@@ -276,14 +276,12 @@ def _run_delta(c):
     ball, D, metric_kind = _delta_inputs(c)
     est = four_point_delta(D, mode=c.params["mode"], count=c.params["count"], seed=c.seed,
                            quadruple_cap=c.budgets["quadruple_cap"], labels=ball.words)
-    result = {
+    return {
         "ball_size": len(ball),
         "metric": metric_kind,
         "delta": est.to_json(),
         "witness_distances": _block(D, est.witness),
     }
-    rows = [[pos, idx, ball.words[idx]] for pos, idx in zip("xyzt", est.witness)]
-    return result, [("delta_witness", ["position", "index", "label"], rows)]
 
 
 def _verify_delta(c, res):
@@ -313,7 +311,7 @@ def _run_tau(c):
     else:
         lengths, length_kind = (lambda w: float(w.t_syllable_count())), "t-syllable"
     est = translation_length_estimate(g, lengths, c.params["horizon"])
-    result = {
+    return {
         "g": c.oracle.format_element(g),
         "length": length_kind,
         "horizon": c.params["horizon"],
@@ -322,7 +320,6 @@ def _run_tau(c):
         "exact_free_value": translation_length_exact_free(g) if isinstance(g, FreeWord) else None,
         "non_increasing": est.is_non_increasing(),
     }
-    return result, [("tau_trace", ["n", "ratio"], [[n + 1, r] for n, r in enumerate(est.trace)])]
 
 
 def _run_compress(c):
@@ -336,9 +333,7 @@ def _run_compress(c):
     # the paper-style alpha depends on the quasi-geodesity constant of the
     # family words; cyclically reduced words have stretch 1
     K_measured = max(len(w) / max(translation_length_exact_free(w), 1) for w, _ in W.families)
-    rows = [[r["family"], r["k"], r["exact_length"], r["upper_bound"], int(r["upper_ok"]),
-             r["lower_bound"], int(r["lower_ok"]), r["fitted_alpha"]] for r in reports]
-    result = {
+    return {
         "genset": W.to_json(),
         "alpha": alpha,
         "K_measured": K_measured,
@@ -347,8 +342,6 @@ def _run_compress(c):
         "all_upper_ok": all(r["upper_ok"] for r in reports),
         "all_lower_ok": all(r["lower_ok"] for r in reports),
     }
-    header = ["family", "k", "exact", "upper", "upper_ok", "lower", "lower_ok", "fitted_alpha"]
-    return result, [("compressed_lengths", header, rows)]
 
 
 def _bounds_hold(c, res):
@@ -377,7 +370,7 @@ def _run_borel_order(c):
         "max_length": rep.max_length,
         "max_ratio": rep.max_ratio,
         "violations": rep.violations,
-    }, []
+    }
 
 
 def _qm(spec):
@@ -408,8 +401,7 @@ def _run_qm_certify(c):
     cert = anisotropy_certificate(
         oracle, _qm(params["qm"]), lengths, g, ball, power=params["power"], m_cap=params["m_cap"]
     ).to_json(fmt=oracle.format_element)
-    result = {"qm": params["qm"], "length": length_kind, "certificate": cert}
-    return result, [("subordination_rows", ["element", "abs_q", "length"], cert["rows"])]
+    return {"qm": params["qm"], "length": length_kind, "certificate": cert}
 
 
 def _run_sl2_embed(c):
@@ -419,7 +411,7 @@ def _run_sl2_embed(c):
     oracle = SL2Oracle(d=d, gens=[lemma_emb_matrix(x), mat2([[1, 1], [0, 1]], d)], names=["A", "T"])
     ball = oracle.enumerate_ball(c.params["radius"], max_size=c.budgets["ball_cap"])
     rows, witnesses = embedding_spectrum_compare(ball, RealEmbedding(1), RealEmbedding(-1))
-    result = {
+    return {
         "d": d,
         "x": str(x),
         "rows": rows,
@@ -430,8 +422,6 @@ def _run_sl2_embed(c):
         },
         "equivalent_profiles": not witnesses,
     }
-    header = ["word", "trace", "class_e1", "class_e2", "tau_e1", "tau_e2"]
-    return result, [("spectrum", header, [[r[key] for key in header] for r in rows])]
 
 
 def _run_tightspan(c):
@@ -462,7 +452,7 @@ def _run_tightspan(c):
         "max_iterations": max(iterations, default=0),
         "tree_sample_delta": hull_sample_delta(tree, [kuratowski_embed(i, tree) for i in range(tree.size)]).to_json(),
         "tree_matrix": [[int(v) for v in row] for row in tree.rows],
-    }, []
+    }
 
 
 def _cone_off_inputs(c):
@@ -478,16 +468,14 @@ def _run_cone_off(c):
     ball, orbit, A = _cone_off_inputs(c)
     res = cone_off(ball, orbit, A)
     dist = res.orbit_distance
-    edge_rows = [[ball.words[x], ball.words[y], dist[x], dist[y]] for x, y in res.new_edges]
-    result = {
+    return {
         "radius": ball.radius,
         "A": A,
         "orbit_size": len(orbit),
         "new_edges": len(res.new_edges),
         "warnings": res.warnings,
-        "edge_rows": edge_rows,
+        "edge_rows": [[ball.words[x], ball.words[y], dist[x], dist[y]] for x, y in res.new_edges],
     }
-    return result, [("new_edges", ["x", "y", "orbit_dist_x", "orbit_dist_y"], edge_rows)]
 
 
 def _verify_cone_off(c, res):
@@ -546,7 +534,7 @@ def _run_isotropy_probe(c):
             {"pair": pair(r), "best_constant": r.best_constant, "best_g": fmt(r.best_g)}
             for r in report.failures
         ],
-    }, []
+    }
 
 
 # a stored result of the wrong shape, or one naming elements that do not parse
@@ -572,7 +560,7 @@ def _rederived(*claims):
     """
 
     def verify(c, res):
-        fresh = EXPERIMENTS[c.experiment].run(c)[0]
+        fresh = EXPERIMENTS[c.experiment].run(c)
         checks = [
             (f"{key} re-derives from the config",
              key in res and key in fresh
@@ -660,9 +648,9 @@ def _envelope(c, status, **fields):
 
 
 def run_experiment(c):
-    """Run a parsed config; returns (summary dict, tables)."""
+    """Run a parsed config; returns its summary."""
     started = time.perf_counter()
-    result, tables = EXPERIMENTS[c.experiment].run(c)
+    result = EXPERIMENTS[c.experiment].run(c)
     elapsed = time.perf_counter() - started
     time_cap = c.budgets["time_cap"]
     if time_cap is not None and elapsed > time_cap:
@@ -670,19 +658,19 @@ def run_experiment(c):
             f"run took {elapsed:.1f}s, over the time cap {time_cap}s",
             extent={"elapsed_seconds": elapsed},
         )
-    return _envelope(c, "ok", result=result), tables
+    return _envelope(c, "ok", result=result)
 
 
-def _write_outputs(outdir: Path, summary, tables):
+def _write_outputs(outdir: Path, summary, _tables):
+    """Write `summary.json`, the one file a run leaves, into `outdir`; returns its path.
+
+    `_tables` is ignored: a run writes no tables.  The parameter stays
+    because the benchmark's tamper test replaces this function with a
+    three-argument wrapper.
+    """
     outdir.mkdir(parents=True, exist_ok=True)
     summary_path = outdir / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    for name, header, rows in tables:
-        with open(outdir / f"{name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     return summary_path
 
 
@@ -700,18 +688,18 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     outdir = Path(args.output) if args.output else cfg_path.with_suffix(".out")
     try:
-        summary, tables = run_experiment(config)
+        summary = run_experiment(config)
     except BudgetExceeded as exc:
         summary = _envelope(config, "budget-exceeded", error=str(exc), extent=exc.extent)
-        path = _write_outputs(outdir, summary, [])
-        print(f"budget exceeded; partial summary at {path}", file=sys.stderr)
-        return EXIT_BUDGET
     except (ValueError, ToolkitError) as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    path = _write_outputs(outdir, summary, tables)
-    print(path)
-    return EXIT_OK
+    path = _write_outputs(outdir, summary, ())
+    if summary["status"] == "ok":
+        print(path)
+        return EXIT_OK
+    print(f"budget exceeded; partial summary at {path}", file=sys.stderr)
+    return EXIT_BUDGET
 
 
 def _checks(summary):

@@ -556,48 +556,6 @@ def cone_off(ball, orbit, A: float) -> ConeOffResult:
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def pseudolength_csv(lengths: PseudoLength, oracle) -> str:
-    """CSV with one (element-normal-form, value) row per domain element."""
-    rows = sorted(
-        (oracle.format_element(g), lengths(g)) for g in lengths.domain
-    )
-    lines = ["element,value"]
-    lines += [f"{name},{repr(value)}" for name, value in rows]
-    return "\n".join(lines) + "\n"
-
-
-def pseudolength_json(lengths: PseudoLength, oracle) -> dict:
-    return {
-        "format": 1,
-        "values": {oracle.format_element(g): lengths(g) for g in lengths.domain},
-    }
-
-
-def metric_csv(X: FiniteMetricSpace) -> str:
-    """Bare distance-matrix CSV, one row per point."""
-    return "\n".join(",".join(str(v) for v in row) for row in X.rows) + "\n"
-
-
-def metric_from_csv(text: str, validate: bool = True) -> FiniteMetricSpace:
-    rows = []
-    for line in text.strip().splitlines():
-        rows.append([_parse_number(tok) for tok in line.split(",")])
-    return FiniteMetricSpace(rows, validate=validate)
-
-
-def _parse_number(tok: str):
-    tok = tok.strip()
-    if "/" in tok:
-        return Fraction(tok)
-    if "." in tok or "e" in tok or "E" in tok:
-        return float(tok)
-    return int(tok)
-
-
-# ---------------------------------------------------------------------------
 # random metric generators for experiments and tests
 
 

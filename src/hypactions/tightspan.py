@@ -125,20 +125,6 @@ def hull_sample_delta(X: FiniteMetricSpace, sample) -> DeltaEstimate:
     return four_point_delta(FiniteMetricSpace(rows, validate=False))
 
 
-def hull_sample_csv(sample) -> str:
-    """One CSV row of values per hull point."""
-    return "\n".join(",".join(str(v) for v in f.values) for f in sample) + "\n"
-
-
-def hull_sample_from_csv(text: str) -> list[ExtremalFunction]:
-    from .metrics import _parse_number
-
-    out = []
-    for line in text.strip().splitlines():
-        out.append(ExtremalFunction(tuple(_parse_number(tok) for tok in line.split(","))))
-    return out
-
-
 def extend_isometry(phi, f: ExtremalFunction, X: FiniteMetricSpace) -> ExtremalFunction:
     """Push a hull point through a distance-preserving permutation: f o phi^-1.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 _ALPHA = "abcdefghijklmnopqrstuvwxyz"
-_TOKEN = re.compile(r"([a-zA-Z])(?:\^(-?\d+))?")
+_TOKEN = re.compile(r"(x\d+|[a-zA-Z])(?:\^(-?\d+))?")
 
 
 def _reduce(seq):
@@ -149,7 +149,11 @@ def format_word(w: FreeWord) -> str:
 
 
 def parse_word(text: str, rank: int | None = None) -> FreeWord:
-    """Parse 'ab^3a^-1' (uppercase letters are inverses: 'aB' == 'ab^-1')."""
+    """Parse 'ab^3a^-1' (uppercase letters are inverses: 'aB' == 'ab^-1').
+
+    Generators from index 26 on are read as `generator_name` writes them:
+    'x26', 'x27^-2', ...
+    """
     text = text.strip().replace(" ", "")
     if text in ("", "1"):
         return FreeWord.identity()
@@ -159,13 +163,18 @@ def parse_word(text: str, rank: int | None = None) -> FreeWord:
         if match.start() != pos:
             raise ValueError(f"cannot parse word {text!r} at position {pos}")
         pos = match.end()
-        char, exp = match.group(1), match.group(2)
+        name, exp = match.group(1), match.group(2)
         exp = 1 if exp is None else int(exp)
-        index = _ALPHA.index(char.lower())
-        if char.isupper():
-            exp = -exp
+        if len(name) > 1:
+            index = int(name[1:])
+            if generator_name(index) != name:  # x0 ... x25 are the letters, x027 is no name
+                raise ValueError(f"cannot parse word {text!r} at position {match.start()}")
+        else:
+            index = _ALPHA.index(name.lower())
+            if name.isupper():
+                exp = -exp
         if rank is not None and index >= rank:
-            raise ValueError(f"generator {char!r} exceeds rank {rank}")
+            raise ValueError(f"generator {name!r} exceeds rank {rank}")
         letter = (index + 1) * (1 if exp > 0 else -1)
         letters.extend([letter] * abs(exp))
     if pos != len(text):

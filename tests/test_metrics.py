@@ -24,7 +24,6 @@ from hypactions.metrics import (
     gromov_product,
     graph_metric_matrix,
     log_transform,
-    metric_from_csv,
     orbit_pseudo_length,
     quadruple_defect,
     random_rational_metric,
@@ -323,12 +322,11 @@ def test_finite_metric_space_validation():
         FiniteMetricSpace([[0, 1, 9], [1, 0, 1], [9, 1, 0]])  # triangle fails
 
 
-@pytest.mark.parametrize("text", ["0,1\n1.0000000000001,0\n", "1e-13,1\n1,0\n"],
+@pytest.mark.parametrize("rows", [[[0, 1], [1.0000000000001, 0]], [[1e-13, 1], [1, 0]]],
                          ids=["asymmetric-by-1e-13", "diagonal-1e-13"])
-def test_metric_validation_and_the_four_point_scan_apply_one_rule(text):
-    rows = metric_from_csv(text, validate=False).rows
+def test_metric_validation_and_the_four_point_scan_apply_one_rule(rows):
     with pytest.raises(ValueError):
-        metric_from_csv(text)
+        FiniteMetricSpace(rows)
     with pytest.raises(ValueError):
         four_point_delta(np.array(rows, dtype=float))
 

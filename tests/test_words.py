@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from hypactions.groups import FreeGroupOracle
 from hypactions.words import (
     FreeWord,
     common_prefix_len,
@@ -90,6 +91,22 @@ def test_parse_variants():
         parse_word("a!b")
     with pytest.raises(ValueError):
         parse_word("c", rank=2)
+
+
+def test_generators_past_z_round_trip():
+    F30 = FreeGroupOracle(30)
+    ball = F30.enumerate_ball(2)
+    assert len(ball) == 1 + 60 + 60 * 59
+    for g in ball.elements:
+        assert F30.parse_element(F30.format_element(g)) == g
+    assert F30.parse_element("x27^-2bx26") == FreeWord([-28, -28, 2, 27])
+    assert parse_word("x") == FreeWord.generator(23)  # a lone x is still a letter
+    assert parse_word("x^2y") == FreeWord([24, 24, 25])
+    with pytest.raises(ValueError, match="exceeds rank 27"):
+        parse_word("x27", rank=27)
+    for text in ("x5", "x027", "X27"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_word(text, rank=30)
 
 
 def test_tree_distance():
