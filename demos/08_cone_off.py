@@ -6,7 +6,7 @@
 import numpy as np
 
 from hypactions.groups import FreeGroupOracle
-from hypactions.metrics import cone_off, graph_metric_matrix
+from hypactions.metrics import cone_off, graph_metric_matrix, induced_metric
 from hypactions.words import parse_word
 
 F2 = FreeGroupOracle(2)
@@ -16,7 +16,13 @@ orbit = [a**k for k in range(-4, 5)]
 
 res = cone_off(ball, orbit, A=1)
 D0 = graph_metric_matrix(ball)
-D1 = res.space.as_array()
+
+# the coned metric: shortest paths once the new edges join the ball's graph
+n = len(ball)
+coned_adj = D0 == 1
+for i, j in res.new_edges:
+    coned_adj[i, j] = coned_adj[j, i] = True
+D1 = induced_metric(coned_adj, np.ones(n, bool))
 
 print(f"ball: {len(ball)} vertices; orbit <a> inside: {len(orbit)} points")
 print(f"vertices within distance 1 of the orbit: {len(res.forbidden)}")

@@ -481,7 +481,6 @@ def four_point_delta(
 
 @dataclass
 class ConeOffResult:
-    space: FiniteMetricSpace
     new_edges: list[tuple[int, int]]
     forbidden: list[int]  # indices inside the closed A-neighborhood of the orbit
     warnings: list[str]
@@ -516,8 +515,8 @@ def boundary_warnings(D0: np.ndarray, radius: int) -> list[str]:
 
 
 def cone_off(ball, orbit, A: float) -> ConeOffResult:
-    """Add an edge between ball vertices joined by a geodesic that avoids the
-    closed A-neighborhood of the orbit, then recompute shortest paths.
+    """The edges that coning off adds: pairs of ball vertices joined by a
+    geodesic that avoids the closed A-neighborhood of the orbit.
 
     All distances are in the in-ball graph metric.  Some geodesic from x to y
     avoids the neighborhood exactly when their distance in the subgraph
@@ -541,13 +540,7 @@ def cone_off(ball, orbit, A: float) -> ConeOffResult:
     D_allowed = induced_metric(adj, allowed)
     avoids = np.isfinite(D0) & (D0 >= 2) & (D_allowed == D0)
     xs, ys = np.nonzero(np.triu(avoids, 1))
-    adj[xs, ys] = adj[ys, xs] = 1.0
-    space = _bfs_metric(adj)
-    rows = np.where(np.isinf(space), 0, space).astype(np.int64).tolist()
-    for i, j in zip(*np.nonzero(np.isinf(space))):
-        rows[i][j] = math.inf
     return ConeOffResult(
-        space=FiniteMetricSpace(rows, validate=False),
         new_edges=list(zip(xs.tolist(), ys.tolist())),
         forbidden=np.flatnonzero(~allowed).tolist(),
         warnings=warnings,

@@ -4,8 +4,8 @@ Everything here is deliberately naive and separate from the package
 implementations: repeated-scan free reduction, exhaustive product
 enumeration, materialized-graph Dijkstra, a breadth-first search over the
 letter positions for compressed lengths, a plain-loop four-point scan and
-the n^3-per-basepoint four-point scan, per-source BFS and per-pair geodesic walks for the in-ball graph metric and
-cone-off, trial division up to sqrt(d) for square-freeness, and the
+the n^3-per-basepoint four-point scan, per-source BFS and per-pair geodesic walks for the in-ball graph metric,
+cone-off and the coned metric, trial division up to sqrt(d) for square-freeness, and the
 memoised pairwise scan for the defect of a quasi-morphism.
 """
 
@@ -184,6 +184,15 @@ def graph_metric_naive(adj):
                         nxt.append(v)
             frontier = nxt
     return rows
+
+
+def coned_metric_naive(adjacency, new_edges):
+    """All-pairs BFS distances of the graph `adjacency` with `new_edges` added."""
+    coned = [set(nbrs) for nbrs in adjacency]
+    for x, y in new_edges:
+        coned[x].add(y)
+        coned[y].add(x)
+    return graph_metric_naive([sorted(nbrs) for nbrs in coned])
 
 
 def cone_off_edges_naive(adj, D0, allowed):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -135,10 +136,27 @@ def test_budget_exceeded_exit_code(tmp_path):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    for name in ("delta", "tightspan", "qm-certify"):
+    for name in ("delta", "tightspan", "qm-certify", "cone-off"):
         _, out1 = run_config(tmp_path, BASE_CONFIGS[name], f"{name}-1")
         _, out2 = run_config(tmp_path, BASE_CONFIGS[name], f"{name}-2")
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(BASE_CONFIGS))
+def test_summary_is_one_line_of_compact_json(tmp_path, name):
+    _, out = run_config(tmp_path, BASE_CONFIGS[name], name)
+    text = (out / "summary.json").read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_package_and_pyproject_versions_agree():
+    import tomllib
+
+    import hypactions
+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == hypactions.__version__
 
 
 def test_missing_config_file(tmp_path):
@@ -184,7 +202,7 @@ def test_verify_cone_off_rejects_an_edge_whose_geodesics_meet_the_orbit(tmp_path
         (x, y) for x in range(len(ball)) for y in range(x + 1, len(ball))
         if allowed[x] and allowed[y] and D0[x][y] >= 2 and (x, y) not in edges
     )
-    summary["result"]["edge_rows"][0] = [ball.words[x], ball.words[y], float(orbit_dist[x]), float(orbit_dist[y])]
+    summary["result"]["edges"][0] = [x, y]
     summary_path.write_text(json.dumps(summary))
 
     capsys.readouterr()
@@ -200,7 +218,7 @@ def test_verify_cone_off_rejects_a_label_outside_the_ball(tmp_path, capsys):
     _, out = run_config(tmp_path, BASE_CONFIGS["cone-off"], "cone")
     summary_path = out / "summary.json"
     summary = json.loads(summary_path.read_text())
-    summary["result"]["edge_rows"][0][1] = "b^9"
+    summary["result"]["edges"][0][1] = "b^9"
     summary_path.write_text(json.dumps(summary))
     capsys.readouterr()
     assert main(["verify", str(summary_path)]) == 1
@@ -352,8 +370,8 @@ def test_verify_cone_off_rederives_the_edge_list_and_its_metadata(tmp_path, caps
                                                parameters={"radius": 3, "orbit": "t", "A": 0}))
 
     def forge(result):
-        assert len(result["edge_rows"]) == 383 and result["warnings"]
-        del result["edge_rows"][1:]
+        assert len(result["edges"]) == 383 and result["warnings"]
+        del result["edges"][1:]
         result.update(new_edges=1, warnings=[], orbit_size=result["orbit_size"] + 1, radius=2, A=1.0)
 
     code, lines = _verify(_forged(tmp_path, cfg, forge), capsys)
@@ -362,6 +380,45 @@ def test_verify_cone_off_rederives_the_edge_list_and_its_metadata(tmp_path, caps
         "FAIL  radius, A, orbit size and warnings re-derive from the config",
         "FAIL  the edge rows are every such pair, in row-major order",
     ]
+
+
+EDGE_FAILS = [
+    "FAIL  every edge row names two ball vertices",
+    "FAIL  both ends of every new edge are farther than A from the orbit",
+    "FAIL  every new edge joins vertices at in-ball distance >= 2",
+    "FAIL  some geodesic of every new edge avoids the A-neighborhood",
+    "FAIL  the edge rows are every such pair, in row-major order",
+]
+
+
+@pytest.mark.parametrize("bad_edge", [
+    lambda i, j, n: [i, -1],
+    lambda i, j, n: [i, n],
+    lambda i, j, n: [float(i), j],
+    lambda i, j, n: [True, j],
+    lambda i, j, n: [i],
+], ids=["minus-one", "n", "float", "bool", "one-element"])
+def test_verify_cone_off_takes_only_int_index_pairs_inside_the_ball(tmp_path, capsys, bad_edge):
+    # -1 would wrap to the last vertex in numpy, and 1.0 would pass for 1
+    def forge(result):
+        i, j = result["edges"][0]
+        result["edges"][0] = bad_edge(i, j, len(result["vertices"]))
+
+    code, lines = _verify(_forged(tmp_path, BASE_CONFIGS["cone-off"], forge), capsys)
+    assert code == 1
+    assert _fails(lines) == EDGE_FAILS
+
+
+@pytest.mark.parametrize("key, forge, fail", [
+    ("orbit_distance", lambda d: [*d[:-1], int(d[-1])], "orbit_distance re-derives for every vertex"),
+    ("orbit_distance", lambda d: [*d[:-1], d[-1] + 1], "orbit_distance re-derives for every vertex"),
+    ("vertices", lambda v: [v[0], v[2], v[1], *v[3:]], "vertices are the ball's words in ball order"),
+], ids=["int-for-float", "forged-distance", "two-words-swapped"])
+def test_verify_cone_off_rederives_vertices_and_orbit_distances(tmp_path, capsys, key, forge, fail):
+    path = _forged(tmp_path, BASE_CONFIGS["cone-off"], lambda result: result.update({key: forge(result[key])}))
+    code, lines = _verify(path, capsys)
+    assert code == 1
+    assert _fails(lines) == [f"FAIL  {fail}"]
 
 
 def _tamper_missing_distances(summary):
