@@ -64,6 +64,7 @@ class Ball:
     length: dict = field(default_factory=dict)
     words: list = field(default_factory=list)
     layers: list = field(default_factory=list)
+    neighbours: list | None = field(default=None, repr=False, compare=False)  # set by `adjacency`
 
     def __len__(self):
         return len(self.elements)
@@ -72,15 +73,21 @@ class Ball:
         return x in self.index
 
     def adjacency(self) -> list[list[int]]:
-        """In-ball Cayley adjacency (indices); used by graph-metric code."""
-        adj: list[list[int]] = [[] for _ in self.elements]
-        for i, x in enumerate(self.elements):
-            for g in self.gens:
-                y = x * g
-                j = self.index.get(y)
-                if j is not None and j != i:
-                    adj[i].append(j)
-        return [sorted(set(nbrs)) for nbrs in adj]
+        """In-ball Cayley adjacency (indices); used by graph-metric code.
+
+        Computed on the first call and kept in `neighbours`: cone-off and its
+        graph metric both ask for it.  Callers must not modify the lists.
+        """
+        if self.neighbours is None:
+            adj: list[list[int]] = [[] for _ in self.elements]
+            for i, x in enumerate(self.elements):
+                for g in self.gens:
+                    y = x * g
+                    j = self.index.get(y)
+                    if j is not None and j != i:
+                        adj[i].append(j)
+            self.neighbours = [sorted(set(nbrs)) for nbrs in adj]
+        return self.neighbours
 
 
 def enumerate_ball(oracle: GroupOracle, radius: int, gens=None, max_size: int = DEFAULT_BALL_CAP) -> Ball:

@@ -537,11 +537,17 @@ def cone_off(ball, orbit, A: float) -> ConeOffResult:
     allowed = orbit_dist > A + ZERO_TOL
     warnings = boundary_warnings(D0, ball.radius)
 
-    D_allowed = induced_metric(adj, allowed)
+    # Edge ends lie outside the neighborhood, so both metrics are compared on
+    # that block alone and no other n x n matrix is built.  `keep` is
+    # increasing, so row-major order in the block is row-major in the ball.
+    keep = np.flatnonzero(allowed)
+    block = np.ix_(keep, keep)
+    D0 = D0[block]
+    D_allowed = _bfs_metric(adj[block])
     avoids = np.isfinite(D0) & (D0 >= 2) & (D_allowed == D0)
     xs, ys = np.nonzero(np.triu(avoids, 1))
     return ConeOffResult(
-        new_edges=list(zip(xs.tolist(), ys.tolist())),
+        new_edges=list(zip(keep[xs].tolist(), keep[ys].tolist())),
         forbidden=np.flatnonzero(~allowed).tolist(),
         warnings=warnings,
         orbit_distance=orbit_dist.tolist(),

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -208,10 +209,7 @@ def test_verify_cone_off_rejects_an_edge_whose_geodesics_meet_the_orbit(tmp_path
     capsys.readouterr()
     assert main(["verify", str(summary_path)]) == 1
     lines = capsys.readouterr().out.strip().splitlines()
-    assert _fails(lines) == [
-        "FAIL  some geodesic of every new edge avoids the A-neighborhood",
-        "FAIL  the edge rows are every such pair, in row-major order",
-    ]
+    assert _fails(lines) == _rederives("edges")
 
 
 def test_verify_cone_off_rejects_a_label_outside_the_ball(tmp_path, capsys):
@@ -222,7 +220,7 @@ def test_verify_cone_off_rejects_a_label_outside_the_ball(tmp_path, capsys):
     summary_path.write_text(json.dumps(summary))
     capsys.readouterr()
     assert main(["verify", str(summary_path)]) == 1
-    assert "FAIL  every edge row names two ball vertices" in capsys.readouterr().out
+    assert _fails(capsys.readouterr().out.splitlines()) == _rederives("edges")
 
 
 def _with(name, change):
@@ -254,6 +252,9 @@ MALFORMED = [
     ("parameters.qm", _with("qm-certify", lambda c: c["parameters"].update(qm={"brooks": "ab"}))),
     ("parameters.length", _with("qm-certify", lambda c: c.update(group={"kind": "free", "rank": 2}, parameters={
         "g": "ab", "radius": 2, "qm": {"brooks": "ab"}, "length": "t-syllable"}))),
+    ("parameters.alpha", _with("compress", lambda c: c["parameters"].update(alpha=math.nan))),
+    ("parameters.D", _with("isotropy-probe", lambda c: c["parameters"].update(D=math.nan))),
+    ("parameters.A", _with("cone-off", lambda c: c["parameters"].update(A=math.inf))),
 ]
 
 
@@ -264,6 +265,13 @@ def test_malformed_config_exits_1_and_names_its_path(tmp_path, capsys, path, cfg
     assert code == 1
     assert f"config error at {path}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10^400"])
+def test_a_float_field_takes_only_finite_numbers(value):
+    # json.loads reads all four; the last would not convert to a float
+    cfg = json.loads(json.dumps(_with("cone-off", lambda c: c["parameters"].update(A=value))))
+    assert validate_config(cfg) == ["parameters.A: must be a finite number"]
 
 
 def test_parse_config_types_and_defaults():
@@ -317,7 +325,7 @@ def _forged(tmp_path, cfg, forge, name="forged"):
     return summary_path
 
 
-REDERIVED = ["tau", "compress", "borel-order", "qm-certify", "sl2-embed", "tightspan", "isotropy-probe"]
+REDERIVED = sorted(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("name", REDERIVED)
@@ -349,8 +357,61 @@ def test_verify_delta_rejects_a_self_consistent_fabricated_block(tmp_path, capsy
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
-    assert "FAIL  witness distances re-compute from the group" in lines
-    assert "FAIL  witness quadruple reproduces raw max" in lines
+    assert _fails(lines) == _rederives("delta", "witness_distances")
+
+
+@pytest.mark.parametrize("bad_witness", [
+    lambda w, n: [*w[:3], -1],
+    lambda w, n: [*w[:3], n],
+    lambda w, n: [float(w[0]), *w[1:]],
+    lambda w, n: [True, *w[1:]],
+    lambda w, n: w[:3],
+], ids=["minus-one", "n", "float", "bool", "three-entries"])
+def test_verify_delta_takes_only_four_int_indices_inside_the_ball(tmp_path, capsys, bad_witness):
+    # -1 would wrap to the last point in numpy, and 1.0 or true would pass for 1
+    def forge(result):
+        result["delta"]["witness"] = bad_witness(result["delta"]["witness"], result["ball_size"])
+
+    code, lines = _verify(_forged(tmp_path, BASE_CONFIGS["delta"], forge), capsys)
+    assert code == 1
+    assert _fails(lines) == _rederives("delta")
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_delta_refuses_a_negative_index_that_numpy_would_wrap(tmp_path, capsys):
+    from hypactions.metrics import free_ball_distance_matrix
+
+    ball = group_from_spec(BASE_CONFIGS["delta"]["group"]).enumerate_ball(2)
+    D = free_ball_distance_matrix(ball)
+    quad = (0, 0, 0, len(ball) - 1)  # what numpy reads for (0, 0, 0, -1); its defect is 0
+
+    def forge(result):
+        result["delta"].update(witness=[0, 0, 0, -1], witness_labels=[ball.words[i] for i in quad],
+                               raw_max=0.0, delta=0.0)
+        result["witness_distances"] = [[float(D[a, b]) for b in quad] for a in quad]
+
+    code, lines = _verify(_forged(tmp_path, BASE_CONFIGS["delta"], forge), capsys)
+    assert code == 1
+    assert _fails(lines) == _rederives("delta", "witness_distances")
+
+
+@pytest.mark.parametrize("group, parameters", [
+    ({"kind": "free", "rank": 2}, {"radius": 2}),
+    ({"kind": "bs", "m": 2, "n": 3}, {"radius": 2, "mode": "sampled", "count": 500}),
+], ids=["exhaustive", "sampled"])
+def test_verify_delta_replays_the_witness_without_scanning(tmp_path, capsys, monkeypatch, group, parameters):
+    import hypactions.cli
+
+    _, out = run_config(tmp_path, _with("delta", lambda c: c.update(group=group, parameters=parameters)), "delta")
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("verify ran the four-point scan")
+
+    monkeypatch.setattr(hypactions.cli, "four_point_delta", no_scan)
+    code, lines = _verify(out / "summary.json", capsys)
+    assert code == 0
+    assert lines == [f"PASS  {key} re-derives from the config"
+                     for key in ("ball_size", "metric", "delta", "witness_distances")]
 
 
 @pytest.mark.parametrize("parameters, forge", [
@@ -362,7 +423,7 @@ def test_verify_delta_checks_the_scan_metadata(tmp_path, capsys, parameters, for
     path = _forged(tmp_path, cfg, lambda result: (result.update(metric="word"), forge(result["delta"])))
     code, lines = _verify(path, capsys)
     assert code == 1
-    assert _fails(lines) == ["FAIL  metric, sampling, seed and quadruple count match the config"]
+    assert _fails(lines) == _rederives("metric", "delta")
 
 
 def test_verify_cone_off_rederives_the_edge_list_and_its_metadata(tmp_path, capsys):
@@ -376,19 +437,7 @@ def test_verify_cone_off_rederives_the_edge_list_and_its_metadata(tmp_path, caps
 
     code, lines = _verify(_forged(tmp_path, cfg, forge), capsys)
     assert code == 1
-    assert _fails(lines) == [
-        "FAIL  radius, A, orbit size and warnings re-derive from the config",
-        "FAIL  the edge rows are every such pair, in row-major order",
-    ]
-
-
-EDGE_FAILS = [
-    "FAIL  every edge row names two ball vertices",
-    "FAIL  both ends of every new edge are farther than A from the orbit",
-    "FAIL  every new edge joins vertices at in-ball distance >= 2",
-    "FAIL  some geodesic of every new edge avoids the A-neighborhood",
-    "FAIL  the edge rows are every such pair, in row-major order",
-]
+    assert _fails(lines) == _rederives("radius", "A", "orbit_size", "new_edges", "warnings", "edges")
 
 
 @pytest.mark.parametrize("bad_edge", [
@@ -406,13 +455,13 @@ def test_verify_cone_off_takes_only_int_index_pairs_inside_the_ball(tmp_path, ca
 
     code, lines = _verify(_forged(tmp_path, BASE_CONFIGS["cone-off"], forge), capsys)
     assert code == 1
-    assert _fails(lines) == EDGE_FAILS
+    assert _fails(lines) == _rederives("edges")
 
 
 @pytest.mark.parametrize("key, forge, fail", [
-    ("orbit_distance", lambda d: [*d[:-1], int(d[-1])], "orbit_distance re-derives for every vertex"),
-    ("orbit_distance", lambda d: [*d[:-1], d[-1] + 1], "orbit_distance re-derives for every vertex"),
-    ("vertices", lambda v: [v[0], v[2], v[1], *v[3:]], "vertices are the ball's words in ball order"),
+    ("orbit_distance", lambda d: [*d[:-1], int(d[-1])], "orbit_distance re-derives from the config"),
+    ("orbit_distance", lambda d: [*d[:-1], d[-1] + 1], "orbit_distance re-derives from the config"),
+    ("vertices", lambda v: [v[0], v[2], v[1], *v[3:]], "vertices re-derives from the config"),
 ], ids=["int-for-float", "forged-distance", "two-words-swapped"])
 def test_verify_cone_off_rederives_vertices_and_orbit_distances(tmp_path, capsys, key, forge, fail):
     path = _forged(tmp_path, BASE_CONFIGS["cone-off"], lambda result: result.update({key: forge(result[key])}))

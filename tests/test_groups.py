@@ -109,3 +109,18 @@ def test_group_from_spec():
         group_from_spec({"kind": "nope"})
     with pytest.raises(ValueError):
         group_from_spec({})
+
+
+def test_a_ball_computes_its_adjacency_once(monkeypatch):
+    from hypactions.baumslag import BSElement
+    from hypactions.metrics import cone_off
+
+    ball = BSOracle(2, 3).enumerate_ball(3)
+    calls = []
+    mul = BSElement.__mul__
+    monkeypatch.setattr(BSElement, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    first = ball.adjacency()
+    assert len(calls) == len(ball) * len(ball.gens)
+    assert ball.adjacency() is first  # the second call multiplies nothing
+    cone_off(ball, [ball.elements[0]], 0.0)  # asks for the adjacency twice, by itself and for its graph metric
+    assert len(calls) == len(ball) * len(ball.gens)
