@@ -7,10 +7,11 @@ a byte-identical `summary.json`, the one file a run writes, as one line of
 compact, key-sorted JSON (`python -m json.tool` prints it indented).  Exit codes:
 0 success, 1 validation error, 2 budget exceeded.  `verify` re-derives each
 claim from the config echoed in the summary by one rule (`_rederived`): it
-re-runs the experiment, compares every key of the stored result with the
-fresh one, then checks the few claims that equality cannot show.  `delta`
-alone does not repeat its four-point scan: it re-evaluates the stored
-witness quadruple in its place (`_replay_delta`).
+re-derives the result, compares it with the stored one key by key, then
+checks the few claims that equality cannot show.  Seven experiments re-run.
+`delta` re-evaluates its stored witness in place of the four-point scan
+(`_replay_delta`); `cone-off` derives its edges from the induced metric on
+the whole ball (`_replay_cone_off`).
 
 Each experiment is declared once, in `EXPERIMENTS`: the group kinds it
 accepts, its parameters (type, default, bound), its runner and its verifier.
@@ -30,6 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
 from .baumslag import BSElement
 from .compression import (
@@ -45,15 +48,19 @@ from .groups import GroupOracle, group_from_spec
 from .loxodromic import isotropy_probe, translation_length_estimate, translation_length_exact_free
 from .metrics import (
     ZERO_TOL,
+    ConeOffResult,
     DeltaEstimate,
     PseudoLength,
+    boundary_warnings,
     cone_off,
     four_point_delta,
     free_ball_distance_matrix,
     graph_metric_matrix,
+    induced_metric,
     quadruple_defect,
     random_rational_metric,
     random_tree_metric,
+    set_distance,
 )
 from .quasimorphism import anisotropy_certificate, brooks_qm, exponent_sum_qm
 from .sl2 import (
@@ -294,14 +301,9 @@ def _run_delta(c):
 
 def _replay_delta(c, res):
     """The delta result with the stored witness re-evaluated in place of the
-    scan, which `verify` cannot afford to repeat: it shows that the witness
-    attains `raw_max`, not that `raw_max` is the maximum.
-
-    A stored witness that is not four indices into the ball (a bool, a float
-    or a negative index is none: numpy would wrap -1 to the last point) is
-    replaced by (0, 0, 0, 0), whose JSON text no such witness has, so the
-    stored `delta` block fails the comparison.
-    """
+    scan: it shows that the witness attains `raw_max`, not that `raw_max` is
+    the maximum.  A witness that is not four int indices into the ball (numpy
+    would wrap -1 to the last point) becomes (0, 0, 0, 0), which it is not."""
     stored = res.get("delta")
     witness = stored.get("witness") if type(stored) is dict else None
 
@@ -470,13 +472,14 @@ def _run_tightspan(c):
     }
 
 
-def _run_cone_off(c):
+def _cone_off(c, coned):
+    """The cone-off result, with the ConeOffResult that `coned(ball, orbit, A)` gives."""
     oracle, radius, A = c.oracle, c.params["radius"], c.params["A"]
     ball = oracle.enumerate_ball(radius, max_size=c.budgets["ball_cap"])
     h = oracle.parse_element(c.params["orbit"])
     powers = {h**k for k in range(-radius, radius + 1)}
     orbit = [g for g in ball.elements if g in powers]  # {h^k : |k| <= radius}, in ball order
-    res = cone_off(ball, orbit, A)
+    res = coned(ball, orbit, A)
     return {
         "radius": radius,
         "A": A,
@@ -487,6 +490,28 @@ def _run_cone_off(c):
         "orbit_distance": res.orbit_distance,
         "edges": res.new_edges,  # index pairs into `vertices`, row-major
     }
+
+
+def _run_cone_off(c):
+    return _cone_off(c, cone_off)
+
+
+def _replay_cone_off(c, res):
+    """The cone-off result derived without `metrics.cone_off`, from the induced
+    metric on the whole ball rather than its block outside the neighborhood:
+    a check of that shortcut, and `cone_off` stays a call of `run` alone."""
+
+    def coned(ball, orbit, A):
+        D0 = graph_metric_matrix(ball)
+        orbit_dist = set_distance(D0, [ball.index[g] for g in orbit])
+        allowed = orbit_dist > A + ZERO_TOL
+        # the in-ball graph's edges are its pairs at distance 1
+        D_allowed = induced_metric(D0 == 1, allowed)
+        xs, ys = np.nonzero(np.triu(np.isfinite(D0) & (D0 >= 2) & (D_allowed == D0), 1))
+        return ConeOffResult(list(zip(xs.tolist(), ys.tolist())), np.flatnonzero(~allowed).tolist(),
+                             boundary_warnings(D0, ball.radius), orbit_dist.tolist())
+
+    return _cone_off(c, coned)
 
 
 def _run_isotropy_probe(c):
@@ -540,19 +565,13 @@ def _rederived(*claims, fresh=None):
     """
 
     def verify(c, res):
-        held = [(label, _holds(claim, c, res)) for label, claim in claims]
-        replayed = fresh(c, res) if fresh else None
-        # Only the stored text is read from here on.  `_checks` hands over its
-        # only reference to the result, so a long stored list is freed before
-        # the re-run builds its fresh copy.
-        stored = {key: _json_text(value) for key, value in res.items()}
-        del res
-        fresh_result = replayed if fresh else EXPERIMENTS[c.experiment].run(c)
+        fresh_result = fresh(c, res) if fresh else EXPERIMENTS[c.experiment].run(c)
         checks = [
             (f"{key} re-derives from the config",
-             key in stored and key in fresh_result and stored[key] == _json_text(fresh_result[key]))
-            for key in [*fresh_result, *(key for key in stored if key not in fresh_result)]
+             key in res and key in fresh_result and _json_text(res[key]) == _json_text(fresh_result[key]))
+            for key in [*fresh_result, *(key for key in res if key not in fresh_result)]
         ]
+        held = ((label, _holds(claim, c, res)) for label, claim in claims)
         return checks + [(label, ok) for label, ok in held if ok is not None]
 
     return verify
@@ -617,7 +636,7 @@ EXPERIMENTS = {
         "radius": Field(int, 4, at_least(0)),
         "orbit": Field(str, "a"),
         "A": Field(float, 1.0, at_least(0)),
-    }, _run_cone_off, _rederived()),
+    }, _run_cone_off, _rederived(fresh=_replay_cone_off)),
     "isotropy-probe": Experiment(("free",), {
         "radius": Field(int, 3, at_least(1)),
         "D": Field(float, 2.0),
@@ -694,8 +713,7 @@ def _checks(summary):
     if problems:
         return [(f"config is valid at {p}", False) for p in problems]
     try:
-        # the verifier holds the only reference to the result and may free it
-        return VERIFIERS[config.experiment](config, summary.pop("result", None))
+        return VERIFIERS[config.experiment](config, summary.get("result"))
     except MALFORMED as exc:
         return [(f"result re-checks ({type(exc).__name__}: {exc})", False)]
 

@@ -64,7 +64,7 @@ class Ball:
     length: dict = field(default_factory=dict)
     words: list = field(default_factory=list)
     layers: list = field(default_factory=list)
-    neighbours: list | None = field(default=None, repr=False, compare=False)  # set by `adjacency`
+    neighbours: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -73,11 +73,7 @@ class Ball:
         return x in self.index
 
     def adjacency(self) -> list[list[int]]:
-        """In-ball Cayley adjacency (indices); used by graph-metric code.
-
-        Computed on the first call and kept in `neighbours`: cone-off and its
-        graph metric both ask for it.  Callers must not modify the lists.
-        """
+        """In-ball Cayley adjacency (indices), computed once and kept; callers must not modify it."""
         if self.neighbours is None:
             adj: list[list[int]] = [[] for _ in self.elements]
             for i, x in enumerate(self.elements):

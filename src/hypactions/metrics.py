@@ -537,9 +537,8 @@ def cone_off(ball, orbit, A: float) -> ConeOffResult:
     allowed = orbit_dist > A + ZERO_TOL
     warnings = boundary_warnings(D0, ball.radius)
 
-    # Edge ends lie outside the neighborhood, so both metrics are compared on
-    # that block alone and no other n x n matrix is built.  `keep` is
-    # increasing, so row-major order in the block is row-major in the ball.
+    # Edge ends lie outside the neighborhood, so both metrics are compared on that
+    # block alone; `keep` is increasing, so its row-major order is the ball's.
     keep = np.flatnonzero(allowed)
     block = np.ix_(keep, keep)
     D0 = D0[block]

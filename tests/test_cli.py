@@ -255,6 +255,8 @@ MALFORMED = [
     ("parameters.alpha", _with("compress", lambda c: c["parameters"].update(alpha=math.nan))),
     ("parameters.D", _with("isotropy-probe", lambda c: c["parameters"].update(D=math.nan))),
     ("parameters.A", _with("cone-off", lambda c: c["parameters"].update(A=math.inf))),
+    ("parameters.A", _with("cone-off", lambda c: c["parameters"].update(A=-math.inf))),
+    ("parameters.A", _with("cone-off", lambda c: c["parameters"].update(A=10**400))),  # past the float range
 ]
 
 
@@ -265,13 +267,6 @@ def test_malformed_config_exits_1_and_names_its_path(tmp_path, capsys, path, cfg
     assert code == 1
     assert f"config error at {path}:" in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10^400"])
-def test_a_float_field_takes_only_finite_numbers(value):
-    # json.loads reads all four; the last would not convert to a float
-    cfg = json.loads(json.dumps(_with("cone-off", lambda c: c["parameters"].update(A=value))))
-    assert validate_config(cfg) == ["parameters.A: must be a finite number"]
 
 
 def test_parse_config_types_and_defaults():
@@ -412,6 +407,24 @@ def test_verify_delta_replays_the_witness_without_scanning(tmp_path, capsys, mon
     assert code == 0
     assert lines == [f"PASS  {key} re-derives from the config"
                      for key in ("ball_size", "metric", "delta", "witness_distances")]
+
+
+def test_verify_cone_off_derives_the_edges_without_cone_off(tmp_path, capsys, monkeypatch):
+    import hypactions.cli
+
+    cfg = _with("cone-off", lambda c: c.update(group={"kind": "bs", "m": 2, "n": 3},
+                                               parameters={"radius": 3, "orbit": "t", "A": 0}))
+    _, out = run_config(tmp_path, cfg, "cone")
+    assert json.loads((out / "summary.json").read_text())["result"]["new_edges"] > 0
+
+    def no_cone_off(*args, **kwargs):
+        raise AssertionError("verify called metrics.cone_off")
+
+    monkeypatch.setattr(hypactions.cli, "cone_off", no_cone_off)
+    code, lines = _verify(out / "summary.json", capsys)
+    assert code == 0
+    assert lines == [f"PASS  {key} re-derives from the config" for key in (
+        "radius", "A", "orbit_size", "new_edges", "warnings", "vertices", "orbit_distance", "edges")]
 
 
 @pytest.mark.parametrize("parameters, forge", [
