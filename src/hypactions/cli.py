@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import random
 import sys
 import time
@@ -72,7 +73,7 @@ from .sl2 import (
     mat2,
     parse_qfe,
 )
-from .tightspan import hull_sample_delta, is_extremal, kuratowski_embed, project_to_hull, sup_distance
+from .tightspan import hull_sample_delta, is_extremal, kuratowski_embed, project_to_hull
 from .words import FreeWord, parse_word
 
 FORMAT_VERSION = 1
@@ -131,7 +132,7 @@ class Experiment:
     parameters: dict[str, Field]
     run: Callable  # Config -> result
     verify: Callable  # (Config, result) -> [(label, ok)]
-    check: Callable | None = None  # (group kind, parameters) -> problems no single field can see
+    check: Callable | None = None  # (group, parameters) -> problems no single field can see
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,7 @@ def parse_config(cfg):
     problems = []
     typed = _walk(Field(declared), cfg, "", problems)
     if not problems and experiment.check:
-        problems = experiment.check(kind, typed["parameters"])
+        problems = experiment.check(typed["group"], typed["parameters"])
     if problems:
         return None, problems
     oracle = group_from_spec(cfg["group"])
@@ -394,8 +395,9 @@ def _qm(spec):
     return exponent_sum_qm() if spec == "exponent-sum" else brooks_qm(parse_word(spec["brooks"]))
 
 
-def _check_qm_certify(kind, params):
+def _check_qm_certify(group, params):
     """The exponent sum and t-syllables live on bs groups, counting words on free ones."""
+    kind = group["kind"]
     problems = []
     if kind == "bs" and params["qm"] != "exponent-sum":
         problems.append('parameters.qm: must be "exponent-sum" on a bs group')
@@ -421,6 +423,15 @@ def _run_qm_certify(c):
     return {"qm": params["qm"], "length": length_kind, "certificate": cert}
 
 
+def _check_sl2_embed(group, params):
+    """x must be an element of the group's field Q(sqrt(d))."""
+    try:
+        parse_qfe(params["x"], group["field"]["d"])
+    except ValueError as exc:
+        return [f"parameters.x: {exc}"]
+    return []
+
+
 def _run_sl2_embed(c):
     # the word ball of <A, T>, A = [[x, x^2 - 1], [1, x]], T = [[1, 1], [0, 1]]
     d = c.oracle.d
@@ -441,6 +452,14 @@ def _run_sl2_embed(c):
     }
 
 
+def _quarters(X):
+    """The integer matrix 4*d, as lists of ints, of a `random_rational_metric`,
+    which draws quarter-integers; comparisons on it are exact."""
+    if any(4 % v.denominator for row in X.rows for v in row):
+        raise AssertionError("distances must be quarter-integers")
+    return [[v.numerator * (4 // v.denominator) for v in row] for row in X.rows]
+
+
 def _run_tightspan(c):
     # random.Random(seed) draws the Kuratowski metrics, then each projection
     # trial's metric and start (a random row of the metric plus noise), then
@@ -449,10 +468,11 @@ def _run_tightspan(c):
     n, tol = c.params["points"], c.params["tol"]
     isometric = 0
     for _ in range(c.params["trials"]):
-        X = random_rational_metric(n, rng)
-        K = [kuratowski_embed(i, X) for i in range(n)]
-        # both distances are symmetric and vanish on the diagonal: pairs i < j decide
-        isometric += all(sup_distance(K[i], K[j]) == X.rows[i][j] for i in range(n) for j in range(i + 1, n))
+        Q = _quarters(random_rational_metric(n, rng))
+        # x -> d(x, .) is isometric when sup_t |d(i, t) - d(j, t)| = d(i, j); both
+        # sides are symmetric and vanish on the diagonal, so pairs j < i decide
+        isometric += all(max(map(abs, map(operator.sub, r, s))) == r[j]
+                         for i, r in enumerate(Q) for j, s in enumerate(Q[:i]))
     slacks, iterations = [], []
     for _ in range(c.params["proj_trials"]):
         X = random_rational_metric(n, rng)
@@ -620,7 +640,7 @@ EXPERIMENTS = {
     "sl2-embed": Experiment(("sl2",), {
         "x": Field(str, "sqrt2-1"),
         "radius": Field(int, 1, at_least(0)),
-    }, _run_sl2_embed, _rederived()),
+    }, _run_sl2_embed, _rederived(), _check_sl2_embed),
     "tightspan": Experiment(tuple(GROUPS), {  # the group is not used
         "points": Field(int, 4, at_least(1)),
         "trials": Field(int, 20, at_least(0)),

@@ -98,6 +98,7 @@ class CompressedGenSet:
             fams.append((w, cap))
         self.families = tuple(fams)
         self._jump_cache: dict | None = None
+        self._jump_sigs: frozenset | None = None
 
     def cap_key(self):
         return (self.rank, tuple((w.signed, cap) for w, cap in self.families))
@@ -123,6 +124,12 @@ class CompressedGenSet:
                         table[u] = (fam_idx, p, length, direction)
             self._jump_cache = table
         return self._jump_cache
+
+    def jump_signatures(self) -> frozenset:
+        """The letter tuples of the jump words, built once with the table."""
+        if self._jump_sigs is None:
+            self._jump_sigs = frozenset(u.signed for u in self.jump_table())
+        return self._jump_sigs
 
     def generators(self) -> list[FreeWord]:
         seen = {}
@@ -185,7 +192,7 @@ def compressed_word_length(g: FreeWord, W: CompressedGenSet, budget: int = 2_000
     """
     target = g.signed
     L = len(target)
-    jump_sigs = {u.signed for u in W.jump_table()}
+    jump_sigs = W.jump_signatures()
     rank = W.rank
     i = hops = probes = 0
     while i < L:

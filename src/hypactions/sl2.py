@@ -1,6 +1,9 @@
 """Exact SL2 over Q(sqrt(d)): Mobius action, trace classification, lengths.
 
-All classification decisions (elliptic / parabolic / loxodromic) are made by
+A field element is stored in integer coordinates, (p + q*sqrt(d)) / den
+with den > 0 in lowest terms, so products and sums are integer arithmetic
+(no gcd at all while den is 1, as it is on balls of integral matrices).  All
+classification decisions (elliptic / parabolic / loxodromic) are made by
 exact sign tests in the quadratic field; floating point enters only when a
 transcendental output (arccosh, a hyperbolic distance) is requested, and then
 through dyadic intervals that are tightened until the requested tolerance is
@@ -47,86 +50,121 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
+def _ratio_text(n: int, den: int) -> str:
+    """n/den as `str(Fraction(n, den))` writes it."""
+    return str(n) if den == 1 else str(Fraction(n, den))
+
+
+def _rational(text: str) -> Fraction:
+    """An integer, fraction or decimal as an exact rational; a zero
+    denominator is a ValueError, like any other unreadable number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 class QuadFieldElement:
-    """a + b*sqrt(d) with rational a, b and a fixed square-free d >= 2."""
+    """(p + q*sqrt(d)) / den with integers p, q and den > 0 in lowest terms
+    and a fixed square-free d >= 2.  A value: never modified once built.
 
-    a: Fraction
-    b: Fraction
-    d: int
+    `QuadFieldElement(a, b, d)` builds a + b*sqrt(d) from rationals a, b;
+    `a` and `b` read them back as Fractions.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if not _is_square_free(self.d):
-            raise ValueError(f"d must be square-free and >= 2, got {self.d}")
+    __slots__ = ("p", "q", "den", "d")
 
-    def _check(self, other):
-        if self.d != other.d:
-            raise ValueError("elements of different quadratic fields")
+    def __init__(self, a, b, d: int):
+        a, b = Fraction(a), Fraction(b)
+        if not _is_square_free(d):
+            raise ValueError(f"d must be square-free and >= 2, got {d}")
+        # both fractions are in lowest terms, so over their least common
+        # denominator no prime divides p, q and den at once
+        den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+        self.p = a.numerator * (den // a.denominator)
+        self.q = b.numerator * (den // b.denominator)
+        self.den = den
+        self.d = d
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadFieldElement):
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.den == other.den and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.den, self.d))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return QuadFieldElement(self.a + other.a, self.b + other.b, self.d)
+        o = self._coerce(other)
+        return _element(self.p * o.den + o.p * self.den, self.q * o.den + o.q * self.den, self.den * o.den, self.d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return QuadFieldElement(self.a - other.a, self.b - other.b, self.d)
+        o = self._coerce(other)
+        return _element(self.p * o.den - o.p * self.den, self.q * o.den - o.q * self.den, self.den * o.den, self.d)
 
     def __neg__(self):
-        return QuadFieldElement(-self.a, -self.b, self.d)
+        return _element(-self.p, -self.q, self.den, self.d)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return QuadFieldElement(
-            self.a * other.a + self.b * other.b * self.d,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
+        o = self._coerce(other)
+        return _element(self.p * o.p + self.q * o.q * self.d, self.p * o.q + self.q * o.p, self.den * o.den, self.d)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        norm = other.a * other.a - other.b * other.b * other.d
+        # x / y = x * conj(y) * y.den / norm, with y * conj(y) = norm / y.den^2
+        o = self._coerce(other)
+        norm = o.p * o.p - o.q * o.q * o.d
         if norm == 0:
             raise ZeroDivisionError("division by zero field element")
-        conj = QuadFieldElement(other.a, -other.b, other.d)
-        num = self * conj
-        return QuadFieldElement(num.a / norm, num.b / norm, self.d)
+        p = (self.p * o.p - self.q * o.q * self.d) * o.den
+        q = (self.q * o.p - self.p * o.q) * o.den
+        den = self.den * norm
+        if den < 0:
+            p, q, den = -p, -q, -den
+        return _element(p, q, den, self.d)
 
     def _coerce(self, other):
         if isinstance(other, QuadFieldElement):
-            self._check(other)
+            if self.d != other.d:
+                raise ValueError("elements of different quadratic fields")
             return other
-        return QuadFieldElement(Fraction(other), Fraction(0), self.d)
+        r = Fraction(other)
+        return _element(r.numerator, 0, r.denominator, self.d)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.p == 0 and self.q == 0
 
     def sign_under(self, embedding: "RealEmbedding") -> int:
-        """Exact sign of the real number a + b*embedding(sqrt(d))."""
-        a, b = self.a, self.b * embedding.sign
-        if b == 0:
-            return _sign(a)
-        if a == 0:
-            return _sign(b)
-        sa, sb = _sign(a), _sign(b)
-        if sa == sb:
-            return sa
-        # opposite signs: |a| vs |b|*sqrt(d), squared comparison is exact
-        lhs, rhs = a * a, b * b * self.d
+        """Exact sign of the real number (p + q*embedding(sqrt(d))) / den."""
+        p, q = self.p, self.q * embedding.sign
+        if q == 0:
+            return _sign(p)
+        if p == 0:
+            return _sign(q)
+        sp, sq = _sign(p), _sign(q)
+        if sp == sq:
+            return sp
+        # opposite signs: |p| vs |q|*sqrt(d), squared comparison is exact
+        lhs, rhs = p * p, q * q * self.d
         if lhs == rhs:
             return 0
-        return sa if lhs > rhs else sb
+        return sp if lhs > rhs else sq
 
     def interval_under(self, embedding: "RealEmbedding", bits: int) -> tuple[Fraction, Fraction]:
         """Dyadic bracket of width b * 2^-bits around the embedded value."""
         scale = 1 << bits
-        root_lo = Fraction(math.isqrt(self.d * scale * scale), scale)
-        root_hi = root_lo + Fraction(1, scale)
-        c = self.b * embedding.sign
-        if c >= 0:
-            return self.a + c * root_lo, self.a + c * root_hi
-        return self.a + c * root_hi, self.a + c * root_lo
+        root_lo = math.isqrt(self.d * scale * scale)  # sqrt(d) lies in [root_lo, root_lo + 1] / scale
+        c = self.q * embedding.sign
+        lo, hi = (root_lo, root_lo + 1) if c >= 0 else (root_lo + 1, root_lo)
+        den = self.den * scale
+        return Fraction(self.p * scale + c * lo, den), Fraction(self.p * scale + c * hi, den)
 
     def refine_until_sign(self, embedding: "RealEmbedding") -> tuple[Fraction, Fraction, int]:
         """Double the precision until the dyadic bracket excludes 0.
@@ -145,20 +183,32 @@ class QuadFieldElement:
             bits *= 2
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        root = f"sqrt{self.d}" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt{self.d}"
-        sign = "-" if self.b < 0 else "+"
-        if self.a == 0:
-            return root if self.b > 0 else f"-{root}"
-        return f"{self.a}{sign}{root}"
+        if self.q == 0:
+            return _ratio_text(self.p, self.den)
+        coef = abs(self.q)
+        root = f"sqrt{self.d}" if coef == self.den else f"{_ratio_text(coef, self.den)}*sqrt{self.d}"
+        if self.p == 0:
+            return root if self.q > 0 else f"-{root}"
+        return f"{_ratio_text(self.p, self.den)}{'-' if self.q < 0 else '+'}{root}"
 
     def __repr__(self):
         return f"QuadFieldElement({self})"
 
 
+def _element(p: int, q: int, den: int, d: int) -> QuadFieldElement:
+    """(p + q*sqrt(d)) / den for den > 0, reduced to lowest terms; d is
+    already known to be square-free."""
+    if den != 1:
+        g = math.gcd(p, q, den)
+        if g != 1:
+            p, q, den = p // g, q // g, den // g
+    x = object.__new__(QuadFieldElement)
+    x.p, x.q, x.den, x.d = p, q, den, d
+    return x
+
+
 def qfe(a, b=0, d=2) -> QuadFieldElement:
-    return QuadFieldElement(Fraction(a), Fraction(b), d)
+    return QuadFieldElement(a, b, d)
 
 
 _QFE_TERM = re.compile(r"([+-]?)((?:\d+(?:/\d+)?\*?)?)(sqrt\(?(\d+)\)?)?")
@@ -178,7 +228,7 @@ def parse_qfe(text: str, d: int) -> QuadFieldElement:
             raise ValueError(f"cannot parse field element {text!r} at position {pos}")
         sign = -1 if match.group(1) == "-" else 1
         coef_text = match.group(2).rstrip("*")
-        coef = Fraction(coef_text) if coef_text else Fraction(1)
+        coef = _rational(coef_text) if coef_text else Fraction(1)
         if match.group(3):
             root_d = int(match.group(4))
             if root_d != d:
@@ -217,7 +267,7 @@ class Mat2:
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
-        if not (det.a == 1 and det.b == 0):
+        if not (det.p == 1 and det.q == 0 and det.den == 1):
             raise ValueError(f"determinant must be exactly 1, got {det}")
 
     @property
@@ -254,7 +304,9 @@ class Mat2:
         return (self.a, self.b, self.c, self.d)
 
     def sort_key(self):
-        return tuple((e.a, e.b) for e in self.entries())
+        # ints compare and hash exactly as the equal Fractions do, so the
+        # order is that of the (a, b) pairs
+        return tuple((e.p, e.q) if e.den == 1 else (e.a, e.b) for e in self.entries())
 
     def __str__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
@@ -277,8 +329,8 @@ def mat2_from_json(obj, d: int) -> Mat2:
 
     def entry(e):
         if isinstance(e, dict):
-            a = Fraction(str(e.get("a", 0)))
-            b = Fraction(str(e.get("b", 0)))
+            a = _rational(str(e.get("a", 0)))
+            b = _rational(str(e.get("b", 0)))
             return QuadFieldElement(a, b, d)
         return parse_qfe(str(e), d)
 
@@ -295,7 +347,7 @@ def lemma_emb_matrix(x: QuadFieldElement) -> Mat2:
 def classify(A: Mat2, embedding: RealEmbedding) -> str:
     """'elliptic' | 'parabolic' | 'loxodromic' by the exact sign of tr^2 - 4."""
     t = A.trace()
-    disc = t * t - qfe(4, 0, A.field_d)
+    disc = t * t - 4
     s = disc.sign_under(embedding)
     if s < 0:
         return "elliptic"
@@ -313,7 +365,7 @@ def _acosh_interval(lo: Fraction, hi: Fraction) -> tuple[float, float]:
 
 
 def _refine_acosh(value: QuadFieldElement, embedding: RealEmbedding, tol: float) -> float:
-    if value.b == 0 and value.a == 1:
+    if value.q == 0 and value.p == value.den:
         return 0.0
     bits = START_BITS
     while True:
@@ -336,7 +388,7 @@ def translation_length_h2(A: Mat2, embedding: RealEmbedding, tol: float = 1e-12)
     t = A.trace()
     if t.sign_under(embedding) < 0:
         t = -t
-    half = QuadFieldElement(t.a / 2, t.b / 2, t.d)
+    half = _element(t.p, t.q, 2 * t.den, t.d)
     return 2.0 * _refine_acosh(half, embedding, tol / 2)
 
 

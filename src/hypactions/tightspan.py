@@ -3,13 +3,15 @@
 Points of the hull are admissible functions f (f(x) + f(y) >= d(x, y)) that
 are minimal; minimality is equivalent to f(x) = max_y (d(x, y) - f(y)) at
 every x.  The hull carries the sup-metric.  Rational inputs can be handled
-exactly; the iterative projector works in floats.
+exactly; the iterative projector works on the float64 distance matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import NoConvergence
 from .metrics import DeltaEstimate, FiniteMetricSpace, four_point_delta
@@ -76,17 +78,22 @@ def project_to_hull(f, X: FiniteMetricSpace, tol: float = 1e-9, max_iter: int = 
 
     g <- (g + q(g))/2 decreases pointwise on admissible inputs and preserves
     admissibility, so the slack is monotone; stops when it drops below tol.
+    The steps run on the float64 matrix `X.as_array()`: each entry is the
+    float of the exact distance, so every step rounds as the same
+    subtraction, maximum and average over Python floats would.
     Returns (ExtremalFunction, iterations); raises NoConvergence otherwise.
     """
     vals = tuple(float(v) for v in (f.values if isinstance(f, ExtremalFunction) else f))
     if not is_admissible(vals, X, tol=1e-9):
         raise ValueError("input must be admissible: f(x) + f(y) >= d(x, y)")
+    D = X.as_array()
+    v = np.array(vals, dtype=np.float64)
     for it in range(max_iter + 1):
-        q = _conjugate(vals, X)
-        slack = max(abs(a - b) for a, b in zip(vals, q))
+        q = (D - v).max(axis=1)
+        slack = np.abs(v - q).max()
         if slack <= tol:
-            return ExtremalFunction(vals), it
-        vals = tuple((a + b) / 2.0 for a, b in zip(vals, q))
+            return ExtremalFunction(v.tolist()), it
+        v = (v + q) / 2.0
     raise NoConvergence(f"projection did not reach slack {tol} in {max_iter} iterations")
 
 

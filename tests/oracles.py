@@ -5,11 +5,15 @@ implementations: repeated-scan free reduction, exhaustive product
 enumeration, materialized-graph Dijkstra, a breadth-first search over the
 letter positions for compressed lengths, a plain-loop four-point scan and
 the n^3-per-basepoint four-point scan, per-source BFS and per-pair geodesic walks for the in-ball graph metric,
-cone-off and the coned metric, trial division up to sqrt(d) for square-freeness, and the
-memoised pairwise scan for the defect of a quasi-morphism.
+cone-off and the coned metric, trial division up to sqrt(d) for square-freeness, the
+memoised pairwise scan for the defect of a quasi-morphism, Q(sqrt(d)) and its
+2x2 matrices in `Fraction` coordinates a + b*sqrt(d), and the tight-span
+projector as a plain loop over Fraction rows.
 """
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -261,3 +265,122 @@ def defect_naive(q, elements):
                 best = d
                 witness = (g, h)
     return best, witness
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@dataclass(frozen=True)
+class FractionQuadField:
+    """a + b*sqrt(d) with Fraction a, b: the field arithmetic term by term."""
+
+    a: Fraction
+    b: Fraction
+    d: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+        if not is_square_free_naive(self.d):
+            raise ValueError(f"d must be square-free and >= 2, got {self.d}")
+
+    def _coerce(self, other):
+        if isinstance(other, FractionQuadField):
+            if self.d != other.d:
+                raise ValueError("elements of different quadratic fields")
+            return other
+        return FractionQuadField(Fraction(other), Fraction(0), self.d)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return FractionQuadField(self.a + other.a, self.b + other.b, self.d)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return FractionQuadField(self.a - other.a, self.b - other.b, self.d)
+
+    def __neg__(self):
+        return FractionQuadField(-self.a, -self.b, self.d)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        return FractionQuadField(
+            self.a * other.a + self.b * other.b * self.d,
+            self.a * other.b + self.b * other.a,
+            self.d,
+        )
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        norm = other.a * other.a - other.b * other.b * other.d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero field element")
+        num = self * FractionQuadField(other.a, -other.b, other.d)
+        return FractionQuadField(num.a / norm, num.b / norm, self.d)
+
+    def sign_under(self, embedding_sign):
+        """Exact sign of a + b*embedding_sign*sqrt(d)."""
+        a, b = self.a, self.b * embedding_sign
+        if b == 0:
+            return _sign(a)
+        if a == 0:
+            return _sign(b)
+        if _sign(a) == _sign(b):
+            return _sign(a)
+        lhs, rhs = a * a, b * b * self.d
+        if lhs == rhs:
+            return 0
+        return _sign(a) if lhs > rhs else _sign(b)
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        root = f"sqrt{self.d}" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt{self.d}"
+        sign = "-" if self.b < 0 else "+"
+        if self.a == 0:
+            return root if self.b > 0 else f"-{root}"
+        return f"{self.a}{sign}{root}"
+
+
+@dataclass(frozen=True)
+class FractionMat2:
+    """A determinant-one 2x2 matrix over `FractionQuadField`."""
+
+    a: FractionQuadField
+    b: FractionQuadField
+    c: FractionQuadField
+    d: FractionQuadField
+
+    def __post_init__(self):
+        det = self.a * self.d - self.b * self.c
+        if not (det.a == 1 and det.b == 0):
+            raise ValueError(f"determinant must be exactly 1, got {det}")
+
+    def __mul__(self, other):
+        return FractionMat2(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def inverse(self):
+        return FractionMat2(self.d, -self.b, -self.c, self.a)
+
+    def sort_key(self):
+        return tuple((e.a, e.b) for e in (self.a, self.b, self.c, self.d))
+
+
+def project_to_hull_loop(vals, rows, tol, max_iter=10_000):
+    """The tight-span projector as a plain loop: g <- (g + q(g))/2 with
+    q(g)(x) = max_y (rows[x][y] - g(y)), each Fraction entry subtracted from
+    a float.  Returns (values, iterations), or None without convergence."""
+    vals = tuple(float(v) for v in vals)
+    n = len(rows)
+    for it in range(max_iter + 1):
+        q = tuple(max(rows[x][y] - vals[y] for y in range(n)) for x in range(n))
+        if max(abs(a - b) for a, b in zip(vals, q)) <= tol:
+            return vals, it
+        vals = tuple((a + b) / 2.0 for a, b in zip(vals, q))
+    return None

@@ -1,11 +1,15 @@
+import hashlib
 import json
 import math
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hypactions.cli import EXPERIMENTS, main, parse_config, validate_config
+from hypactions.cli import EXPERIMENTS, _json_text, _quarters, main, parse_config, validate_config
 from hypactions.groups import group_from_spec
+from hypactions.metrics import FiniteMetricSpace, random_rational_metric
 from oracles import cone_off_edges_naive, graph_metric_naive
 
 BASE_CONFIGS = {
@@ -257,6 +261,8 @@ MALFORMED = [
     ("parameters.A", _with("cone-off", lambda c: c["parameters"].update(A=math.inf))),
     ("parameters.A", _with("cone-off", lambda c: c["parameters"].update(A=-math.inf))),
     ("parameters.A", _with("cone-off", lambda c: c["parameters"].update(A=10**400))),  # past the float range
+    ("parameters.x", _with("sl2-embed", lambda c: c["parameters"].update(x="1/0"))),
+    ("parameters.x", _with("sl2-embed", lambda c: c["parameters"].update(x="sqrt3-1"))),
 ]
 
 
@@ -265,7 +271,9 @@ def test_malformed_config_exits_1_and_names_its_path(tmp_path, capsys, path, cfg
     assert any(p.startswith(f"{path}:") for p in validate_config(cfg))
     code, out = run_config(tmp_path, cfg)
     assert code == 1
-    assert f"config error at {path}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error at {path}:" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -643,6 +651,38 @@ def test_sl2_embed_honours_the_ball_cap(tmp_path):
     code, out = run_config(tmp_path, cfg, "sl2")
     assert code == 2
     assert json.loads((out / "summary.json").read_text())["status"] == "budget-exceeded"
+
+
+# SHA-256 of the compact JSON text of `result` for the benchmark's exact
+# workload configs at seed 7, as the Fraction-coordinate field and the
+# pure-Python projector wrote them
+GOLDEN_RESULTS = [
+    ({"kind": "sl2", "field": {"d": 2}}, "sl2-embed", {"x": "sqrt2-1", "radius": 4},
+     "63d79bdcafa3d54daf96245b54c157bd0af478e25aae2a8f71169eef4b695bf0"),
+    ({"kind": "sl2", "field": {"d": 3}}, "sl2-embed", {"x": "sqrt3-1", "radius": 4},
+     "a007133c021067b561823d58492aed79632cda7f8ac3268406725501007fc814"),
+    ({"kind": "free", "rank": 2}, "tightspan", {"points": 6, "trials": 30, "proj_trials": 30},
+     "6846afca89e470ad0be2d397c73f9d10d872cb9845ea8673ece56b6eeba14f6b"),
+    ({"kind": "free", "rank": 2}, "tightspan", {"points": 8, "trials": 20, "proj_trials": 20},
+     "c368df273069c8b469e79e952de7d18365a810b42f1c4195f4d8ec195823173e"),
+]
+
+
+@pytest.mark.parametrize("group, experiment, parameters, digest", GOLDEN_RESULTS,
+                         ids=["sl2-d2-r4", "sl2-d3-r4", "tightspan-p6", "tightspan-p8"])
+def test_exact_results_are_byte_identical_to_the_golden_digests(tmp_path, group, experiment, parameters, digest):
+    cfg = {"format": 1, "group": group, "experiment": experiment, "parameters": parameters, "seed": 7}
+    code, out = run_config(tmp_path, cfg)
+    assert code == 0
+    result = json.loads((out / "summary.json").read_text())["result"]
+    assert hashlib.sha256(_json_text(result).encode()).hexdigest() == digest
+
+
+def test_quarters_is_four_times_the_metric_and_refuses_other_denominators():
+    X = random_rational_metric(8, random.Random(3))
+    assert _quarters(X) == [[int(4 * v) for v in row] for row in X.rows]
+    with pytest.raises(AssertionError):
+        _quarters(FiniteMetricSpace([[0, Fraction(1, 3)], [Fraction(1, 3), 0]]))
 
 
 def test_verify_tightspan_rederives_the_tree_matrix(tmp_path, capsys):

@@ -2,10 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypactions.errors import NotLoxodromic
+from hypactions.groups import GroupOracle, enumerate_ball
 from hypactions.metrics import orbit_pseudo_length
 from hypactions.sl2 import (
+    QuadFieldElement,
     RealEmbedding,
     SL2Oracle,
     _is_square_free,
@@ -20,7 +24,7 @@ from hypactions.sl2 import (
     qfe,
     translation_length_h2,
 )
-from oracles import acosh_decimal, is_square_free_naive
+from oracles import FractionMat2, FractionQuadField, acosh_decimal, is_square_free_naive
 
 PLUS = RealEmbedding(1)
 MINUS = RealEmbedding(-1)
@@ -93,6 +97,94 @@ def test_parse_qfe():
         parse_qfe("sqrt3", 2)
     with pytest.raises(ValueError):
         parse_qfe("x+1", 2)
+
+
+@pytest.mark.parametrize("text", ["1/0", "sqrt2+1/0", "3/0*sqrt2"])
+def test_parse_qfe_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_qfe(text, 2)
+
+
+def test_mat2_from_json_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        mat2_from_json([[{"a": "1/0"}, "0"], ["0", "1"]], 2)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)) | st.integers(-5, 5)
+FIELD_PAIRS = st.tuples(st.sampled_from([2, 3, 5, 6, 7]), RATIONALS, RATIONALS, RATIONALS, RATIONALS)
+
+
+def _agrees(x, oracle):
+    """The integer element and the Fraction oracle hold the same number."""
+    return type(x.a) is Fraction and (x.a, x.b, x.d, str(x)) == (oracle.a, oracle.b, oracle.d, str(oracle))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(FIELD_PAIRS)
+def test_field_matches_the_fraction_oracle(case):
+    d, a1, b1, a2, b2 = case
+    x, y = QuadFieldElement(a1, b1, d), QuadFieldElement(a2, b2, d)
+    ox, oy = FractionQuadField(a1, b1, d), FractionQuadField(a2, b2, d)
+    assert _agrees(x, ox) and _agrees(y, oy)
+    assert x.den > 0 and math.gcd(x.p, x.q, x.den) == 1
+    assert _agrees(x + y, ox + oy)
+    assert _agrees(x - y, ox - oy)
+    assert _agrees(x * y, ox * oy)
+    assert _agrees(-x, -ox)
+    assert _agrees(x + a2, ox + a2) and _agrees(x * b2, ox * b2)
+    if oy.a or oy.b:
+        assert _agrees(x / y, ox / oy)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    for emb in (PLUS, MINUS):
+        assert x.sign_under(emb) == ox.sign_under(emb.sign)
+        assert (x - y).sign_under(emb) == (ox - oy).sign_under(emb.sign)
+    assert (x == y) == (ox == oy)
+    twin = QuadFieldElement(ox.a, ox.b, d)
+    assert twin == x and hash(twin) == hash(x)
+    # [[x, x^2 - 1], [1, x]] has determinant 1 for every x
+    mx, my = lemma_emb_matrix(x), lemma_emb_matrix(y)
+    one = FractionQuadField(1, 0, d)
+    omx, omy = FractionMat2(ox, ox * ox - one, one, ox), FractionMat2(oy, oy * oy - one, one, oy)
+    assert (mx.sort_key() < my.sort_key()) == (omx.sort_key() < omy.sort_key())
+    assert (mx.sort_key() == my.sort_key()) == (omx.sort_key() == omy.sort_key())
+
+
+class FractionSL2(GroupOracle):
+    """The group generated by oracle matrices, named as SL2Oracle names them."""
+
+    def __init__(self, gens, names):
+        self.gens, self.names = gens, names
+        self.one, self.zero = FractionQuadField(1, 0, gens[0].a.d), FractionQuadField(0, 0, gens[0].a.d)
+
+    def identity(self):
+        return FractionMat2(self.one, self.zero, self.zero, self.one)
+
+    def generators(self):
+        return list(self.gens)
+
+    def format_element(self, x):
+        for g, name in zip(self.gens, self.names):
+            if x == g:
+                return name
+            if x == g.inverse():
+                return f"{name}^-1"
+        return str(x)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ball_matches_the_fraction_oracle_ball(d):
+    x = parse_qfe(f"sqrt{d}-1", d)
+    ball = SL2Oracle(d=d, gens=[lemma_emb_matrix(x), mat2([[1, 1], [0, 1]], d)], names=["A", "T"]).enumerate_ball(5)
+    ox, one, zero = FractionQuadField(-1, 1, d), FractionQuadField(1, 0, d), FractionQuadField(0, 0, d)
+    oracle = FractionSL2([FractionMat2(ox, ox * ox - one, one, ox), FractionMat2(one, one, zero, one)], ["A", "T"])
+    expected = enumerate_ball(oracle, 5)
+    assert len(ball) == len(expected) > 400
+    assert ball.words == expected.words
+    assert [[str(e) for e in M.entries()] for M in ball.elements] == [
+        [str(e) for e in (M.a, M.b, M.c, M.d)] for M in expected.elements
+    ]
 
 
 def test_mat2_determinant_enforced():

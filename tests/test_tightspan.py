@@ -21,6 +21,7 @@ from hypactions.tightspan import (
     project_to_hull,
     sup_distance,
 )
+from oracles import project_to_hull_loop
 
 THREE_POINT = FiniteMetricSpace([[0, 2, 3], [2, 0, 4], [3, 4, 0]])
 FOUR_CYCLE = FiniteMetricSpace([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
@@ -94,6 +95,17 @@ def test_project_random_admissible_on_four_cycle():
         ok, slack = is_extremal(out, FOUR_CYCLE, tol=1e-9)
         assert ok and iterations <= 200
         assert all(o <= s + 1e-12 for o, s in zip(out.values, start))
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_project_matches_the_plain_loop_exactly(n):
+    rng = random.Random(n)
+    for _ in range(30):
+        X = random_rational_metric(n, rng)
+        start = [float(v) + rng.random() * 3 for v in X.rows[rng.randrange(n)]]
+        out, iterations = project_to_hull(start, X)
+        assert (out.values, iterations) == project_to_hull_loop(start, X.rows, 1e-9)
+        assert iterations > 0
 
 
 def test_project_rejects_inadmissible():
