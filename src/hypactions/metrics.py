@@ -295,14 +295,14 @@ class DeltaEstimate:
 
 def quadruple_defect(D: np.ndarray, quad):
     """The defect min{(x,y)_t, (y,z)_t} - (x,z)_t of the ordered quadruple
-    (x, y, z, t): the witness checker, and the sampled scan when x, y, z and
-    t are index arrays (one defect per position)."""
+    (x, y, z, t), from Gromov products in float64: the witness checker that
+    `verify` replays a stored witness through."""
     i, j, k, l = quad
     gp = lambda a, b: (D[a, l] + D[b, l] - D[a, b]) / 2.0
     return np.minimum(gp(i, j), gp(j, k)) - gp(i, k)
 
 
-SCAN_STEP_BYTES = 1 << 17  # bytes per array in one step of the exhaustive scan, sized to stay in cache
+SCAN_STEP_BYTES = 1 << 17  # bytes per array in one step of either scan, sized to stay in cache
 
 
 def _scan_dtype(D: np.ndarray):
@@ -393,6 +393,35 @@ def _basepoint_scan(D: np.ndarray, l: int):
     return best, witness
 
 
+def _sampled_scan(D: np.ndarray, count: int, rng):
+    """(max, first maximising quadruple drawn) of `count` drawn defects."""
+    n = D.shape[0]
+    flat = D.astype(_scan_dtype(D)).ravel()
+    step = SCAN_STEP_BYTES // 8  # int64 indices in one cache-sized block
+    best, witness = -math.inf, None
+    remaining = count
+    while remaining > 0:
+        m_now = min(250_000, remaining)
+        remaining -= m_now
+        idx = rng.integers(0, n, size=(4, m_now))
+        for s in range(0, m_now, step):
+            x, y, z, t = idx[:, s : s + step]
+            xn, yn = x * n, y * n
+            A = flat.take(xn + y)
+            A += flat.take(z * n + t)
+            B = flat.take(yn + z)
+            B += flat.take(xn + t)
+            C = flat.take(xn + z)
+            C += flat.take(yn + t)
+            np.maximum(A, B, out=A)
+            C -= A
+            m = C.max()
+            if m > best:
+                best = m
+                witness = tuple(int(v) for v in idx[:, s + int(C.argmax())])
+    return float(best) / 2, witness
+
+
 def four_point_delta(
     metric,
     mode: str = "exhaustive",
@@ -416,7 +445,8 @@ def four_point_delta(
     argmax is `witness`: the first basepoint, and the first (x, y, z) at it,
     that reach the maximum, as a scan over every basepoint in turn finds
     them (exactly so when sums of two distances are exact in float64).
-    mode "sampled" draws `count` quadruples from a seeded PRNG.
+    mode "sampled" scans, in the same types, `count` <= `quadruple_cap`
+    quadruples drawn from a PRNG seeded with `seed` (0 when None).
     """
     D = metric.as_array() if isinstance(metric, FiniteMetricSpace) else np.asarray(metric, dtype=np.float64)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
@@ -430,49 +460,31 @@ def four_point_delta(
         raise ValueError("distance matrix must be symmetric")
     if np.diagonal(D).any():
         raise ValueError("distance matrix must be zero on the diagonal")
-    if mode == "exhaustive":
-        total = n**4
-        if total > quadruple_cap:
-            raise BudgetExceeded(
-                f"{total} ordered quadruples exceed cap {quadruple_cap}",
-                extent={"points": n},
-            )
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    sampled = mode == "sampled"
+    if sampled and (count is None or count < 1):
+        raise ValueError("sampled mode needs count >= 1")
+    total = count if sampled else n**4
+    if total > quadruple_cap:
+        raise BudgetExceeded(
+            f"{total} ordered quadruples exceed cap {quadruple_cap}",
+            extent={"points": n},
+        )
+    if sampled:
+        seed = 0 if seed is None else seed
+        best, best_w = _sampled_scan(D, count, np.random.default_rng(seed))
+    else:
         best, best_w = _basepoint_scan(D, _first_worst_point(D))
-        return DeltaEstimate(
-            delta=max(0.0, best),
-            raw_max=best,
-            witness=best_w,
-            sampled=False,
-            quadruples_checked=total,
-            labels=list(labels) if labels is not None else None,
-        )
-    if mode == "sampled":
-        if count is None or count < 1:
-            raise ValueError("sampled mode needs count >= 1")
-        rng = np.random.default_rng(0 if seed is None else seed)
-        best = -math.inf
-        best_w = (0, 0, 0, 0)
-        remaining = count
-        chunk = 250_000
-        while remaining > 0:
-            m_now = min(chunk, remaining)
-            remaining -= m_now
-            idx = rng.integers(0, n, size=(4, m_now))
-            defect = quadruple_defect(D, idx)
-            m = float(defect.max())
-            if m > best:
-                best = m
-                best_w = tuple(int(v) for v in idx[:, int(np.argmax(defect))])
-        return DeltaEstimate(
-            delta=max(0.0, best),
-            raw_max=best,
-            witness=best_w,
-            sampled=True,
-            quadruples_checked=count,
-            seed=0 if seed is None else seed,
-            labels=list(labels) if labels is not None else None,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    return DeltaEstimate(
+        delta=max(0.0, best),
+        raw_max=best,
+        witness=best_w,
+        sampled=sampled,
+        quadruples_checked=total,
+        seed=seed if sampled else None,
+        labels=list(labels) if labels is not None else None,
+    )
 
 
 # ---------------------------------------------------------------------------

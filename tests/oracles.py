@@ -3,8 +3,8 @@
 Everything here is deliberately naive and separate from the package
 implementations: repeated-scan free reduction, exhaustive product
 enumeration, materialized-graph Dijkstra, a breadth-first search over the
-letter positions for compressed lengths, a plain-loop four-point scan and
-the n^3-per-basepoint four-point scan, per-source BFS and per-pair geodesic walks for the in-ball graph metric,
+letter positions for compressed lengths, a plain-loop four-point scan,
+the n^3-per-basepoint four-point scan and the float64 sampled scan, per-source BFS and per-pair geodesic walks for the in-ball graph metric,
 cone-off and the coned metric, trial division up to sqrt(d) for square-freeness, the
 memoised pairwise scan for the defect of a quasi-morphism, Q(sqrt(d)) and its
 2x2 matrices in `Fraction` coordinates a + b*sqrt(d), and the tight-span
@@ -164,6 +164,36 @@ def four_point_delta_basepoint(D):
             best = m
             best_w = (int(i), int(j), int(k), l)
     return best, best_w
+
+
+def quadruple_defect_naive(D, quad):
+    """min{(x,y)_t, (y,z)_t} - (x,z)_t from float64 Gromov products, one
+    defect per position when x, y, z and t are index arrays."""
+    i, j, k, l = quad
+    gp = lambda a, b: (D[a, l] + D[b, l] - D[a, b]) / 2.0
+    return np.minimum(gp(i, j), gp(j, k)) - gp(i, k)
+
+
+def four_point_delta_sampled_naive(D, count, seed=None):
+    """The sampled scan as one float64 defect array per 250,000 drawn
+    quadruples.  Returns (raw max, first maximising quadruple in draw
+    order, seed, quadruples checked)."""
+    n = D.shape[0]
+    rng = np.random.default_rng(0 if seed is None else seed)
+    best = -math.inf
+    best_w = (0, 0, 0, 0)
+    remaining = count
+    chunk = 250_000
+    while remaining > 0:
+        m_now = min(chunk, remaining)
+        remaining -= m_now
+        idx = rng.integers(0, n, size=(4, m_now))
+        defect = quadruple_defect_naive(D, idx)
+        m = float(defect.max())
+        if m > best:
+            best = m
+            best_w = tuple(int(v) for v in idx[:, int(np.argmax(defect))])
+    return best, best_w, 0 if seed is None else seed, count
 
 
 def graph_metric_naive(adj):

@@ -140,6 +140,19 @@ def test_budget_exceeded_exit_code(tmp_path):
     assert summary["status"] == "budget-exceeded"
 
 
+def test_sampled_count_over_the_quadruple_cap_exits_2_before_drawing(tmp_path):
+    cfg = {"format": 1, "group": {"kind": "free", "rank": 2}, "experiment": "delta",
+           "parameters": {"radius": 2, "mode": "sampled", "count": 400_000_000},
+           "budgets": {"quadruple_cap": 1000}}
+    code, out = run_config(tmp_path, cfg, "sampled")
+    assert code == 2
+    assert [path.name for path in out.iterdir()] == ["summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "budget-exceeded"
+    assert summary["error"] == "400000000 ordered quadruples exceed cap 1000"
+    assert summary["extent"] == {"points": 17}
+
+
 def test_reruns_are_byte_identical(tmp_path):
     for name in ("delta", "tightspan", "qm-certify", "cone-off"):
         _, out1 = run_config(tmp_path, BASE_CONFIGS[name], f"{name}-1")

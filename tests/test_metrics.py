@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypactions.cli import _delta_inputs, parse_config
@@ -17,6 +17,7 @@ from hypactions.metrics import (
     NOT_DOMINATED,
     FiniteMetricSpace,
     PseudoLength,
+    _scan_dtype,
     compare_pseudo_lengths,
     cone_off,
     four_point_delta,
@@ -36,7 +37,9 @@ from oracles import (
     coned_metric_naive,
     four_point_delta_basepoint,
     four_point_delta_naive,
+    four_point_delta_sampled_naive,
     graph_metric_naive,
+    quadruple_defect_naive,
 )
 
 F2 = FreeGroupOracle(2)
@@ -104,10 +107,12 @@ def test_free_ball_distance_matrix_memory_is_quadratic():
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
 def test_quadruple_defect_on_index_arrays_is_its_scalar_value_at_each_position(dtype):
+    # the sampled oracle's array defects are what the witness checker gives
+    # each quadruple, so a witness it reports replays to its raw_max
     rng = np.random.default_rng(5)
     D = rng.integers(0, 20, size=(9, 9)) if dtype is np.int64 else rng.random((9, 9)) * 20
     quads = rng.integers(0, 9, size=(4, 300))
-    defects = quadruple_defect(D, quads)
+    defects = quadruple_defect_naive(D, quads)
     assert defects.shape == (300,)
     assert defects.tolist() == [float(quadruple_defect(D, tuple(int(v) for v in q))) for q in quads.T]
 
@@ -156,6 +161,14 @@ def test_four_point_delta_budget():
         four_point_delta(D, quadruple_cap=10_000)
 
 
+def test_four_point_delta_sampled_budget():
+    # checked before the first draw, which would take seconds at 4 * 10^8
+    with pytest.raises(BudgetExceeded, match="^400000000 ordered quadruples exceed cap 1000$") as exc:
+        four_point_delta(np.zeros((3, 3)), mode="sampled", count=400_000_000, quadruple_cap=1000)
+    assert exc.value.extent == {"points": 3}
+    assert four_point_delta(np.zeros((3, 3)), mode="sampled", count=1000, quadruple_cap=1000).quadruples_checked == 1000
+
+
 @pytest.mark.parametrize("group, radius", [
     ({"kind": "free", "rank": 2}, 3),
     ({"kind": "free", "rank": 2}, 4),
@@ -178,6 +191,54 @@ def test_exhaustive_scan_is_exact_at_every_scan_width(scale):
     D = scale * graph_metric_matrix(BS23.enumerate_ball(2))
     est = four_point_delta(D)
     assert (est.raw_max, est.witness) == four_point_delta_basepoint(D)
+
+
+# as for the exhaustive scan: each side of where the sampled scan leaves
+# int8, int16 and int32; 300,000 quadruples span two draws and 20 blocks
+@pytest.mark.parametrize("scale", [7, 8, 31, 2047, 2048, 2**27 - 1, 2**27])
+def test_sampled_scan_is_exact_at_every_scan_width(scale):
+    D = scale * graph_metric_matrix(BS23.enumerate_ball(2))
+    est = four_point_delta(D, mode="sampled", count=300_000, seed=4)
+    assert (est.raw_max, est.witness, est.seed, est.quadruples_checked) == four_point_delta_sampled_naive(D, 300_000, 4)
+
+
+# tree metrics (edge weights 1..9) on at most 4 and at most 10 points, scaled
+# so that 4 max|d| lands in the named scan type
+TREE_SCALES = {np.int8: (4, 1), np.int16: (10, 32767 // (4 * 81)), np.int32: (10, 2**31 // (4 * 81))}
+
+
+@st.composite
+def sampled_scan_inputs(draw, kind):
+    """(D, count, seed): a tree metric scaled to be scanned in the integer
+    type `kind`, a dyadic rational metric for float64, or an all-zero matrix
+    for "zero", with a count at or beside the block and draw boundaries."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if kind == "zero":
+        D = np.zeros((draw(st.integers(1, 10)),) * 2)
+    elif kind is np.float64:
+        D = random_rational_metric(draw(st.integers(2, 10)), rng).as_array()
+        assume((D % 1).any())
+    else:
+        most, scale = TREE_SCALES[kind]
+        D = scale * random_tree_metric(draw(st.integers(2, most)), rng).as_array()
+    count = draw(st.sampled_from([1, 16_383, 16_385, 250_000, 250_001, 600_000]))
+    return D, count, draw(st.none() | st.integers(0, 2**32))
+
+
+@pytest.mark.parametrize("kind", [np.int8, np.int16, np.int32, np.float64, "zero"],
+                         ids=["int8", "int16", "int32", "float64", "zero"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_sampled_scan_matches_the_float64_oracle(kind, data):
+    D, count, seed = data.draw(sampled_scan_inputs(kind))
+    assert _scan_dtype(D) is (np.int8 if kind == "zero" else kind)
+    est = four_point_delta(D, mode="sampled", count=count, seed=seed, quadruple_cap=count)
+    assert (est.raw_max, est.witness, est.seed, est.quadruples_checked) == four_point_delta_sampled_naive(D, count, seed)
+    assert est.delta == max(0.0, est.raw_max)
+    assert quadruple_defect(D, est.witness) == est.raw_max
+    if not D.any():  # every quadruple ties, so the first one drawn is the witness
+        first = np.random.default_rng(est.seed).integers(0, D.shape[0], size=(4, min(count, 250_000)))[:, 0]
+        assert est.witness == tuple(first.tolist())
 
 
 @st.composite
