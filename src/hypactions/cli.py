@@ -58,6 +58,7 @@ from .metrics import (
     free_ball_distance_matrix,
     graph_metric_matrix,
     induced_metric,
+    quadruple_budget,
     quadruple_defect,
     random_rational_metric,
     random_tree_metric,
@@ -277,6 +278,7 @@ def _json_text(value) -> str:
 def _delta_inputs(c):
     """The ball and its distances: word metric on free groups, else the in-ball graph metric."""
     ball = c.oracle.enumerate_ball(c.params["radius"], max_size=c.budgets["ball_cap"])
+    quadruple_budget(len(ball), c.params["mode"], c.params["count"], c.budgets["quadruple_cap"])
     if isinstance(c.oracle.identity(), FreeWord):
         return ball, free_ball_distance_matrix(ball), "word"
     return ball, graph_metric_matrix(ball), "in-ball graph"

@@ -422,6 +422,25 @@ def _sampled_scan(D: np.ndarray, count: int, rng):
     return float(best) / 2, witness
 
 
+def quadruple_budget(n: int, mode: str, count: int | None, quadruple_cap: int) -> int:
+    """The ordered quadruples a `four_point_delta` scan of n points covers:
+    n^4 in mode "exhaustive", `count` in mode "sampled".  Raises ValueError
+    for an unknown mode or a sampled count below 1, and BudgetExceeded when
+    the total is over `quadruple_cap`, so a caller can check the cap before
+    it builds the distance matrix."""
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and (count is None or count < 1):
+        raise ValueError("sampled mode needs count >= 1")
+    total = count if mode == "sampled" else n**4
+    if total > quadruple_cap:
+        raise BudgetExceeded(
+            f"{total} ordered quadruples exceed cap {quadruple_cap}",
+            extent={"points": n},
+        )
+    return total
+
+
 def four_point_delta(
     metric,
     mode: str = "exhaustive",
@@ -460,17 +479,8 @@ def four_point_delta(
         raise ValueError("distance matrix must be symmetric")
     if np.diagonal(D).any():
         raise ValueError("distance matrix must be zero on the diagonal")
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
+    total = quadruple_budget(n, mode, count, quadruple_cap)
     sampled = mode == "sampled"
-    if sampled and (count is None or count < 1):
-        raise ValueError("sampled mode needs count >= 1")
-    total = count if sampled else n**4
-    if total > quadruple_cap:
-        raise BudgetExceeded(
-            f"{total} ordered quadruples exceed cap {quadruple_cap}",
-            extent={"points": n},
-        )
     if sampled:
         seed = 0 if seed is None else seed
         best, best_w = _sampled_scan(D, count, np.random.default_rng(seed))

@@ -22,10 +22,13 @@ class QuasiMorphism:
 
     `defect_bound` is an analytic bound when available (0 for homomorphisms);
     sampled defects are lower-bound evidence only and stay out of this field.
+    `counting_word` is w when q is the counting quasi-morphism of w
+    (`brooks_qm`); `defect_empirical` then scans without forming products.
     """
 
     evaluate: callable
     defect_bound: float | None = None
+    counting_word: FreeWord | None = None
 
     def __call__(self, g) -> float:
         return float(self.evaluate(g))
@@ -45,7 +48,7 @@ def brooks_qm(w: FreeWord) -> QuasiMorphism:
     def evaluate(g: FreeWord) -> float:
         return float(count_occurrences(g, w) - count_occurrences(g, w_inv))
 
-    return QuasiMorphism(evaluate)
+    return QuasiMorphism(evaluate, counting_word=w)
 
 
 def _is_proper_power(w: FreeWord) -> bool:
@@ -109,8 +112,18 @@ class DefectEstimate:
 def defect_empirical(q: QuasiMorphism, elements) -> DefectEstimate:
     """max |q(gh) - q(g) - q(h)| over all ordered pairs of `elements`: a
     certified lower bound on the true defect.  The witness is the first pair,
-    in the order of `elements` (g outer, h inner), that reaches the max."""
+    in the order of `elements` (g outer, h inner), that reaches the max, and
+    `pairs_checked` counts the n^2 pairs covered.
+
+    A counting quasi-morphism (`q.counting_word` set) is scanned by
+    cancellation length (`_counting_defect`): every ordered pair is covered,
+    gh is never formed, and the cost is O(n R) table lookups for a ball of
+    radius R instead of O(n^2) products.  Any other q multiplies every pair.
+    """
     elements = list(elements)
+    if q.counting_word is not None:
+        best, witness = _counting_defect(q.counting_word, elements)
+        return DefectEstimate(value=float(best), witness=witness, pairs_checked=len(elements) ** 2)
     qs = [q(g) for g in elements]
     best = 0.0
     witness = None
@@ -121,6 +134,93 @@ def defect_empirical(q: QuasiMorphism, elements) -> DefectEstimate:
                 best = d
                 witness = (g, h)
     return DefectEstimate(value=best, witness=witness, pairs_checked=len(elements) ** 2)
+
+
+def _counting_defect(w: FreeWord, elements):
+    """(max, first maximising pair or None) of |q(gh) - q(g) - q(h)| over
+    ordered pairs of reduced words, q the counting quasi-morphism of w.
+
+    Let c be the length of the common prefix of g^-1 and h.  Then gh is the
+    reduced concatenation u v with u = g[:|g| - c] and v = h[c:], so
+
+        q(gh) - q(g) - q(h) = A(g, c) + B(h, c) + seam(ends(u), starts(v)),
+
+    where A = q(u) - q(g), B = q(v) - q(h), and the seam term counts the
+    occurrences of w and w^-1 that straddle the cut.  Those are fixed by two
+    bitmasks over the k - 1 splits of each of w and w^-1: which heads w[:j]
+    the word u ends with, and which tails w[j:] the word v starts with.
+
+    The h's go into a prefix trie.  B(h, c) counts the occurrences in h that
+    start before c, so it is fixed by the node s = h[:c] and the starts mask
+    of h[c:]; at each node, h's are grouped by their next letter x (0 when
+    h = s) and starts mask, keeping B and the first index.  The h's that
+    cancel exactly c letters against g are those at the node g^-1[:c] whose
+    next letter is not g^-1[c], so each g reads at most |g| + 1 nodes.  Per
+    g, the first h reaching its best value is the smallest such index; the
+    first g whose best is the overall max then gives the same witness as the
+    pair loop.
+    """
+    pattern, pattern_inv = w.signed, w.inverse().signed
+    k = len(pattern)
+    heads = [p[:j] for p in (pattern, pattern_inv) for j in range(1, k)]
+    tails = [p[j:] for p in (pattern, pattern_inv) for j in range(1, k)]
+    low = (1 << (k - 1)) - 1  # the splits of w; the high bits are those of w^-1
+
+    def occurrences(s):
+        # +1 where w starts, -1 where w^-1 starts, 0 elsewhere
+        return [(s[i : i + k] == pattern) - (s[i : i + k] == pattern_inv) for i in range(len(s) - k + 1)]
+
+    # a node is (children by letter, {next letter: {starts: (B, first index)}})
+    root = ({}, {})
+    for index, h in enumerate(elements):
+        s = h.signed
+        occ = occurrences(s)
+        node, before = root, 0  # before: signed occurrences starting before c
+        for c in range(len(s) + 1):
+            starts = 0
+            for bit, tail in enumerate(tails):
+                if s[c : c + len(tail)] == tail:
+                    starts |= 1 << bit
+            node[1].setdefault(s[c] if c < len(s) else 0, {}).setdefault(starts, (-before, index))
+            if c == len(s):
+                break
+            if c < len(occ):
+                before += occ[c]
+            node = node[0].setdefault(s[c], ({}, {}))
+
+    best, witness = 0, None
+    for g in elements:
+        s = g.signed
+        m = len(s)
+        inv = tuple(-x for x in reversed(s))
+        occ = occurrences(s)
+        g_best, g_index = 0, None
+        node, after = root, 0  # after: signed occurrences of g ending past m - c
+        for c in range(m + 1):
+            e = m - c
+            ends = 0
+            for bit, head in enumerate(heads):
+                if e >= len(head) and s[e - len(head) : e] == head:
+                    ends |= 1 << bit
+            skip = inv[c] if c < m else None
+            for letter, table in node[1].items():
+                if letter == skip:
+                    continue
+                for starts, (b, i) in table.items():
+                    both = ends & starts
+                    d = abs((both & low).bit_count() - (both >> (k - 1)).bit_count() - after + b)
+                    if d > g_best or (d == g_best and d and i < g_index):
+                        g_best, g_index = d, i
+            if c == m:
+                break
+            if c < len(occ):
+                after += occ[len(occ) - 1 - c]
+            node = node[0].get(inv[c])
+            if node is None:
+                break
+        if g_best > best:
+            best, witness = g_best, (g, elements[g_index])
+    return best, witness
 
 
 @dataclass

@@ -140,17 +140,39 @@ def test_budget_exceeded_exit_code(tmp_path):
     assert summary["status"] == "budget-exceeded"
 
 
-def test_sampled_count_over_the_quadruple_cap_exits_2_before_drawing(tmp_path):
-    cfg = {"format": 1, "group": {"kind": "free", "rank": 2}, "experiment": "delta",
-           "parameters": {"radius": 2, "mode": "sampled", "count": 400_000_000},
+def _exits_2_before_the_distance_matrix(tmp_path, monkeypatch, group, parameters, error, points):
+    import hypactions.cli
+
+    def no_matrix(ball):
+        raise AssertionError("distance matrix built for a config over the quadruple cap")
+
+    monkeypatch.setattr(hypactions.cli, "graph_metric_matrix", no_matrix)
+    monkeypatch.setattr(hypactions.cli, "free_ball_distance_matrix", no_matrix)
+    cfg = {"format": 1, "group": group, "experiment": "delta", "parameters": parameters,
            "budgets": {"quadruple_cap": 1000}}
-    code, out = run_config(tmp_path, cfg, "sampled")
+    code, out = run_config(tmp_path, cfg, "over-cap")
     assert code == 2
     assert [path.name for path in out.iterdir()] == ["summary.json"]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "budget-exceeded"
-    assert summary["error"] == "400000000 ordered quadruples exceed cap 1000"
-    assert summary["extent"] == {"points": 17}
+    assert summary["error"] == error
+    assert summary["extent"] == {"points": points}
+
+
+def test_sampled_count_over_the_quadruple_cap_exits_2_before_drawing(tmp_path, monkeypatch):
+    _exits_2_before_the_distance_matrix(
+        tmp_path, monkeypatch, {"kind": "free", "rank": 2},
+        {"radius": 2, "mode": "sampled", "count": 400_000_000},
+        "400000000 ordered quadruples exceed cap 1000", 17)
+
+
+@pytest.mark.parametrize("parameters, error", [
+    ({"radius": 2, "mode": "sampled", "count": 400_000_000}, "400000000 ordered quadruples exceed cap 1000"),
+    ({"radius": 2, "mode": "exhaustive"}, "83521 ordered quadruples exceed cap 1000"),
+])
+def test_bs_quadruples_over_the_cap_exit_2_before_the_graph_metric(tmp_path, monkeypatch, parameters, error):
+    _exits_2_before_the_distance_matrix(
+        tmp_path, monkeypatch, {"kind": "bs", "m": 2, "n": 3}, parameters, error, 17)
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -177,7 +177,8 @@ def test_four_point_delta_sampled_budget():
     ({"kind": "bs", "m": 2, "n": 3}, 3),
 ])
 def test_exhaustive_scan_matches_the_basepoint_scan_on_balls(group, radius):
-    cfg = {"format": 1, "group": group, "experiment": "delta", "parameters": {"radius": radius}}
+    cfg = {"format": 1, "group": group, "experiment": "delta", "parameters": {"radius": radius},
+           "budgets": {"quadruple_cap": 10**9}}
     _, D, _ = _delta_inputs(parse_config(cfg)[0])
     est = four_point_delta(D, quadruple_cap=10**9)
     assert (est.raw_max, est.witness) == four_point_delta_basepoint(D)

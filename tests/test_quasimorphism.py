@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -186,23 +188,65 @@ def test_exponent_sum_defect_is_analytic_and_matches_the_scan(m, n):
     assert cert.homogenization_error == 0.0
 
 
-@pytest.mark.parametrize("radius", [3, 4])
-@pytest.mark.parametrize("word", ["ab", "aab", "abAB"])
-def test_brooks_defect_scan_matches_the_naive_scan(word, radius):
-    ball = F2.enumerate_ball(radius)
-    q = brooks_qm(w(word))
-    est = defect_empirical(q, ball.elements)
-    assert (est.value, est.witness) == defect_naive(q, ball.elements)
-    assert (est.source, est.pairs_checked) == ("scan", len(ball) ** 2)
+F3 = FreeGroupOracle(3)
+
+
+def _scan_case(word, radius, oracle=F2, stride=1, tag=""):
+    return pytest.param(oracle, word, radius, stride, id=f"{tag}{word}-{radius}")
+
+
+@pytest.mark.parametrize("oracle, word, radius, stride", [
+    *(_scan_case(word, radius) for word in ("ab", "aab", "abAB") for radius in (3, 4)),
+    *(_scan_case(word, 4) for word in ("a", "abab", "aba", "bA")),
+    _scan_case("abc", 3, oracle=F3, tag="F3-"),
+    _scan_case("aCb", 3, oracle=F3, tag="F3-"),
+    _scan_case("abAB", 4, stride=3, tag="every-third-"),
+    _scan_case("aba", 4, stride=3, tag="every-third-"),
+])
+def test_brooks_defect_scan_matches_the_naive_scan(oracle, word, radius, stride):
+    # a stride above 1 keeps words whose prefixes it drops: the scan may not rely on prefix closure
+    ball = oracle.enumerate_ball(radius)
+    elements = ball.elements[::stride]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # abab is a proper power
+        q = brooks_qm(w(word))
+    est = defect_empirical(q, elements)
+    assert (est.value, est.witness) == defect_naive(q, elements)
+    assert (est.source, est.pairs_checked) == ("scan", len(elements) ** 2)
+    if stride > 1:
+        return
     lengths = PseudoLength.from_word_lengths(ball)
     if len(word) > radius:  # a certificate needs its witness in the ball
         with pytest.raises(CertificateError) as info:
-            anisotropy_certificate(F2, q, lengths, w(word), ball)
+            anisotropy_certificate(oracle, q, lengths, w(word), ball)
         assert info.value.reason == "witness-outside-ball"
         return
-    cert = anisotropy_certificate(F2, q, lengths, w(word), ball)
+    cert = anisotropy_certificate(oracle, q, lengths, w(word), ball)
     assert cert.defect == est
     assert cert.homogenization_error == est.value / cert.power
+
+
+def test_brooks_defect_scan_skips_h_that_cancels_further():
+    # g = ba^-2 cancels two letters of h = a^3b^-1, and gh = bab^-1.  Read
+    # at one letter of cancellation, the pair would count aab^-1 in the
+    # unreduced spelling ba^-1.a^2b^-1: a defect of 1 that no pair here has.
+    elements = [w("ba^-2"), w("a^3b^-1")]
+    q = brooks_qm(w("aaB"))
+    assert defect_naive(q, elements) == (0.0, None)
+    est = defect_empirical(q, elements)
+    assert (est.value, est.witness) == (0.0, None)
+
+
+BALL_F2_R3 = F2.enumerate_ball(3)
+
+
+@given(st.lists(letters, min_size=1, max_size=4).map(FreeWord).filter(len))
+def test_brooks_defect_scan_matches_the_naive_scan_for_random_words(word):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        q = brooks_qm(word)
+    est = defect_empirical(q, BALL_F2_R3.elements)
+    assert (est.value, est.witness) == defect_naive(q, BALL_F2_R3.elements)
 
 
 def test_linear_combination():
