@@ -28,6 +28,7 @@ import operator
 import random
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -780,7 +781,13 @@ def main(argv=None) -> int:
     p_schema = sub.add_parser("schema", help="print the config schema")
     p_schema.set_defaults(fn=cmd_schema)
     args = parser.parse_args(argv)
-    return args.fn(args)
+    # a library warning, such as a counting word that is a proper power, is
+    # one plain line on stderr rather than Python's file, line and source
+    with warnings.catch_warnings(record=True) as caught:
+        code = args.fn(args)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

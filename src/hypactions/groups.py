@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .baumslag import BSElement, bs_identity, format_bs, parse_bs
 from .errors import BudgetExceeded
 from .words import FreeWord, format_word, parse_word
@@ -54,6 +56,10 @@ class Ball:
 
     `length[x]` is the exact word length of x with respect to the symmetrized
     generating set; `word[i]` is a witness geodesic spelling of elements[i].
+    `products` holds, row by row, x * g for every generator g and every
+    element x that enumeration expanded: the row of the product where it was
+    already known, else the product itself.  `adjacency` completes it and
+    resolves it once into `table`.
     """
 
     oracle: GroupOracle
@@ -64,7 +70,8 @@ class Ball:
     length: dict = field(default_factory=dict)
     words: list = field(default_factory=list)
     layers: list = field(default_factory=list)
-    neighbours: list | None = field(default=None, init=False, repr=False, compare=False)
+    products: list = field(default_factory=list, init=False, repr=False, compare=False)
+    table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -72,18 +79,21 @@ class Ball:
     def __contains__(self, x):
         return x in self.index
 
-    def adjacency(self) -> list[list[int]]:
-        """In-ball Cayley adjacency (indices), computed once and kept; callers must not modify it."""
-        if self.neighbours is None:
-            adj: list[list[int]] = [[] for _ in self.elements]
-            for i, x in enumerate(self.elements):
-                for g in self.gens:
-                    y = x * g
-                    j = self.index.get(y)
-                    if j is not None and j != i:
-                        adj[i].append(j)
-            self.neighbours = [sorted(set(nbrs)) for nbrs in adj]
-        return self.neighbours
+    def adjacency(self) -> np.ndarray:
+        """The in-ball Cayley graph as an n x k int32 table: entry [i, c] is
+        the row of elements[i] * gens[c], or -1 when that product lies outside
+        the ball.  The first call forms only the products of the rows that
+        enumeration did not expand (the last sphere); the table is kept, and
+        callers must not modify it."""
+        if self.table is None:
+            done = len(self.products) // max(1, len(self.gens))
+            for x in self.elements[done:]:
+                self.products.extend(x * g for g in self.gens)
+            get = self.index.get
+            rows = [p if type(p) is int else get(p, -1) for p in self.products]
+            self.table = np.array(rows, dtype=np.int32).reshape(len(self.elements), len(self.gens))
+            self.products = []
+        return self.table
 
 
 def enumerate_ball(oracle: GroupOracle, radius: int, gens=None, max_size: int = DEFAULT_BALL_CAP) -> Ball:
@@ -101,15 +111,21 @@ def enumerate_ball(oracle: GroupOracle, radius: int, gens=None, max_size: int = 
     ball.words.append("1")
     ball.layers.append([e])
     frontier = [e]
+    index, record = ball.index, ball.products.append
     for r in range(1, radius + 1):
         next_layer = {}
         for x in frontier:
-            wx = ball.words[ball.index[x]]
+            wx = ball.words[index[x]]
             for g, lab in zip(ball.gens, labels):
                 y = x * g
-                if y in ball.index or y.sort_key() in next_layer:
+                j = index.get(y)
+                if j is not None:
+                    record(j)
                     continue
-                next_layer[y.sort_key()] = (y, lab if wx == "1" else wx + "*" + lab)
+                record(y)  # its row is known once the layer is sorted
+                key = y.sort_key()
+                if key not in next_layer:
+                    next_layer[key] = (y, lab if wx == "1" else wx + "*" + lab)
         layer = []
         for key in sorted(next_layer):
             y, wy = next_layer[key]

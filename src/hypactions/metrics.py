@@ -3,7 +3,10 @@ estimator, generating-set comparators, and the cone-off construction.
 
 Distances are 64-bit floats (exact integers for word metrics); the only
 tolerance in this module is the absolute 1e-12 used when comparing against
-zero.
+zero.  Every graph metric here (the in-ball metric, an induced subgraph's
+metric, and both metrics that cone-off compares) comes from one all-pairs
+BFS, `_bfs_metric`, over a table of neighbour indices such as the one a
+Cayley ball keeps (`Ball.adjacency`).
 """
 
 from __future__ import annotations
@@ -202,44 +205,53 @@ def free_ball_distance_matrix(ball) -> np.ndarray:
     return D
 
 
-def _bfs_metric(A: np.ndarray) -> np.ndarray:
-    """All-pairs BFS distances of the graph with 0/1 adjacency matrix A.
+def _bfs_metric(table: np.ndarray) -> np.ndarray:
+    """All-pairs BFS distances of the graph whose row i of `table` lists the
+    out-neighbours of vertex i, padded with -1; entry [i, j] is the length of
+    a shortest path from i to j, inf when there is none.
 
-    Every source advances together: one frontier product per BFS level.  The
-    product counts neighbours in float32, exact while n < 2**24, so the
-    result does not depend on BLAS blocking or threads.  Unreachable pairs
-    are inf.
+    Every source advances together, one bit per source: row v of the
+    n x ceil(n/8) uint8 frontier marks the sources at the current distance
+    from v.  A level ORs, for each column c, the frontier rows of the
+    neighbours table[v, c] into row v (padding reads an all-zero extra row)
+    and drops the pairs reached before.  A pair's distance is the number of
+    levels, the zeroth included, after which it is still unreached; it is
+    counted in the narrowest unsigned type that holds n and converted to
+    float64 once at the end.
     """
-    n = A.shape[0]
-    A = A.astype(np.float32, copy=False)
-    D = np.full((n, n), np.inf)
-    np.fill_diagonal(D, 0.0)
-    frontier = np.eye(n, dtype=bool)
-    reached = frontier.copy()
-    d = 0
-    while frontier.any():
-        d += 1
-        frontier = (frontier.astype(np.float32) @ A > 0) & ~reached
-        D[frontier] = d
-        reached |= frontier
-    return D
-
-
-def _adjacency_matrix(adj) -> np.ndarray:
-    A = np.zeros((len(adj), len(adj)), dtype=np.float32)
-    for i, nbrs in enumerate(adj):
-        A[i, nbrs] = 1.0
-    return A
+    n = table.shape[0]
+    nbrs = np.where(table < 0, n, table).T  # one row of neighbour indices per column
+    sources = np.arange(n)
+    frontier = np.zeros((n + 1, (n + 7) // 8), dtype=np.uint8)
+    frontier[sources, sources >> 3] = 1 << (sources & 7)
+    reached = frontier[:n].copy()
+    nxt, gathered = np.empty_like(reached), np.empty_like(reached)
+    unreached = ~np.eye(n, dtype=bool)
+    dist = unreached.astype(np.min_scalar_type(n))
+    while True:
+        nxt.fill(0)
+        for col in nbrs:
+            np.take(frontier, col, axis=0, out=gathered)
+            nxt |= gathered
+        nxt &= ~reached
+        if not nxt.any():
+            break
+        reached |= nxt
+        frontier[:n] = nxt
+        unreached = np.unpackbits(~reached, axis=1, count=n, bitorder="little")
+        dist += unreached
+    return np.where(unreached, np.inf, dist)
 
 
 def graph_metric_matrix(ball) -> np.ndarray:
     """All-pairs in-ball graph metric: shortest paths in the Cayley graph
-    restricted to the ball's vertices (one array BFS from every vertex).
+    restricted to the ball's vertices, by the bit-parallel BFS of
+    `_bfs_metric` over the ball's neighbour table.
 
     This is the word metric only where geodesics stay inside the ball; pairs
     at distance >= radius may be farther apart in the ball than in the group.
     """
-    return _bfs_metric(_adjacency_matrix(ball.adjacency()))
+    return _bfs_metric(ball.adjacency())
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +531,17 @@ def set_distance(D: np.ndarray, idx) -> np.ndarray:
 
 def induced_metric(A: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Graph metric of the subgraph induced on the vertices where `keep` is
-    true, from the 0/1 adjacency matrix A; inf when an endpoint is outside."""
+    true, from the 0/1 adjacency matrix A (A[i, j] is an edge from i to j);
+    inf when an endpoint is outside.  The kept block becomes a neighbour
+    table for `_bfs_metric`."""
     idx = np.flatnonzero(keep)
     inside = np.ix_(idx, idx)
+    rows, cols = np.nonzero(A[inside])
+    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)  # rows are sorted: rank within the row
+    table = np.full((len(idx), slot.max(initial=-1) + 1), -1, dtype=np.int32)
+    table[rows, slot] = cols
     D = np.full(A.shape, np.inf)
-    D[inside] = _bfs_metric(A[inside])
+    D[inside] = _bfs_metric(table)
     return D
 
 
@@ -543,8 +561,9 @@ def cone_off(ball, orbit, A: float) -> ConeOffResult:
     All distances are in the in-ball graph metric.  Some geodesic from x to y
     avoids the neighborhood exactly when their distance in the subgraph
     induced on the vertices outside it equals their distance in the whole
-    ball, so every pair is decided by comparing two BFS metrics.  Pairs at
-    distance >= 2 that pass the test become edges, in row-major order.
+    ball, so every pair is decided by comparing two BFS metrics, both run on
+    the ball's neighbour table.  Pairs at distance >= 2 that pass the test
+    become edges, in row-major order.
     """
     if A < 0:
         raise ValueError("A must be >= 0")
@@ -553,7 +572,7 @@ def cone_off(ball, orbit, A: float) -> ConeOffResult:
         if g not in ball.index:
             raise ValueError(f"orbit element {ball.oracle.format_element(g)} outside the ball")
         orbit_idx.append(ball.index[g])
-    adj = _adjacency_matrix(ball.adjacency())
+    table = ball.adjacency()
     D0 = graph_metric_matrix(ball)
     orbit_dist = set_distance(D0, orbit_idx)
     allowed = orbit_dist > A + ZERO_TOL
@@ -561,10 +580,13 @@ def cone_off(ball, orbit, A: float) -> ConeOffResult:
 
     # Edge ends lie outside the neighborhood, so both metrics are compared on that
     # block alone; `keep` is increasing, so its row-major order is the ball's.
+    # The block's table relabels the kept rows 0, 1, ...; `relabel[-1]` is -1,
+    # so a neighbour outside the block or the ball becomes padding.
     keep = np.flatnonzero(allowed)
-    block = np.ix_(keep, keep)
-    D0 = D0[block]
-    D_allowed = _bfs_metric(adj[block])
+    relabel = np.full(len(ball) + 1, -1, dtype=np.int32)
+    relabel[keep] = np.arange(len(keep))
+    D0 = D0[np.ix_(keep, keep)]
+    D_allowed = _bfs_metric(relabel[table[keep]])
     avoids = np.isfinite(D0) & (D0 >= 2) & (D_allowed == D0)
     xs, ys = np.nonzero(np.triu(avoids, 1))
     return ConeOffResult(

@@ -4,7 +4,8 @@ Everything here is deliberately naive and separate from the package
 implementations: repeated-scan free reduction, exhaustive product
 enumeration, materialized-graph Dijkstra, a breadth-first search over the
 letter positions for compressed lengths, a plain-loop four-point scan,
-the n^3-per-basepoint four-point scan and the float64 sampled scan, per-source BFS and per-pair geodesic walks for the in-ball graph metric,
+the n^3-per-basepoint four-point scan and the float64 sampled scan, one product per element and generator for the in-ball Cayley graph,
+per-source BFS and per-pair geodesic walks for the in-ball graph metric,
 cone-off and the coned metric, trial division up to sqrt(d) for square-freeness, the
 memoised pairwise scan for the defect of a quasi-morphism, Q(sqrt(d)) and its
 2x2 matrices in `Fraction` coordinates a + b*sqrt(d), and the tight-span
@@ -194,6 +195,17 @@ def four_point_delta_sampled_naive(D, count, seed=None):
             best = m
             best_w = tuple(int(v) for v in idx[:, int(np.argmax(defect))])
     return best, best_w, 0 if seed is None else seed, count
+
+
+def neighbour_table_naive(ball):
+    """Row i, column c: the index of elements[i] * gens[c] in the ball, or -1
+    when the product lies outside it; one product per element and generator."""
+    return [[ball.index.get(x * g, -1) for g in ball.gens] for x in ball.elements]
+
+
+def adjacency_naive(ball):
+    """Sorted in-ball neighbour lists of the ball's Cayley graph."""
+    return [sorted({j for j in row if j >= 0}) for row in neighbour_table_naive(ball)]
 
 
 def graph_metric_naive(adj):

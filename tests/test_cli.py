@@ -10,7 +10,7 @@ import pytest
 from hypactions.cli import EXPERIMENTS, _json_text, _quarters, main, parse_config, validate_config
 from hypactions.groups import group_from_spec
 from hypactions.metrics import FiniteMetricSpace, random_rational_metric
-from oracles import cone_off_edges_naive, graph_metric_naive
+from oracles import adjacency_naive, cone_off_edges_naive, graph_metric_naive
 
 BASE_CONFIGS = {
     "delta": {
@@ -231,7 +231,7 @@ def test_verify_cone_off_rejects_an_edge_whose_geodesics_meet_the_orbit(tmp_path
     params = cfg["parameters"]
     oracle = group_from_spec(cfg["group"])
     ball = oracle.enumerate_ball(params["radius"])
-    adj = ball.adjacency()
+    adj = adjacency_naive(ball)
     D0 = graph_metric_naive(adj)
     h = oracle.parse_element(params["orbit"])
     orbit = [ball.index[h**k] for k in range(-params["radius"], params["radius"] + 1)]
@@ -810,3 +810,16 @@ def test_verify_isotropy_probe_replays_its_pairs(tmp_path, capsys):
     code, lines = _verify(summary_path, capsys)
     assert code == 1
     assert _fails(lines) == _rederives("successes", "success_rate", "failures")
+
+
+def test_a_proper_power_counting_word_warns_in_one_plain_line(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BROOKS))
+    cfg["parameters"]["qm"]["brooks"] = "abab"
+    code, out = run_config(tmp_path, cfg, "abab")
+    run_err = capsys.readouterr().err
+    assert code == 0
+    code = main(["verify", str(out / "summary.json")])
+    verify_err = capsys.readouterr().err
+    assert code == 0
+    for err in (run_err, verify_err):
+        assert err == "warning: counting word abab is a proper power\n"  # no file name, line number or source line

@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
 from hypactions.baumslag import parse_bs
 from hypactions.errors import BudgetExceeded
 from hypactions.groups import BSOracle, FreeGroupOracle, group_from_spec
 from hypactions.words import parse_word
-from oracles import free_ball_naive, min_product_length
+from oracles import free_ball_naive, min_product_length, neighbour_table_naive
 
 
 def test_free_ball_sizes():
@@ -112,15 +113,33 @@ def test_group_from_spec():
 
 
 def test_a_ball_computes_its_adjacency_once(monkeypatch):
+    # enumeration keeps the products it forms; the first adjacency() forms
+    # those of the last sphere only, so each element meets each generator once
     from hypactions.baumslag import BSElement
     from hypactions.metrics import cone_off
 
-    ball = BSOracle(2, 3).enumerate_ball(3)
     calls = []
     mul = BSElement.__mul__
     monkeypatch.setattr(BSElement, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    ball = BSOracle(2, 3).enumerate_ball(3)
+    assert len(calls) == (len(ball) - len(ball.layers[-1])) * len(ball.gens)
     first = ball.adjacency()
     assert len(calls) == len(ball) * len(ball.gens)
     assert ball.adjacency() is first  # the second call multiplies nothing
     cone_off(ball, [ball.elements[0]], 0.0)  # asks for the adjacency twice, by itself and for its graph metric
     assert len(calls) == len(ball) * len(ball.gens)
+
+
+@pytest.mark.parametrize(
+    "oracle, radius",
+    [(FreeGroupOracle(2), 4), (FreeGroupOracle(3), 3), (BSOracle(1, 2), 4), (BSOracle(2, 3), 4),
+     (BSOracle(2, -3), 4), (group_from_spec({"kind": "sl2", "field": {"d": 2}}), 2)],
+    ids=["F2-R4", "F3-R3", "BS12-R4", "BS23-R4", "BS2m3-R4", "sl2-d2-R2"],
+)
+def test_adjacency_is_the_product_table(oracle, radius):
+    ball = oracle.enumerate_ball(radius)
+    table = ball.adjacency()
+    assert table.dtype == np.int32 and table.shape == (len(ball), len(ball.gens))
+    naive = neighbour_table_naive(ball)
+    assert table.tolist() == naive
+    assert any(-1 in row for row in naive)  # the last sphere has products outside the ball

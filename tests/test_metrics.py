@@ -17,6 +17,7 @@ from hypactions.metrics import (
     NOT_DOMINATED,
     FiniteMetricSpace,
     PseudoLength,
+    _bfs_metric,
     _scan_dtype,
     compare_pseudo_lengths,
     cone_off,
@@ -33,6 +34,7 @@ from hypactions.metrics import (
 )
 from hypactions.words import parse_word, tree_distance
 from oracles import (
+    adjacency_naive,
     cone_off_edges_naive,
     coned_metric_naive,
     four_point_delta_basepoint,
@@ -413,14 +415,72 @@ def cyclic_orbit(oracle, ball, word):
     return orbit
 
 
+def table_lists(table):
+    """The neighbour lists of a -1 padded neighbour table."""
+    return [[j for j in row if j >= 0] for row in np.asarray(table).tolist()]
+
+
 @pytest.mark.parametrize(
-    "adj",
-    [[], [[]], [[1], [0], []], [[1], [0, 2], [1], [4], [3]]],
+    "table",
+    [np.zeros((0, 1), np.int32), [[-1]], [[1], [0], [-1]], [[1, -1], [0, 2], [1, -1], [4, -1], [3, -1]]],
     ids=["empty", "point", "edge-and-point", "path-and-edge"],
 )
-def test_graph_metric_unreachable_pairs_match_naive(adj):
-    D = graph_metric_matrix(SimpleNamespace(adjacency=lambda: adj))
-    assert D.tolist() == graph_metric_naive(adj)
+def test_graph_metric_unreachable_pairs_match_naive(table):
+    table = np.array(table, dtype=np.int32)
+    D = graph_metric_matrix(SimpleNamespace(adjacency=lambda: table))
+    assert D.dtype == np.float64 and D.shape == (len(table), len(table))
+    assert D.tolist() == graph_metric_naive(table_lists(table))
+
+
+@st.composite
+def neighbour_tables(draw):
+    """A directed graph on n <= 70 vertices as a -1 padded table of width <= 4,
+    split into `parts` classes v mod parts that no edge joins, so several
+    components and isolated vertices are common."""
+    n = draw(st.integers(0, 70))
+    k = draw(st.integers(0, 4))
+    parts = draw(st.integers(1, 4))
+    entries = draw(st.lists(st.one_of(st.just(-1), st.integers(0, max(n - 1, 0))), min_size=n * k, max_size=n * k))
+    table = np.full((n, k), -1, dtype=np.int32)
+    for pos, e in enumerate(entries):
+        v = pos // k
+        e -= (e - v) % parts  # the nearest vertex <= e in v's class
+        table[v, pos % k] = e if e >= 0 else -1
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(neighbour_tables())
+def test_bfs_metric_matches_naive_on_random_tables(table):
+    assert _bfs_metric(table).tolist() == graph_metric_naive(table_lists(table))
+
+
+@settings(max_examples=100, deadline=None)
+@given(neighbour_tables(), st.data())
+def test_induced_metric_matches_naive_on_random_masks(table, data):
+    n = len(table)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    A = np.zeros((n, n), dtype=bool)
+    for v, row in enumerate(table_lists(table)):
+        A[v, row] = True
+    induced = [[u for u in row if keep[u]] if keep[v] else [] for v, row in enumerate(table_lists(table))]
+    expected = [[d if keep[x] and keep[y] else math.inf for y, d in enumerate(row)]
+                for x, row in enumerate(graph_metric_naive(induced))]
+    assert induced_metric(A, keep).tolist() == expected
+
+
+def test_rank_one_free_ball_has_distances_past_uint8():
+    # a^-130, ..., a^130 is a path of 261 vertices: distances reach 260
+    Z = FreeGroupOracle(1)
+    ball = Z.enumerate_ball(130)
+    power = [sum(g.signed) for g in ball.elements]
+    D = graph_metric_matrix(ball)
+    assert D.tolist() == [[abs(i - j) for j in power] for i in power]
+    assert D.max() == 260
+    orbit = [Z.identity()]
+    allowed = [abs(i) > 0 for i in power]
+    res = cone_off(ball, orbit, 0)
+    assert res.new_edges == cone_off_edges_naive(adjacency_naive(ball), D.tolist(), allowed)
 
 
 @pytest.mark.parametrize("A", [0, 1, 2])
@@ -432,7 +492,7 @@ def test_graph_metric_unreachable_pairs_match_naive(adj):
 def test_graph_metric_and_cone_off_match_naive(oracle, radius, word, A):
     ball = oracle.enumerate_ball(radius)
     orbit = cyclic_orbit(oracle, ball, word)
-    adj = ball.adjacency()
+    adj = adjacency_naive(ball)
     D0 = graph_metric_naive(adj)
     assert graph_metric_matrix(ball).tolist() == D0
 
@@ -459,7 +519,7 @@ def test_cone_off_orbit_everything():
         assert res.forbidden == list(range(len(ball)))
         assert res.orbit_distance == [0.0] * len(ball)
         D0 = graph_metric_matrix(ball)
-        assert np.array_equal(coned_metric_naive(ball.adjacency(), res.new_edges), D0)
+        assert np.array_equal(coned_metric_naive(adjacency_naive(ball), res.new_edges), D0)
 
 
 def test_cone_off_empty_orbit_allows_every_vertex():
@@ -469,9 +529,9 @@ def test_cone_off_empty_orbit_allows_every_vertex():
     res = cone_off(ball, [], 1)
     assert res.orbit_distance == [math.inf] * n
     assert res.forbidden == []
-    D0 = graph_metric_naive(ball.adjacency())
+    D0 = graph_metric_naive(adjacency_naive(ball))
     assert res.new_edges == [(x, y) for x in range(n) for y in range(x + 1, n) if D0[x][y] >= 2]
-    assert coned_metric_naive(ball.adjacency(), res.new_edges) == [[int(x != y) for y in range(n)] for x in range(n)]
+    assert coned_metric_naive(adjacency_naive(ball), res.new_edges) == [[int(x != y) for y in range(n)] for x in range(n)]
 
 
 def test_cone_off_large_A_adds_nothing():
@@ -489,7 +549,7 @@ def test_cone_off_axis_orbit():
     res = cone_off(ball, orbit, 1)
     assert res.new_edges  # far-from-axis vertices get shortcuts
     D0 = graph_metric_matrix(ball)
-    Dnew = np.array(coned_metric_naive(ball.adjacency(), res.new_edges))
+    Dnew = np.array(coned_metric_naive(adjacency_naive(ball), res.new_edges))
     assert (Dnew <= D0 + 1e-12).all()  # coning never increases distances
     for x, y in res.new_edges:
         assert res.orbit_distance[x] > 1 and res.orbit_distance[y] > 1
@@ -504,7 +564,7 @@ def test_cone_off_zero_A_connects_bs():
     orbit = [a**k for k in range(-4, 5)]
     res = cone_off(ball, orbit, 0)
     b2, b3 = ball.index[parse_word("b^2")], ball.index[parse_word("b^3")]
-    assert coned_metric_naive(ball.adjacency(), res.new_edges)[b2][b3] == 1
+    assert coned_metric_naive(adjacency_naive(ball), res.new_edges)[b2][b3] == 1
 
 
 def test_random_metric_generators():
