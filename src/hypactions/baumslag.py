@@ -55,7 +55,9 @@ class BSElement:
     def __mul__(self, other: "BSElement") -> "BSElement":
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("elements of different BS groups")
-        return bs_normalize(self.tokens() + other.tokens(), self.m, self.n)
+        pairs = list(self.pairs)  # reduce only at the seam, see `_britton`
+        tail = _britton(pairs, self.tail, other.pairs, self.m, self.n) + other.tail
+        return BSElement(self.m, self.n, tuple(pairs), tail)
 
     def inverse(self) -> "BSElement":
         toks = []
@@ -97,34 +99,45 @@ def bs_normalize(tokens, m: int, n: int) -> BSElement:
     """
     if m == 0 or n == 0:
         raise ValueError("BS(m, n) needs nonzero m, n")
-    pairs: list[tuple[int, int]] = []
-    acc = 0
-    flat = []
+    syllables, acc = [], 0  # (k, eps) for a^k t^eps, the stream's a's merged
     for kind, val in tokens:
         if kind == "a":
-            flat.append(("a", val))
+            acc += val
         elif kind == "t":
-            sign = 1 if val > 0 else -1
-            flat.extend([("t", sign)] * abs(val))
+            for _ in range(abs(val)):
+                syllables.append((acc, 1 if val > 0 else -1))
+                acc = 0
         else:
             raise ValueError(f"bad token kind {kind!r}")
-    for kind, val in flat:
-        if kind == "a":
-            acc += val
-            continue
-        eps = val
+    pairs = []
+    tail = _britton(pairs, 0, syllables, m, n) + acc
+    return BSElement(m, n, tuple(pairs), tail)
+
+
+def _britton(pairs, acc, syllables, m, n) -> int:
+    """Feed syllables (k, eps), each a^k t^eps, left to right into the word
+    a^p_1 t^e_1 ... a^p_j t^e_j a^acc, where `pairs` holds the (p_i, e_i) and
+    is extended in place; returns the new trailing exponent.
+
+    A normal form is a fixed point of this loop: its exponents are canonical
+    residues, so nothing carries, and no residue 0 sits between opposite
+    t-signs, so nothing pinches.  Feeding its syllables to the empty state
+    ends in exactly (its pairs, its tail), so x * y may start from x's normal
+    form and feed only y's syllables: O(|y| + pinches) steps.
+    """
+    for exp, eps in syllables:
+        acc += exp
         d_in = m if eps > 0 else n  # multiples of d_in cross t^eps leftward
         d_out = n if eps > 0 else m
         r = acc % abs(d_in)
         q = (acc - r) // d_in
         if r == 0 and pairs and pairs[-1][1] == -eps:
             # pinch: t^-eps a^{q*d_in} t^eps collapses to a^{q*d_out}
-            prev_exp, _ = pairs.pop()
-            acc = prev_exp + q * d_out
+            acc = pairs.pop()[0] + q * d_out
         else:
             pairs.append((r, eps))
             acc = q * d_out
-    return BSElement(m, n, tuple(pairs), acc)
+    return acc
 
 
 def format_bs(g: BSElement) -> str:

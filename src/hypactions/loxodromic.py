@@ -5,13 +5,14 @@ witnesses, the translation-length compression ratio, and the isotropy probe.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import mul
 
 from .baumslag import BSElement
 from .errors import BudgetExceeded, NotLoxodromic
-from .words import FreeWord, tree_distance
+from .words import FreeWord, _concat, tree_distance
 
 ELLIPTIC_EVIDENCE = "elliptic-evidence"
 LOXODROMIC = "loxodromic"
@@ -313,18 +314,6 @@ class IsotropyReport:
         return self.successes / self.pairs_checked if self.pairs_checked else 1.0
 
 
-def match_pair(candidates, x, y, x2, y2, dist):
-    """Best g among candidates for max{d(gx, x'), d(gy, y')}: (cost, g)."""
-    best_c, best_g = float("inf"), None
-    for g in candidates:
-        c = max(dist(g * x, x2), dist(g * y, y2))
-        if c < best_c:
-            best_c, best_g = c, g
-            if c == 0:
-                break
-    return best_c, best_g
-
-
 def isotropy_probe(ball, D: float, sample_size: int, seed: int = 0) -> IsotropyReport:
     """Sample equidistant point pairs in the ball and look for g matching them.
 
@@ -335,23 +324,40 @@ def isotropy_probe(ball, D: float, sample_size: int, seed: int = 0) -> IsotropyR
     """
     rng = random.Random(seed)
     elements = ball.elements
-    by_distance: dict[int, list[tuple]] = {}
-    for i, x in enumerate(elements):
-        for y in elements[i:]:
-            d = tree_distance(x, y)
-            if d > 0:
-                by_distance.setdefault(int(d), []).append((x, y))
-    eligible = [d for d, pairs in sorted(by_distance.items()) if len(pairs) >= 2]
+    words = [x.signed for x in elements]
+    rows = _distance_rows(words)
+    running = {}  # d -> number of pairs i < j at distance d in rows 0..i, for each i
+    for d in range(1, 2 * max(map(len, words)) + 1):
+        counts = list(accumulate(row.count(chr(d)) for row in rows))
+        if counts[-1] >= 2:
+            running[d] = counts
+    if sample_size > 0 and not running:
+        raise ValueError("isotropy probe needs a distance held by two pairs; the ball has none")
+    eligible = sorted(running)
     results = []
     successes = 0
     for _ in range(sample_size):
         d = rng.choice(eligible)
-        (x, y), (x2, y2) = rng.sample(by_distance[d], 2)
-        best_c, best_g = match_pair(elements, x, y, x2, y2, tree_distance)
+        counts, pair = running[d], []
+        for a in rng.sample(range(counts[-1]), 2):  # the a-th pair in row-major order
+            i, pos = bisect_right(counts, a), -1
+            for _ in range(a - (counts[i - 1] if i else 0) + 1):
+                pos = rows[i].find(chr(d), pos + 1)
+            pair += [i, i + 1 + pos]
+        x, y, x2, y2 = (words[i] for i in pair)
+        best_c, best = float("inf"), None
+        for k, g in enumerate(words):
+            c = _moved_distance(g, x, x2)
+            if c < best_c:
+                c = max(c, _moved_distance(g, y, y2))
+                if c < best_c:
+                    best_c, best = c, k
+                    if c == 0:
+                        break
         ok = best_c <= D
         successes += ok
         results.append(
-            ProbePairResult(x, y, x2, y2, float(d), float(best_c), best_g, ok)
+            ProbePairResult(*(elements[i] for i in pair), float(d), float(best_c), elements[best], ok)
         )
     hardest = max(results, key=lambda r: r.best_constant, default=None)
     return IsotropyReport(
@@ -360,3 +366,41 @@ def isotropy_probe(ball, D: float, sample_size: int, seed: int = 0) -> IsotropyR
         failures=[r for r in results if not r.success],
         hardest=hardest,
     )
+
+
+def _distance_rows(words):
+    """Row i: chr(d(x_i, x_j)) for each j > i, as one str (a byte a pair
+    below distance 256, and no limit above).
+
+    The words split into runs of one length l in increasing order (the
+    sorted BFS layers of a free ball).  In a run, the words starting with
+    x_i[:k] form a span found by bisection, and those sharing exactly k
+    letters with x_i lie at distance |x_i| + l - 2k, so each deeper span
+    overwrites its part of the run's row, down to a span of one word.
+    """
+    cuts = [j for j in range(1, len(words)) if len(words[j]) != len(words[j - 1]) or words[j] <= words[j - 1]]
+    rows = []
+    for i, x in enumerate(words):
+        row = []
+        for s, e in zip([0, *cuts], [*cuts, len(words)]):
+            if e > i + 1:
+                lo, hi, top = s, e, len(x) + len(words[s])
+                run = [chr(top)] * (e - s)
+                for k in range(1, min(len(x), len(words[s])) + 1):
+                    if hi - lo < 2:  # at most one word left: its own distance
+                        run[lo - s : hi - s] = [chr(_moved_distance((), x, w)) for w in words[lo:hi]]
+                        break
+                    lo = bisect_left(words, x[:k], lo, hi)
+                    hi = bisect_left(words, x[:k] + (float("inf"),), lo, hi)
+                    run[lo - s : hi - s] = chr(top - 2 * k) * (hi - lo)
+                row += run[max(0, i + 1 - s) :]
+        rows.append("".join(row))
+    return rows
+
+
+def _moved_distance(g, x, y) -> int:
+    """d(gx, y) on reduced letter tuples."""
+    gx, k = _concat(g, x), 0
+    while k < len(gx) and k < len(y) and gx[k] == y[k]:
+        k += 1
+    return len(gx) + len(y) - 2 * k

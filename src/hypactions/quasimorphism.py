@@ -265,15 +265,18 @@ def subordination_fit(q: QuasiMorphism, lengths: PseudoLength) -> SubordinationF
     length fits M = 1, one unit per syllable); otherwise the affine fit
     max |q(g)| / (l(g) + 1) is returned.
     """
-    if len(lengths) == 0:
+    return _fit([(g, abs(q(g)), lengths(g)) for g in lengths.domain])
+
+
+def _fit(evaluated) -> SubordinationFit:
+    """`subordination_fit` from the (g, |q(g)|, l(g)) of every domain element."""
+    if not evaluated:
         raise ValueError("empty-domain")
     affine = 0.0
     slope = 0.0
     witness = None
     vanishes_on_kernel = True
-    for g in lengths.domain:
-        value = abs(q(g))
-        length = lengths(g)
+    for g, value, length in evaluated:
         c = value / (length + 1.0)
         if c > affine:
             affine = c
@@ -354,12 +357,11 @@ def anisotropy_certificate(
     hom = homogenize(q, g, power, defect=defect.value)
     if abs(hom.value) <= ZERO_TOL:
         raise CertificateError("zero-value", f"homogenized value at {oracle.format_element(g)} is 0")
-    fit = subordination_fit(q, lengths)
+    evaluated = [(h, abs(q(h)), lengths(h)) for h in lengths.domain]
+    fit = _fit(evaluated)
     if m_cap is not None and fit.M > m_cap:
         raise CertificateError("not-subordinate", f"fitted M = {fit.M} exceeds cap {m_cap}")
-    rows = sorted(
-        (oracle.format_element(h), abs(q(h)), lengths(h)) for h in lengths.domain
-    )
+    rows = sorted((oracle.format_element(h), value, length) for h, value, length in evaluated)
     conclusion = (
         "the quasi-morphism is subordinate to the orbit pseudo-length with "
         f"constant M = {fit.M:g} and has nonzero homogenized value "

@@ -9,10 +9,12 @@ per-source BFS and per-pair geodesic walks for the in-ball graph metric,
 cone-off and the coned metric, trial division up to sqrt(d) for square-freeness, the
 memoised pairwise scan for the defect of a quasi-morphism, Q(sqrt(d)) and its
 2x2 matrices in `Fraction` coordinates a + b*sqrt(d), and the tight-span
-projector as a plain loop over Fraction rows.
+projector as a plain loop over Fraction rows, and the isotropy probe over
+`FreeWord` pairs grouped in a dict with one product per candidate g.
 """
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -426,3 +428,53 @@ def project_to_hull_loop(vals, rows, tol, max_iter=10_000):
             return vals, it
         vals = tuple((a + b) / 2.0 for a, b in zip(vals, q))
     return None
+
+
+def match_pair(candidates, x, y, x2, y2, dist):
+    """Best g among candidates for max{d(gx, x'), d(gy, y')}: (cost, g)."""
+    best_c, best_g = float("inf"), None
+    for g in candidates:
+        c = max(dist(g * x, x2), dist(g * y, y2))
+        if c < best_c:
+            best_c, best_g = c, g
+            if c == 0:
+                break
+    return best_c, best_g
+
+
+def isotropy_pairs_naive(elements):
+    """Every pair (x, y), y after x, listed under its tree distance d > 0."""
+    from hypactions.words import tree_distance
+
+    by_distance = {}
+    for i, x in enumerate(elements):
+        for y in elements[i:]:
+            d = tree_distance(x, y)
+            if d > 0:
+                by_distance.setdefault(int(d), []).append((x, y))
+    return by_distance
+
+
+def isotropy_probe_naive(ball, D, sample_size, seed=0, by_distance=None):
+    """The isotropy probe over `isotropy_pairs_naive` (pass its result as
+    `by_distance` to reuse it), with gx and gy formed as words."""
+    from hypactions.loxodromic import IsotropyReport, ProbePairResult
+    from hypactions.words import tree_distance
+
+    rng = random.Random(seed)
+    elements = ball.elements
+    if by_distance is None:
+        by_distance = isotropy_pairs_naive(elements)
+    eligible = [d for d, pairs in sorted(by_distance.items()) if len(pairs) >= 2]
+    results = []
+    for _ in range(sample_size):
+        d = rng.choice(eligible)
+        (x, y), (x2, y2) = rng.sample(by_distance[d], 2)
+        best_c, best_g = match_pair(elements, x, y, x2, y2, tree_distance)
+        results.append(ProbePairResult(x, y, x2, y2, float(d), float(best_c), best_g, best_c <= D))
+    return IsotropyReport(
+        pairs_checked=len(results),
+        successes=sum(r.success for r in results),
+        failures=[r for r in results if not r.success],
+        hardest=max(results, key=lambda r: r.best_constant, default=None),
+    )

@@ -79,6 +79,39 @@ def test_inverse_properties(toks):
     assert g.inverse().t_syllable_count() == g.t_syllable_count()
 
 
+SEAM_GROUPS = [(1, 2), (2, 3), (2, -3), (-2, 3), (3, 3)]
+
+
+def pinching_tokens(m, n):
+    # a-exponents that are multiples of m or n make t^-1 a^{km} t and t a^{kn} t^-1 collapse
+    exps = st.one_of(
+        st.integers(-3, 3).map(lambda k: k * m),
+        st.integers(-3, 3).map(lambda k: k * n),
+        st.integers(-4, 4),
+    )
+    return st.lists(
+        st.one_of(exps.map(lambda k: ("a", k)), st.sampled_from([("t", 1), ("t", -1)])),
+        max_size=16,
+    )
+
+
+@given(st.data(), st.booleans())
+def test_seam_product_is_the_full_normalization(data, undo):
+    m, n = data.draw(st.sampled_from(SEAM_GROUPS))
+    x = bs_normalize(data.draw(pinching_tokens(m, n)), m, n)
+    # y starting with x^-1 pinches deep into x at the seam
+    head = x.inverse().tokens() if undo else []
+    y = bs_normalize(head + data.draw(pinching_tokens(m, n)), m, n)
+    assert x * y == bs_normalize(x.tokens() + y.tokens(), m, n)
+
+
+@given(st.data(), st.integers(min_value=0, max_value=30))
+def test_power_is_the_full_normalization_of_k_copies(data, k):
+    m, n = data.draw(st.sampled_from(SEAM_GROUPS))
+    g = bs_normalize(data.draw(pinching_tokens(m, n)), m, n)
+    assert g**k == bs_normalize(g.tokens() * k, m, n)
+
+
 def test_normal_form_residues():
     g = parse_bs("a^7t", 2, 3)  # a^7 t = a t a^9
     assert g.pairs == ((1, 1),)

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from hypactions.errors import NotLoxodromic
@@ -15,6 +17,7 @@ from hypactions.loxodromic import (
     translation_length_exact_free,
 )
 from hypactions.words import FreeWord, parse_word, tree_distance
+from oracles import isotropy_pairs_naive, isotropy_probe_naive, match_pair
 
 F2 = FreeGroupOracle(2)
 word_len = lambda g: float(len(g))
@@ -179,8 +182,6 @@ def test_chain_lower_bound():
 
 
 def test_match_pair_trivial_cases():
-    from hypactions.loxodromic import match_pair
-
     ball = F2.enumerate_ball(2)
     x, y = parse_word("a"), parse_word("ab")
     # identical target pair: the identity matches with cost 0
@@ -193,8 +194,6 @@ def test_match_pair_trivial_cases():
 
 
 def test_match_pair_incompatible_directions():
-    from hypactions.loxodromic import match_pair
-
     # (1, a^2) and (1, ab) are equidistant pairs, but no g matches them at D=0:
     # gx = 1 and g a^2 = ab has no solution in the tree
     ball = F2.enumerate_ball(2)
@@ -213,3 +212,50 @@ def test_isotropy_probe_tree():
     assert [r.best_constant for r in report.failures] == [r.best_constant for r in again.failures]
     # matched pairs are exactly equidistant
     assert all(tree_distance(r.x, r.y) == tree_distance(r.x2, r.y2) for r in report.failures)
+
+
+@functools.lru_cache(maxsize=None)
+def free_ball(rank, radius, gens=None):
+    oracle = FreeGroupOracle(rank)
+    return oracle.enumerate_ball(radius, gens=None if gens is None else [parse_word(w) for w in gens])
+
+
+@functools.lru_cache(maxsize=None)
+def naive_pairs(rank, radius):
+    return isotropy_pairs_naive(free_ball(rank, radius).elements)
+
+
+@pytest.mark.parametrize("D", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 3, 7, 42])
+@pytest.mark.parametrize("rank, radius", [(2, r) for r in range(1, 6)] + [(3, r) for r in range(1, 5)])
+def test_isotropy_probe_matches_the_word_oracle(rank, radius, seed, D):
+    ball = free_ball(rank, radius)
+    fast = isotropy_probe(ball, D=D, sample_size=12, seed=seed)
+    naive = isotropy_probe_naive(ball, D=D, sample_size=12, seed=seed, by_distance=naive_pairs(rank, radius))
+    assert repr(fast) == repr(naive)
+
+
+@pytest.mark.parametrize("gens", [("ab", "b"), ("a^2", "ab^-1", "b^3")])
+def test_isotropy_probe_on_a_ball_of_other_generators(gens):
+    # BFS layers by these generators mix word lengths and are not prefix-closed
+    ball = free_ball(2, 2, gens)
+    fast = isotropy_probe(ball, D=1, sample_size=12, seed=5)
+    assert repr(fast) == repr(isotropy_probe_naive(ball, D=1, sample_size=12, seed=5))
+
+
+def test_isotropy_probe_past_distance_255():
+    from hypactions.loxodromic import _distance_rows
+
+    ball = free_ball(1, 130)  # distances up to 260
+    rows = _distance_rows([x.signed for x in ball.elements])
+    elements = ball.elements
+    assert rows == ["".join(chr(tree_distance(x, y)) for y in elements[i + 1 :]) for i, x in enumerate(elements)]
+    fast = isotropy_probe(ball, D=1, sample_size=12, seed=9)
+    assert repr(fast) == repr(isotropy_probe_naive(ball, D=1, sample_size=12, seed=9))
+
+
+def test_isotropy_probe_without_equidistant_pairs():
+    ball = free_ball(2, 0)  # one point, no pair at all
+    with pytest.raises(ValueError, match="held by two pairs"):
+        isotropy_probe(ball, D=1, sample_size=1)
+    assert isotropy_probe(ball, D=1, sample_size=0).pairs_checked == 0
