@@ -46,7 +46,7 @@ from .compression import (
     verify_length_bounds,
 )
 from .errors import BudgetExceeded, ToolkitError
-from .groups import GroupOracle, group_from_spec
+from .groups import BSOracle, FreeGroupOracle, GroupOracle
 from .loxodromic import isotropy_probe, translation_length_estimate, translation_length_exact_free
 from .metrics import (
     ZERO_TOL,
@@ -111,10 +111,11 @@ def at_least(low):
 NONZERO = ("!= 0", lambda v: v != 0)
 TYPE_NAMES = {int: "int", float: "number", str: "string", dict: "object"}
 
-GROUPS = {
-    "free": {"rank": Field(int, 2, at_least(1))},
-    "bs": {"m": Field(int, bound=NONZERO), "n": Field(int, bound=NONZERO)},
-    "sl2": {"field": Field({"d": Field(int, 2, ("square-free and >= 2", _is_square_free))}, {})},
+GROUPS = {  # kind: (its fields, its oracle from the typed group)
+    "free": ({"rank": Field(int, 2, at_least(1))}, lambda g: FreeGroupOracle(g["rank"])),
+    "bs": ({"m": Field(int, bound=NONZERO), "n": Field(int, bound=NONZERO)}, lambda g: BSOracle(g["m"], g["n"])),
+    "sl2": ({"field": Field({"d": Field(int, 2, ("square-free and >= 2", _is_square_free))}, {})},
+            lambda g: SL2Oracle(d=g["field"]["d"])),
 }
 TOP = {
     "format": Field(int, FORMAT_VERSION, (f"{FORMAT_VERSION}", lambda v: v == FORMAT_VERSION)),
@@ -214,7 +215,7 @@ def parse_config(cfg):
         **TOP,
         "group": Field({
             "kind": Field(experiment.groups if experiment else tuple(GROUPS)),
-            **(GROUPS.get(kind, {}) if type(kind) is str else {}),
+            **(GROUPS[kind][0] if type(kind) is str and kind in GROUPS else {}),
         }),
         "experiment": Field(tuple(EXPERIMENTS)),
         "parameters": Field(experiment.parameters if experiment else dict, {}),
@@ -225,7 +226,7 @@ def parse_config(cfg):
         problems = experiment.check(typed["group"], typed["parameters"])
     if problems:
         return None, problems
-    oracle = group_from_spec(cfg["group"])
+    oracle = GROUPS[kind][1](typed["group"])
     return Config(name, oracle, typed["parameters"], typed["budgets"], typed["seed"], cfg), []
 
 
@@ -259,7 +260,7 @@ def schema():
     """Every declaration, as printed by `hypactions schema`."""
     return {
         **_describe_all(TOP),
-        "group": {kind: _describe_all(fields) for kind, fields in GROUPS.items()},
+        "group": {kind: _describe_all(fields) for kind, (fields, _) in GROUPS.items()},
         "experiment": {
             name: {"groups": list(e.groups), "parameters": _describe_all(e.parameters)}
             for name, e in EXPERIMENTS.items()
@@ -316,9 +317,10 @@ def _replay_delta(c, res):
             type(i) is int and 0 <= i < len(ball) for i in witness)
         quad = witness if in_ball else [0, 0, 0, 0]
         raw_max = float(quadruple_defect(D, quad))
-        sampled = c.params["mode"] == "sampled"
+        mode, count = c.params["mode"], c.params["count"]
+        sampled = mode == "sampled"
         return DeltaEstimate(max(0.0, raw_max), raw_max, tuple(quad), sampled,
-                             c.params["count"] if sampled else len(ball) ** 4,
+                             quadruple_budget(len(ball), mode, count, c.budgets["quadruple_cap"]),
                              c.seed if sampled else None, ball.words)
 
     return _delta(c, replay)

@@ -195,24 +195,3 @@ class BSOracle(GroupOracle):
 
     def __repr__(self):
         return f"BSOracle({self.m},{self.n})"
-
-
-def group_from_spec(spec: dict) -> GroupOracle:
-    """Build an oracle from a JSON group description.
-
-    {"kind": "free", "rank": 2} | {"kind": "bs", "m": 2, "n": 3}
-    | {"kind": "sl2", "field": {"d": 2}}
-    """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("group spec must be an object with a 'kind' field")
-    kind = spec["kind"]
-    if kind == "free":
-        return FreeGroupOracle(rank=int(spec.get("rank", 2)))
-    if kind == "bs":
-        return BSOracle(int(spec["m"]), int(spec["n"]))
-    if kind == "sl2":
-        from .sl2 import SL2Oracle
-
-        field_spec = spec.get("field", {})
-        return SL2Oracle(d=int(field_spec.get("d", 2)))
-    raise ValueError(f"unknown group kind {kind!r}")

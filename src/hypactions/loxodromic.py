@@ -135,8 +135,6 @@ def build_quasi_axis(oracle, g, gamma, window: int) -> QuasiAxis:
     if isinstance(gamma, FreeWord):
         if not isinstance(g, FreeWord) or gamma != g:
             raise ValueError("label does not spell the element")
-        if len(gamma) > len(g):
-            raise ValueError("non-geodesic-label: label longer than the word length")
         prefixes = [FreeWord(gamma.signed[:i]) for i in range(len(gamma))]
     else:
         steps = list(gamma)

@@ -3,10 +3,10 @@ estimator, generating-set comparators, and the cone-off construction.
 
 Distances are 64-bit floats (exact integers for word metrics); the only
 tolerance in this module is the absolute 1e-12 used when comparing against
-zero.  Every graph metric here (the in-ball metric, an induced subgraph's
-metric, and both metrics that cone-off compares) comes from one all-pairs
-BFS, `_bfs_metric`, over a table of neighbour indices such as the one a
-Cayley ball keeps (`Ball.adjacency`).
+zero.  Every graph metric here (the in-ball metric, the word metric of a
+free-group ball, an induced subgraph's metric, and both metrics that cone-off
+compares) comes from one all-pairs BFS, `_bfs_metric`, over a table of
+neighbour indices such as the one a Cayley ball keeps (`Ball.adjacency`).
 """
 
 from __future__ import annotations
@@ -185,24 +185,14 @@ class FiniteMetricSpace:
 
 
 def free_ball_distance_matrix(ball) -> np.ndarray:
-    """Exact word-metric matrix of a free-group ball, d = |u|+|v|-2*lcp.
+    """Exact word-metric matrix of a free-group ball: its in-ball graph metric.
 
-    The common prefixes grow one letter column at a time, in O(n^2) memory:
-    `same` marks the pairs that agree on every column so far.  Letters are
-    nonzero and the padding is 0, so a word that has ended matches nothing.
+    A ball of a tree is convex: the geodesic from u to v runs from u up to
+    their common prefix and down to v, through words no longer than u or v,
+    so it stays in the ball and the in-ball metric is the word metric
+    |u| + |v| - 2 lcp(u, v).
     """
-    words = [g.signed for g in ball.elements]
-    n = len(words)
-    pad = np.zeros((n, max(map(len, words))), dtype=np.int32)
-    for i, w in enumerate(words):
-        pad[i, : len(w)] = w
-    lens = np.array([len(w) for w in words], dtype=np.float64)
-    D = lens[:, None] + lens[None, :]
-    same = np.ones((n, n), dtype=bool)
-    for col in pad.T:
-        same &= (col[:, None] == col[None, :]) & (col != 0)[:, None]
-        D -= 2 * same
-    return D
+    return graph_metric_matrix(ball)
 
 
 def _bfs_metric(table: np.ndarray) -> np.ndarray:
@@ -216,10 +206,11 @@ def _bfs_metric(table: np.ndarray) -> np.ndarray:
     neighbours table[v, c] into row v (padding reads an all-zero extra row)
     and drops the pairs reached before.  A pair's distance is the number of
     levels, the zeroth included, after which it is still unreached; it is
-    counted in the narrowest unsigned type that holds n and converted to
-    float64 once at the end.
+    counted in the narrowest unsigned type that holds n and copied into the
+    float64 result, allocated before the levels, once at the end.
     """
     n = table.shape[0]
+    out = np.empty((n, n))
     nbrs = np.where(table < 0, n, table).T  # one row of neighbour indices per column
     sources = np.arange(n)
     frontier = np.zeros((n + 1, (n + 7) // 8), dtype=np.uint8)
@@ -240,7 +231,9 @@ def _bfs_metric(table: np.ndarray) -> np.ndarray:
         frontier[:n] = nxt
         unreached = np.unpackbits(~reached, axis=1, count=n, bitorder="little")
         dist += unreached
-    return np.where(unreached, np.inf, dist)
+    np.copyto(out, dist)
+    np.copyto(out, np.inf, where=unreached.view(bool))
+    return out
 
 
 def graph_metric_matrix(ball) -> np.ndarray:
@@ -612,28 +605,14 @@ def random_rational_metric(n: int, rng: random.Random):
 
 
 def random_tree_metric(n: int, rng: random.Random):
-    """Path metric of a random tree on n nodes with edge weights 1..9."""
-    parent = [0] * n
-    weight = [0] * n
-    for v in range(1, n):
-        parent[v] = rng.randrange(v)
-        weight[v] = rng.randint(1, 9)
-    children = [[] for _ in range(n)]
-    for v in range(1, n):
-        children[parent[v]].append(v)
+    """Path metric of a random tree on n nodes with edge weights 1..9.
+
+    Node v hangs from a parent p < v by an edge of weight w, so d(v, u) =
+    d(p, u) + w for every u < v: the rows fill in node order, one draw of
+    p and then of w per node."""
     rows = [[0] * n for _ in range(n)]
-    for s in range(n):
-        # tree BFS from s using parent/child links
-        dist = {s: 0}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            nbrs = [(parent[u], weight[u])] if u != 0 else []
-            nbrs += [(c, weight[c]) for c in children[u]]
-            for v, w in nbrs:
-                if v not in dist:
-                    dist[v] = dist[u] + w
-                    stack.append(v)
-        for t in range(n):
-            rows[s][t] = dist[t]
+    for v in range(1, n):
+        p, w = rng.randrange(v), rng.randint(1, 9)
+        for u in range(v):
+            rows[v][u] = rows[u][v] = rows[p][u] + w
     return FiniteMetricSpace(rows, validate=False)

@@ -6,6 +6,7 @@ enumeration, materialized-graph Dijkstra, a breadth-first search over the
 letter positions for compressed lengths, a plain-loop four-point scan,
 the n^3-per-basepoint four-point scan and the float64 sampled scan, one product per element and generator for the in-ball Cayley graph,
 per-source BFS and per-pair geodesic walks for the in-ball graph metric,
+a per-source walk over parent and child links for a random tree's metric,
 cone-off and the coned metric, trial division up to sqrt(d) for square-freeness, the
 memoised pairwise scan for the defect of a quasi-morphism, Q(sqrt(d)) and its
 2x2 matrices in `Fraction` coordinates a + b*sqrt(d), and the tight-span
@@ -231,6 +232,35 @@ def graph_metric_naive(adj):
                         row[v] = d
                         nxt.append(v)
             frontier = nxt
+    return rows
+
+
+def tree_metric_naive(n, rng):
+    """The rows of `metrics.random_tree_metric(n, rng)`: the same draws of a
+    parent and a weight per node, then a walk from every source over the
+    parent and child links."""
+    parent = [0] * n
+    weight = [0] * n
+    for v in range(1, n):
+        parent[v] = rng.randrange(v)
+        weight[v] = rng.randint(1, 9)
+    children = [[] for _ in range(n)]
+    for v in range(1, n):
+        children[parent[v]].append(v)
+    rows = [[0] * n for _ in range(n)]
+    for s in range(n):
+        dist = {s: 0}
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            nbrs = [(parent[u], weight[u])] if u != 0 else []
+            nbrs += [(c, weight[c]) for c in children[u]]
+            for v, w in nbrs:
+                if v not in dist:
+                    dist[v] = dist[u] + w
+                    stack.append(v)
+        for t in range(n):
+            rows[s][t] = dist[t]
     return rows
 
 

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from hypactions.cli import EXPERIMENTS, _json_text, _quarters, main, parse_config, validate_config
-from hypactions.groups import group_from_spec
 from hypactions.metrics import FiniteMetricSpace, random_rational_metric
 from oracles import adjacency_naive, cone_off_edges_naive, graph_metric_naive
 
@@ -229,7 +228,7 @@ def test_verify_cone_off_rejects_an_edge_whose_geodesics_meet_the_orbit(tmp_path
     # a pair outside the A-neighborhood, at distance >= 2, that is no edge:
     # every geodesic between its ends meets the neighborhood
     params = cfg["parameters"]
-    oracle = group_from_spec(cfg["group"])
+    oracle = parse_config(cfg)[0].oracle
     ball = oracle.enumerate_ball(params["radius"])
     adj = adjacency_naive(ball)
     D0 = graph_metric_naive(adj)
@@ -419,7 +418,7 @@ def test_verify_delta_takes_only_four_int_indices_inside_the_ball(tmp_path, caps
 def test_verify_delta_refuses_a_negative_index_that_numpy_would_wrap(tmp_path, capsys):
     from hypactions.metrics import free_ball_distance_matrix
 
-    ball = group_from_spec(BASE_CONFIGS["delta"]["group"]).enumerate_ball(2)
+    ball = parse_config(BASE_CONFIGS["delta"])[0].oracle.enumerate_ball(2)
     D = free_ball_distance_matrix(ball)
     quad = (0, 0, 0, len(ball) - 1)  # what numpy reads for (0, 0, 0, -1); its defect is 0
 
@@ -558,7 +557,7 @@ def test_verify_tau_rejects_a_result_for_another_element(tmp_path, capsys):
     summary_path = out / "summary.json"
     summary = json.loads(summary_path.read_text())
     # a self-consistent result, but for g = ab and horizon 2, not the config's
-    oracle = group_from_spec(cfg["group"])
+    oracle = parse_config(cfg)[0].oracle
     est = translation_length_estimate(oracle.parse_element("ab"), lambda w: float(len(w)), 2)
     summary["result"].update(g="ab", horizon=2, trace=est.trace, upper=est.upper, exact_free_value=2.0)
     summary_path.write_text(json.dumps(summary))

@@ -3,7 +3,9 @@ import pytest
 
 from hypactions.baumslag import parse_bs
 from hypactions.errors import BudgetExceeded
-from hypactions.groups import BSOracle, FreeGroupOracle, group_from_spec
+from hypactions.cli import parse_config, schema
+from hypactions.groups import BSOracle, FreeGroupOracle
+from hypactions.sl2 import SL2Oracle
 from hypactions.words import parse_word
 from oracles import free_ball_naive, min_product_length, neighbour_table_naive
 
@@ -100,16 +102,25 @@ def test_ball_words_are_geodesic_spellings():
         assert parse_word(ball.words[i].replace("*", "")) == g
 
 
-def test_group_from_spec():
-    assert isinstance(group_from_spec({"kind": "free", "rank": 3}), FreeGroupOracle)
-    bs = group_from_spec({"kind": "bs", "m": 2, "n": 3})
+def _oracle(group):
+    """The oracle a config builds from `group`, or None with its problems."""
+    config, problems = parse_config({"group": group, "experiment": "tightspan"})  # tightspan takes every kind
+    return (config.oracle if config else None), problems
+
+
+def test_group_spec_builds_its_oracle():
+    free = _oracle({"kind": "free", "rank": 3})[0]
+    assert isinstance(free, FreeGroupOracle) and free.rank == 3
+    bs = _oracle({"kind": "bs", "m": 2, "n": 3})[0]
     assert isinstance(bs, BSOracle) and (bs.m, bs.n) == (2, 3)
-    sl2 = group_from_spec({"kind": "sl2", "field": {"d": 2}})
+    sl2 = _oracle({"kind": "sl2", "field": {"d": 2}})[0]
     assert sl2.d == 2
-    with pytest.raises(ValueError):
-        group_from_spec({"kind": "nope"})
-    with pytest.raises(ValueError):
-        group_from_spec({})
+    assert _oracle({"kind": "nope"}) == (None, ["group.kind: must be one of free | bs | sl2"])
+    assert _oracle({}) == (None, ["group.kind: required"])
+    # an omitted field builds the default that `schema` prints
+    defaults = schema()["group"]
+    assert _oracle({"kind": "free"})[0].rank == defaults["free"]["rank"]["default"] == 2
+    assert _oracle({"kind": "sl2"})[0].d == defaults["sl2"]["field"]["fields"]["d"]["default"] == 2
 
 
 def test_a_ball_computes_its_adjacency_once(monkeypatch):
@@ -133,7 +144,7 @@ def test_a_ball_computes_its_adjacency_once(monkeypatch):
 @pytest.mark.parametrize(
     "oracle, radius",
     [(FreeGroupOracle(2), 4), (FreeGroupOracle(3), 3), (BSOracle(1, 2), 4), (BSOracle(2, 3), 4),
-     (BSOracle(2, -3), 4), (group_from_spec({"kind": "sl2", "field": {"d": 2}}), 2)],
+     (BSOracle(2, -3), 4), (SL2Oracle(d=2), 2)],
     ids=["F2-R4", "F3-R3", "BS12-R4", "BS23-R4", "BS2m3-R4", "sl2-d2-R2"],
 )
 def test_adjacency_is_the_product_table(oracle, radius):

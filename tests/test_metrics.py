@@ -42,6 +42,7 @@ from oracles import (
     four_point_delta_sampled_naive,
     graph_metric_naive,
     quadruple_defect_naive,
+    tree_metric_naive,
 )
 
 F2 = FreeGroupOracle(2)
@@ -87,7 +88,7 @@ def test_gromov_product_identity():
                 assert gp1 + gp2 == pytest.approx(tree_dist(y, z))
 
 
-@pytest.mark.parametrize("rank, radius", [(2, r) for r in range(5)] + [(3, r) for r in range(4)] + [(130, 1)])
+@pytest.mark.parametrize("rank, radius", [(2, r) for r in range(5)] + [(3, r) for r in range(4)] + [(130, 1), (1, 130)])
 def test_free_ball_distance_matrix_is_the_tree_distance(rank, radius):
     ball = FreeGroupOracle(rank).enumerate_ball(radius)
     D = free_ball_distance_matrix(ball)
@@ -565,6 +566,14 @@ def test_cone_off_zero_A_connects_bs():
     res = cone_off(ball, orbit, 0)
     b2, b3 = ball.index[parse_word("b^2")], ball.index[parse_word("b^3")]
     assert coned_metric_naive(adjacency_naive(ball), res.new_edges)[b2][b3] == 1
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_random_tree_metric_is_the_walked_tree_distance(n):
+    for seed in range(60):
+        rng, naive = random.Random(seed), random.Random(seed)
+        assert random_tree_metric(n, rng).rows == tree_metric_naive(n, naive)
+        assert rng.random() == naive.random()  # the same draws, in the same order
 
 
 def test_random_metric_generators():
