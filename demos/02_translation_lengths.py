@@ -9,7 +9,7 @@ from hypactions.loxodromic import (
     build_quasi_axis,
     compression_function,
     translation_length_estimate,
-    translation_length_exact_free,
+    translation_length_exact,
 )
 from hypactions.words import parse_word
 
@@ -19,12 +19,12 @@ word_len = lambda g: float(len(g))
 g = parse_word("aba^-1")
 est = translation_length_estimate(g, word_len, horizon=6)
 print(f"g = {g}: ratios |g^n|/n = {est.trace}")
-print(f"certified upper bound {est.upper}, exact value {translation_length_exact_free(g)}")
+print(f"certified upper bound {est.upper}, exact value {translation_length_exact(g)}")
 
 # conjugation cannot change the translation length
 for c in ("b", "ab", "a^2b^-1"):
     conj = g.conjugate_by(parse_word(c))
-    print(f"tau({conj}) = {translation_length_exact_free(conj)}")
+    print(f"tau({conj}) = {translation_length_exact(conj)}")
 
 # the standard quasi-axis of ab through the identity, three periods wide
 axis = build_quasi_axis(F2, parse_word("ab"), parse_word("ab"), window=3)

@@ -47,7 +47,7 @@ from .compression import (
 )
 from .errors import BudgetExceeded, ToolkitError
 from .groups import BSOracle, FreeGroupOracle, GroupOracle
-from .loxodromic import isotropy_probe, translation_length_estimate, translation_length_exact_free
+from .loxodromic import isotropy_probe, translation_length_estimate, translation_length_exact, tree_length
 from .metrics import (
     ZERO_TOL,
     ConeOffResult,
@@ -328,19 +328,15 @@ def _replay_delta(c, res):
 
 def _run_tau(c):
     g = c.oracle.parse_element(c.params["g"])
-    # the length measured along <g>: word length on free groups, t-syllables on BS
-    if isinstance(g, FreeWord):
-        lengths, length_kind = (lambda w: float(len(w))), "word"
-    else:
-        lengths, length_kind = (lambda w: float(w.t_syllable_count())), "t-syllable"
-    est = translation_length_estimate(g, lengths, c.params["horizon"])
+    # upper and exact both measure g's tree: word length on free groups, t-syllables on BS
+    est = translation_length_estimate(g, tree_length, c.params["horizon"])
     return {
         "g": c.oracle.format_element(g),
-        "length": length_kind,
+        "length": "word" if isinstance(g, FreeWord) else "t-syllable",
         "horizon": c.params["horizon"],
         "upper": est.upper,
         "trace": est.trace,
-        "exact_free_value": translation_length_exact_free(g) if isinstance(g, FreeWord) else None,
+        "exact": translation_length_exact(g),
         "non_increasing": est.is_non_increasing(),
     }
 
@@ -355,7 +351,7 @@ def _run_compress(c):
     ]
     # the paper-style alpha depends on the quasi-geodesity constant of the
     # family words; cyclically reduced words have stretch 1
-    K_measured = max(len(w) / max(translation_length_exact_free(w), 1) for w, _ in W.families)
+    K_measured = max(len(w) / max(translation_length_exact(w), 1) for w, _ in W.families)
     return {
         "genset": W.to_json(),
         "alpha": alpha,
@@ -585,8 +581,7 @@ def _rederived(*claims, fresh=None):
     fresh one, key by key, as JSON text written the way `run` writes it: a
     stored `1` does not pass for a fresh `true` or `1.0`.  Each (label,
     predicate) claim is checked on the config and the stored result: the
-    statements that equality with a re-run cannot show.  A predicate returns
-    None where its claim does not apply.
+    statements that equality with a re-run cannot show.
     """
 
     def verify(c, res):
@@ -596,8 +591,7 @@ def _rederived(*claims, fresh=None):
              key in res and key in fresh_result and _json_text(res[key]) == _json_text(fresh_result[key]))
             for key in [*fresh_result, *(key for key in res if key not in fresh_result)]
         ]
-        held = ((label, _holds(claim, c, res)) for label, claim in claims)
-        return checks + [(label, ok) for label, ok in held if ok is not None]
+        return checks + [(label, _holds(claim, c, res)) for label, claim in claims]
 
     return verify
 
@@ -613,7 +607,7 @@ EXPERIMENTS = {
         "horizon": Field(int, 8, at_least(1)),
     }, _run_tau, _rederived(
         ("upper bound dominates the exact value",
-         lambda c, r: None if r["exact_free_value"] is None else r["upper"] >= r["exact_free_value"] - 1e-12),
+         lambda c, r: r["upper"] >= r["exact"] - 1e-12),
     )),
     "compress": Experiment(("free",), {
         "families": Field([Field({"w": Field(str), "cap": Field(int, bound=at_least(1))})], bound=("non-empty", bool)),

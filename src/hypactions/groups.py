@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baumslag import BSElement, bs_identity, format_bs, parse_bs
+from .baumslag import BSElement, bs_identity, parse_bs
 from .errors import BudgetExceeded
-from .words import FreeWord, format_word, parse_word
+from .words import FreeWord, parse_word
 
 DEFAULT_BALL_CAP = 2_000_000
 
@@ -160,9 +160,6 @@ class FreeGroupOracle(GroupOracle):
     def generators(self):
         return [FreeWord.generator(i) for i in range(self.rank)]
 
-    def format_element(self, x):
-        return format_word(x)
-
     def parse_element(self, text):
         return parse_word(text, rank=self.rank)
 
@@ -186,9 +183,6 @@ class BSOracle(GroupOracle):
         a = BSElement(self.m, self.n, (), 1)
         t = BSElement(self.m, self.n, ((0, 1),), 0)
         return [a, t]
-
-    def format_element(self, x):
-        return format_bs(x)
 
     def parse_element(self, text):
         return parse_bs(text, self.m, self.n)

@@ -50,26 +50,34 @@ def translation_length_estimate(g, lengths, horizon: int) -> TranslationTrace:
     return TranslationTrace(upper=min(trace), trace=trace)
 
 
-def translation_length_exact_free(g: FreeWord) -> int:
-    """Exact translation length in the free group: cyclically reduced length."""
-    core, _ = g.cyclic_reduce()
-    return len(core)
+def tree_length(g) -> int:
+    """d(x, gx), x the base vertex of g's tree: the word length on F_k, the
+    t-letter count of the Britton normal form on BS(m, n) (Britton's lemma)."""
+    return len(g) if isinstance(g, FreeWord) else g.t_syllable_count()
+
+
+def translation_length_exact(g) -> int:
+    """l(g) = max(0, |g^2| - |g|) on g's tree, |.| the `tree_length` (Culler
+    and Morgan, "Group actions on R-trees", Proc. LMS 1987, section 1).
+
+    Proof: both actions are without inversions, so g fixes a subtree F or
+    has an axis A.  If it fixes F, then d(x, gx) = 2d(x, F) >= d(x, g^2 x),
+    as g^2 fixes F, and l(g) = 0.  Otherwise d(x, g^k x) = k l(g) + 2d(x, A)
+    for k >= 1.  On F_k, l(g) is the length of the cyclically reduced core.
+    """
+    return max(0, tree_length(g * g) - tree_length(g))
 
 
 def certify_loxodromic(g, embedding=None) -> tuple[bool, str, float]:
     """Exact positivity certificates: (is_loxodromic, kind, tau_lower).
 
-    FreeWord: cyclic reduction length; BSElement: |t-exponent sum| (a lower
-    bound for the t-syllable orbit length); determinant-one matrices: the
-    exact trace test under the supplied embedding.  Anything else is
-    uncertified.
+    FreeWord and BSElement: `translation_length_exact` on the Cayley or
+    Bass-Serre tree; determinant-one matrices: the exact trace test under
+    the supplied embedding.  Anything else is uncertified.
     """
-    if isinstance(g, FreeWord):
-        tau = translation_length_exact_free(g)
-        return tau > 0, "free-cyclic-reduction", float(tau)
-    if isinstance(g, BSElement):
-        sigma = abs(g.t_exponent_sum())
-        return sigma > 0, "bs-t-exponent-sum", float(sigma)
+    if isinstance(g, (FreeWord, BSElement)):
+        tau = translation_length_exact(g)
+        return tau > 0, "tree-translation-length", float(tau)
     if embedding is not None and hasattr(g, "trace"):
         from .sl2 import classify, translation_length_h2
 
@@ -82,7 +90,7 @@ def certify_loxodromic(g, embedding=None) -> tuple[bool, str, float]:
 def classify_isometry(g, lengths, horizon: int, embedding=None) -> IsometryClass:
     """Estimate, then certify where an exact argument exists.
 
-    The certificate (cyclic reduction, t-exponent sum, trace test) refers to
+    The certificate (exact tree translation length, trace test) refers to
     the canonical action of g's kind; tau_lower bounds tau_upper only when
     `lengths` is an orbit length of that same action.
     """

@@ -91,7 +91,6 @@ def log_transform(lengths: PseudoLength, enumeration) -> list[float]:
 
 DOMINATED = "dominated"
 NOT_DOMINATED = "not-dominated"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclass

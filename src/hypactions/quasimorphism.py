@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import mul
 
 from .baumslag import BSElement
 from .errors import CertificateError
+from .loxodromic import translation_length_estimate
 from .metrics import ZERO_TOL, PseudoLength
 from .words import FreeWord, count_occurrences, format_word
 
@@ -243,7 +242,7 @@ def homogenize(q: QuasiMorphism, g, n: int, defect: float | None = None) -> Homo
         defect = q.defect_bound
     if defect is None:
         raise ValueError("homogenization needs a defect bound (analytic or empirical)")
-    trace = [q(p) / i for i, p in enumerate(accumulate(repeat(g, n), mul), start=1)]
+    trace = translation_length_estimate(g, q, n).trace  # q(g^i)/i for i = 1..n
     return HomogenizedValue(value=trace[-1], error_bound=defect / n, power=n, trace=trace)
 
 

@@ -105,15 +105,6 @@ class FreeWord:
         s = self.signed
         return len(s) < 2 or s[0] != -s[-1]
 
-    def cyclic_reduce(self) -> tuple["FreeWord", "FreeWord"]:
-        """Split into (core, conjugator) with self == conjugator * core * conjugator^-1."""
-        s = self.signed
-        i, j = 0, len(s)
-        while j - i >= 2 and s[i] == -s[j - 1]:
-            i += 1
-            j -= 1
-        return FreeWord._raw(s[i:j]), FreeWord._raw(s[:i])
-
     def __repr__(self):
         return f"FreeWord({format_word(self)!r})"
 

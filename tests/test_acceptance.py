@@ -20,7 +20,7 @@ from hypactions.compression import (
     verify_length_bounds,
 )
 from hypactions.groups import FreeGroupOracle
-from hypactions.loxodromic import translation_length_exact_free
+from hypactions.loxodromic import translation_length_exact
 from hypactions.metrics import (
     cone_off,
     four_point_delta,
@@ -83,7 +83,7 @@ def test_criterion_2_translation_length_law():
             letters.append(cand)
         g = FreeWord(letters)
         assert len(g) == length
-        tau = translation_length_exact_free(g)
+        tau = translation_length_exact(g)
         assert tau == len(cyclic_reduce_naive(letters))  # independent oracle
         for n in range(1, 6):
             naive_len = len(power_naive(letters, n))  # independent reduction
@@ -96,7 +96,7 @@ def test_criterion_2_translation_length_law():
 def test_criterion_3_compression_bounds():
     start = time.perf_counter()
     W = CompressedGenSet(2, [("ab^3", 2), ("ab^9", 3)])
-    K_measured = max(len(w) / translation_length_exact_free(w) for w, _ in W.families)
+    K_measured = max(len(w) / translation_length_exact(w) for w, _ in W.families)
     paper_alpha = 1.0 / (2.0 * 10**3 * K_measured)
     fitted = []
     for j in range(2):

@@ -559,11 +559,28 @@ def test_verify_tau_rejects_a_result_for_another_element(tmp_path, capsys):
     # a self-consistent result, but for g = ab and horizon 2, not the config's
     oracle = parse_config(cfg)[0].oracle
     est = translation_length_estimate(oracle.parse_element("ab"), lambda w: float(len(w)), 2)
-    summary["result"].update(g="ab", horizon=2, trace=est.trace, upper=est.upper, exact_free_value=2.0)
+    summary["result"].update(g="ab", horizon=2, trace=est.trace, upper=est.upper, exact=2)
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
-    assert _fails(lines) == _rederives("g", "horizon", "upper", "trace", "exact_free_value")
+    assert _fails(lines) == _rederives("g", "horizon", "upper", "trace", "exact")
+
+
+@pytest.mark.parametrize("forged, dominated", [(0, True), (2, False)])
+def test_verify_tau_rederives_the_exact_value_on_bs(tmp_path, capsys, forged, dominated):
+    cfg = {**BASE_CONFIGS["tau"], "group": {"kind": "bs", "m": 2, "n": 3}, "parameters": {"g": "at", "horizon": 20}}
+    code, out = run_config(tmp_path, cfg, "tau-bs")
+    assert code == 0
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    assert (summary["result"]["exact"], summary["result"]["upper"]) == (1, 1.0)
+    assert "PASS  upper bound dominates the exact value" in _verify(summary_path, capsys)[1]
+    summary["result"]["exact"] = forged
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    dominance = [] if dominated else ["FAIL  upper bound dominates the exact value"]
+    assert _fails(lines) == _rederives("exact") + dominance
 
 
 def test_verify_compress_rejects_a_summary_without_reports(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""Every function, class and method defined in the package has a reader.
+"""Every function, class, method and module-level name defined in the
+package has a reader.
 
-A definition counts as read when its name appears anywhere in the package,
-the tests, the demos or the benchmark: as a name, as an attribute, or as the
-last dotted part of a string constant, so that a spec such as
-"Ball.adjacency", which the benchmark resolves with getattr, is a reference.
-Dunder methods are called by the language and are not checked.
+A definition counts as read when its name is loaded anywhere in the package,
+the tests, the demos or the benchmark: as a name, as an attribute, as an
+imported name, or as the last dotted part of a string constant, so that a
+spec such as "Ball.adjacency", which the benchmark resolves with getattr, is
+a reference.  Assigning a name does not read it.  Dunder names are read by
+the language and are not checked.
 """
 
 import ast
@@ -15,24 +17,35 @@ PACKAGE = ROOT / "src" / "hypactions"
 READERS = ("src", "tests", "demos", "bench")
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(source: str) -> list[tuple[str, int]]:
-    """(name, line) of every function, class and non-dunder method, in line order."""
+    """(name, line) of every function, class and method, and of every name a
+    module-level assignment binds, leaving out dunders, in line order."""
+    tree = ast.parse(source)
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return sorted(
-        ((node.name, node.lineno) for node in ast.walk(ast.parse(source))
-         if isinstance(node, defs) and not (node.name.startswith("__") and node.name.endswith("__"))),
-        key=lambda pair: pair[1],
-    )
+    found = [(node.name, node.lineno) for node in ast.walk(tree) if isinstance(node, defs)]
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            found += [(node.id, node.lineno) for target in targets for node in ast.walk(target)
+                      if isinstance(node, ast.Name)]
+    return sorted(((name, line) for name, line in found if not _is_dunder(name)), key=lambda pair: pair[1])
 
 
 def references(source: str) -> set[str]:
-    """Every name, attribute and last dotted part of a string constant."""
+    """Every loaded name and attribute, every imported name, and the last
+    dotted part of every string constant."""
     found = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.add(node.value.rsplit(".", 1)[-1])
     return found
@@ -62,6 +75,22 @@ def test_the_check_finds_a_name_nothing_reads():
     }
     readers = ['SPEC = ("groups", "Ball.adjacency")\n', "helper(Ball)\n"]
     assert dead_names(package, readers) == ["m.py:4 dead", "m.py:6 unused", "m.py:7 Spare"]
+
+
+def test_the_check_finds_a_constant_nothing_reads():
+    package = {
+        "c.py": "__version__ = '1'\n"
+                "CAP = 3\n"
+                "LOW, HIGH = 0, CAP\n"
+                "DEAD = 'dead'\n"
+                "DEAD = 'rebound'\n"
+                "IMPORTED: int = 2\n"
+                "def f():\n"
+                "    local = 1\n"
+                "    return local\n",
+    }
+    readers = ["from c import IMPORTED, f\n", "print(LOW)\n", "x.HIGH = 1\n"]
+    assert dead_names(package, readers) == ["c.py:3 HIGH", "c.py:4 DEAD", "c.py:5 DEAD"]
 
 
 def test_every_defined_name_has_a_reader():

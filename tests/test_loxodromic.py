@@ -1,7 +1,10 @@
 import functools
+import operator
 
 import pytest
+from hypothesis import given, strategies as st
 
+from hypactions.baumslag import BSElement
 from hypactions.errors import NotLoxodromic
 from hypactions.groups import BSOracle, FreeGroupOracle
 from hypactions.loxodromic import (
@@ -14,7 +17,8 @@ from hypactions.loxodromic import (
     equivalence_witness_search,
     isotropy_probe,
     translation_length_estimate,
-    translation_length_exact_free,
+    translation_length_exact,
+    tree_length,
 )
 from hypactions.words import FreeWord, parse_word, tree_distance
 from oracles import isotropy_pairs_naive, isotropy_probe_naive, match_pair
@@ -33,19 +37,23 @@ def test_translation_length_estimate_examples():
     assert est.is_non_increasing()
 
 
-def test_translation_length_exact_free():
-    assert translation_length_exact_free(FreeWord.identity()) == 0
-    assert translation_length_exact_free(parse_word("aba^-1")) == 1
+def test_translation_length_exact():
+    assert translation_length_exact(FreeWord.identity()) == 0
+    assert translation_length_exact(parse_word("aba^-1")) == 1
     g = parse_word("ab^2ab")
-    assert translation_length_exact_free(g) == 5
+    assert translation_length_exact(g) == 5
     assert len(g * g) == 10
+    # on BS(2, 3) the Bass-Serre tree: t-exponent sum 0 does not make g elliptic
+    bs = BSOracle(2, 3)
+    expected = {"1": 0, "a": 0, "t": 1, "at": 1, "tat^-1": 0, "t^-1at": 0, "t^-1ata^-1": 2, "tata^-1": 2}
+    assert {text: translation_length_exact(bs.parse_element(text)) for text in expected} == expected
 
 
 def test_estimate_trace_law():
     # |g^n| = n*tau + (|g| - tau) exactly in free groups
     for text in ("aba^-1", "a^2ba^-2", "ab", "b^3"):
         g = parse_word(text)
-        tau = translation_length_exact_free(g)
+        tau = translation_length_exact(g)
         est = translation_length_estimate(g, word_len, 6)
         for n, ratio in enumerate(est.trace, start=1):
             assert ratio * n == n * tau + (len(g) - tau)
@@ -53,12 +61,12 @@ def test_estimate_trace_law():
 
 def test_tau_power_and_conjugation_laws():
     g = parse_word("ab^2")
-    tau = translation_length_exact_free(g)
+    tau = translation_length_exact(g)
     for k in range(1, 5):
-        assert translation_length_exact_free(g**k) == k * tau
-        assert translation_length_exact_free(g**-k) == k * tau
+        assert translation_length_exact(g**k) == k * tau
+        assert translation_length_exact(g**-k) == k * tau
     for c in (parse_word("a"), parse_word("ba"), parse_word("ab^-1a")):
-        assert translation_length_exact_free(g.conjugate_by(c)) == tau
+        assert translation_length_exact(g.conjugate_by(c)) == tau
 
 
 def test_classify_isometry():
@@ -68,8 +76,68 @@ def test_classify_isometry():
     cls = classify_isometry(F2.identity(), word_len, 6)
     assert cls.verdict != "loxodromic"
     bs = BSOracle(2, 3)
-    cls = classify_isometry(bs.parse_element("t"), lambda g: float(g.t_syllable_count()), 6)
-    assert cls.verdict == "loxodromic" and cls.certificate == "bs-t-exponent-sum"
+    cls = classify_isometry(bs.parse_element("t"), tree_length, 6)
+    assert cls.verdict == "loxodromic" and cls.certificate == "tree-translation-length"
+    # t-exponent sum 0, yet loxodromic on the Bass-Serre tree
+    g = bs.parse_element("t^-1ata^-1")
+    assert g.t_exponent_sum() == 0
+    cls = classify_isometry(g, tree_length, 6)
+    assert cls.verdict == "loxodromic" and cls.certificate == "tree-translation-length"
+    assert cls.tau_lower == 2.0 and cls.tau_upper >= 2.0
+
+
+TREE_GROUPS = {
+    "F2": FreeGroupOracle(2),
+    "F3": FreeGroupOracle(3),
+    "BS(1,2)": BSOracle(1, 2),
+    "BS(2,3)": BSOracle(2, 3),
+    "BS(2,-3)": BSOracle(2, -3),
+}
+spellings = st.lists(st.integers(min_value=0, max_value=5), max_size=8)
+
+
+def _spelled(oracle, picks):
+    """The product of the symmetrized generators that `picks` index (mod their number)."""
+    gens = oracle.symmetrize(oracle.generators())
+    return functools.reduce(operator.mul, (gens[i % len(gens)] for i in picks), oracle.identity())
+
+
+def _exponent_norm(g) -> int:
+    """|sigma(g)| for a homomorphism sigma that moves 1 along each tree edge:
+    the t-exponent sum on BS, the l1 norm of the exponent sums on F_k."""
+    if isinstance(g, BSElement):
+        return abs(g.t_exponent_sum())
+    return sum(abs(sum(x // abs(x) for x in g.signed if abs(x) == i)) for i in set(map(abs, g.signed)))
+
+
+@pytest.mark.parametrize("name", sorted(TREE_GROUPS))
+@given(g=spellings, c=spellings)
+def test_translation_length_is_conjugation_invariant(name, g, c):
+    oracle = TREE_GROUPS[name]
+    g, c = _spelled(oracle, g), _spelled(oracle, c)
+    assert translation_length_exact(c * g * c.inverse()) == translation_length_exact(g)
+
+
+@pytest.mark.parametrize("name", sorted(TREE_GROUPS))
+@given(g=spellings, k=st.integers(min_value=-5, max_value=5))
+def test_translation_length_is_homogeneous(name, g, k):
+    g = _spelled(TREE_GROUPS[name], g)
+    assert translation_length_exact(g**k) == abs(k) * translation_length_exact(g)
+
+
+@pytest.mark.parametrize("name", sorted(TREE_GROUPS))
+@given(g=spellings)
+def test_translation_length_brackets_the_power_ratio(name, g):
+    # |g^N|/N - l(g) lies in [0, 2|g|/N]: the subadditive ratio converges from above
+    g, N = _spelled(TREE_GROUPS[name], g), 64
+    assert 0 <= tree_length(g**N) - N * translation_length_exact(g) <= 2 * tree_length(g)
+
+
+@pytest.mark.parametrize("name", sorted(TREE_GROUPS))
+@given(g=spellings)
+def test_translation_length_bounds_the_exponent_sum(name, g):
+    g = _spelled(TREE_GROUPS[name], g)
+    assert _exponent_norm(g) <= translation_length_exact(g)
 
 
 def test_quasi_axis_examples():
