@@ -8,7 +8,6 @@ import random
 
 from hypactions.metrics import FiniteMetricSpace, random_tree_metric
 from hypactions.tightspan import (
-    ExtremalFunction,
     hull_sample_delta,
     is_extremal,
     kuratowski_embed,
@@ -23,18 +22,18 @@ print("Kuratowski rows and pairwise sup-distances (= the original metric):")
 for i in range(3):
     f = kuratowski_embed(i, X)
     dists = [sup_distance(f, kuratowski_embed(j, X)) for j in range(3)]
-    print(f"  iota({i}) = {f.values},  sup-distances {dists}")
+    print(f"  iota({i}) = {f},  sup-distances {dists}")
 
 # the tripod center: every admissibility constraint is tight
-center = minimal_below_exact(ExtremalFunction((3, 5, 4)), X)
-print(f"\nexact extremal point below (3, 5, 4): {center.values}")
+center = minimal_below_exact((3, 5, 4), X)
+print(f"\nexact extremal point below (3, 5, 4): {center}")
 print(f"tight pairs: ", [(i, j) for i in range(3) for j in range(i + 1, 3)
                           if center[i] + center[j] == X.rows[i][j]])
 
 start = (3.0, 5.0, 4.0)
 f, iterations = project_to_hull(start, X, tol=1e-9)
 ok, slack = is_extremal(f, X)
-print(f"float projection of {start}: {tuple(round(v, 6) for v in f.values)}"
+print(f"float projection of {start}: {tuple(round(v, 6) for v in f)}"
       f" after {iterations} iterations, slack {slack:.2e}")
 
 # hull points over a tree metric are 0-hyperbolic under the sup-metric

@@ -22,9 +22,9 @@ returns typed values; validation, `run`, `verify` and `schema` all read it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import operator
 import random
 import sys
 import time
@@ -75,7 +75,7 @@ from .sl2 import (
     mat2,
     parse_qfe,
 )
-from .tightspan import hull_sample_delta, is_extremal, kuratowski_embed, project_to_hull
+from .tightspan import hull_sample_delta, is_extremal, kuratowski_embed, project_to_hull, sup_distance
 from .words import FreeWord, parse_word
 
 FORMAT_VERSION = 1
@@ -453,14 +453,6 @@ def _run_sl2_embed(c):
     }
 
 
-def _quarters(X):
-    """The integer matrix 4*d, as lists of ints, of a `random_rational_metric`,
-    which draws quarter-integers; comparisons on it are exact."""
-    if any(4 % v.denominator for row in X.rows for v in row):
-        raise AssertionError("distances must be quarter-integers")
-    return [[v.numerator * (4 // v.denominator) for v in row] for row in X.rows]
-
-
 def _run_tightspan(c):
     # random.Random(seed) draws the Kuratowski metrics, then each projection
     # trial's metric and start (a random row of the metric plus noise), then
@@ -469,15 +461,16 @@ def _run_tightspan(c):
     n, tol = c.params["points"], c.params["tol"]
     isometric = 0
     for _ in range(c.params["trials"]):
-        Q = _quarters(random_rational_metric(n, rng))
+        rows = random_rational_metric(n, rng).rows
         # x -> d(x, .) is isometric when sup_t |d(i, t) - d(j, t)| = d(i, j); both
-        # sides are symmetric and vanish on the diagonal, so pairs j < i decide
-        isometric += all(max(map(abs, map(operator.sub, r, s))) == r[j]
-                         for i, r in enumerate(Q) for j, s in enumerate(Q[:i]))
+        # sides are symmetric and vanish on the diagonal, so pairs j < i decide;
+        # quarter-integer distances compare exactly
+        isometric += all(sup_distance(r, s) == r[j]
+                         for i, r in enumerate(rows) for j, s in enumerate(rows[:i]))
     slacks, iterations = [], []
     for _ in range(c.params["proj_trials"]):
         X = random_rational_metric(n, rng)
-        f, its = project_to_hull([float(v) + rng.random() * 3 for v in X.rows[rng.randrange(n)]], X, tol=tol)
+        f, its = project_to_hull([v + rng.random() * 3 for v in X.rows[rng.randrange(n)]], X, tol=tol)
         slacks.append(is_extremal(f, X, tol)[1])
         iterations.append(its)
     tree = random_tree_metric(c.params["tree_points"], rng)
@@ -489,7 +482,7 @@ def _run_tightspan(c):
         "max_slack": max(slacks, default=0.0),
         "max_iterations": max(iterations, default=0),
         "tree_sample_delta": hull_sample_delta(tree, [kuratowski_embed(i, tree) for i in range(tree.size)]).to_json(),
-        "tree_matrix": [[int(v) for v in row] for row in tree.rows],
+        "tree_matrix": tree.rows,
     }
 
 
@@ -641,7 +634,8 @@ EXPERIMENTS = {
         "radius": Field(int, 1, at_least(0)),
     }, _run_sl2_embed, _rederived(), _check_sl2_embed),
     "tightspan": Experiment(tuple(GROUPS), {  # the group is not used
-        "points": Field(int, 4, at_least(1)),
+        "points": Field(int, 4, ("in 1..128 (distinct points come from redrawing the whole set)",
+                                 lambda v: 1 <= v <= 128)),
         "trials": Field(int, 20, at_least(0)),
         "proj_trials": Field(int, 20, at_least(0)),
         "tol": Field(float, 1e-9, ("> 0", lambda v: v > 0)),
@@ -761,7 +755,9 @@ def cmd_schema(_args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """Built once: an argparse parser is a reference cycle."""
     parser = argparse.ArgumentParser(
         prog="hypactions",
         description="batch experiments on group actions: run, verify, schema",
@@ -770,17 +766,20 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="path to a config JSON file")
     p_run.add_argument("-o", "--output", help="output directory (default: <config>.out)")
-    p_run.set_defaults(fn=cmd_run)
     p_verify = sub.add_parser("verify", help="re-check all witnesses in a summary")
     p_verify.add_argument("summary", help="path to a summary JSON file")
-    p_verify.set_defaults(fn=cmd_verify)
-    p_schema = sub.add_parser("schema", help="print the config schema")
-    p_schema.set_defaults(fn=cmd_schema)
-    args = parser.parse_args(argv)
+    sub.add_parser("schema", help="print the config schema")
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    # looked up at each call, so that a replaced `cmd_run` is the one that runs
+    command = {"run": cmd_run, "verify": cmd_verify, "schema": cmd_schema}[args.command]
     # a library warning, such as a counting word that is a proper power, is
     # one plain line on stderr rather than Python's file, line and source
     with warnings.catch_warnings(record=True) as caught:
-        code = args.fn(args)
+        code = command(args)
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
     return code

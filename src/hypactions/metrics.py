@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -180,7 +179,7 @@ class FiniteMetricSpace:
                 raise ValueError(f"triangle inequality fails for ({i},{j},{k})")
 
     def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in r] for r in self.rows], dtype=np.float64)
+        return np.array(self.rows, dtype=np.float64)
 
 
 def free_ball_distance_matrix(ball) -> np.ndarray:
@@ -594,12 +593,14 @@ def cone_off(ball, orbit, A: float) -> ConeOffResult:
 
 
 def random_rational_metric(n: int, rng: random.Random):
-    """L1 distances of distinct random points of (Z/4)^2 in [-5, 5]^2: rational, exact."""
+    """L1 distances of n distinct random points of (Z/4)^2 in [-5, 5]^2, the
+    whole set redrawn until distinct: floats k/4 with 0 <= k <= 80, so they
+    and their differences, maxima and comparisons are exact in float64."""
     while True:
         pts = [(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(n)]  # 4 * coordinates
         if len(set(pts)) == n:
             break
-    rows = [[Fraction(abs(p[0] - q[0]) + abs(p[1] - q[1]), 4) for q in pts] for p in pts]
+    rows = [[(abs(p[0] - q[0]) + abs(p[1] - q[1])) / 4 for q in pts] for p in pts]
     return FiniteMetricSpace(rows, validate=False)
 
 

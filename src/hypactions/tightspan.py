@@ -2,13 +2,13 @@
 
 Points of the hull are admissible functions f (f(x) + f(y) >= d(x, y)) that
 are minimal; minimality is equivalent to f(x) = max_y (d(x, y) - f(y)) at
-every x.  The hull carries the sup-metric.  Rational inputs can be handled
-exactly; the iterative projector works on the float64 distance matrix.
+every x.  The hull carries the sup-metric; a hull point is the tuple of its
+values over the space.  The iterative projector works on the float64
+distance matrix; `minimal_below_exact` keeps rational inputs exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,59 +17,36 @@ from .errors import NoConvergence
 from .metrics import DeltaEstimate, FiniteMetricSpace, four_point_delta
 
 
-@dataclass(frozen=True)
-class ExtremalFunction:
-    """A candidate hull point, stored by its value vector over the space."""
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-
-def sup_distance(f: ExtremalFunction, g: ExtremalFunction):
+def sup_distance(f, g):
     """The hull metric: sup_x |f(x) - g(x)|."""
     if len(f) != len(g):
         raise ValueError("functions over different spaces")
-    return max(abs(a - b) for a, b in zip(f.values, g.values))
+    return max(abs(a - b) for a, b in zip(f, g))
 
 
-def kuratowski_embed(x: int, X: FiniteMetricSpace) -> ExtremalFunction:
+def kuratowski_embed(x: int, X: FiniteMetricSpace) -> tuple:
     """The distance function t -> d(x, t); always an extremal point."""
     if not 0 <= x < X.size:
         raise ValueError(f"point index {x} outside the space")
-    return ExtremalFunction(tuple(X.rows[x]))
+    return tuple(X.rows[x])
 
 
 def is_admissible(f, X: FiniteMetricSpace, tol=0) -> bool:
-    vals = f.values if isinstance(f, ExtremalFunction) else tuple(f)
     n = X.size
     for i in range(n):
-        if vals[i] < -tol:
+        if f[i] < -tol:
             return False
         for j in range(i, n):
-            if vals[i] + vals[j] < X.rows[i][j] - tol:
+            if f[i] + f[j] < X.rows[i][j] - tol:
                 return False
     return True
 
 
-def _conjugate(vals, X: FiniteMetricSpace):
-    """q(f)(x) = max_y (d(x, y) - f(y)); fixed points are the extremal ones."""
-    n = X.size
-    return tuple(max(X.rows[x][y] - vals[y] for y in range(n)) for x in range(n))
-
-
 def is_extremal(f, X: FiniteMetricSpace, tol=1e-9):
-    """(verdict, worst slack) for the fixed-point characterization."""
-    vals = f.values if isinstance(f, ExtremalFunction) else tuple(f)
-    q = _conjugate(vals, X)
-    worst = max(abs(a - b) for a, b in zip(vals, q))
+    """(verdict, worst slack) for the fixed-point characterization: f equals
+    its conjugate q(f)(x) = max_y (d(x, y) - f(y))."""
+    n = X.size
+    worst = max(abs(f[x] - max(X.rows[x][y] - f[y] for y in range(n))) for x in range(n))
     return worst <= tol, worst
 
 
@@ -81,9 +58,9 @@ def project_to_hull(f, X: FiniteMetricSpace, tol: float = 1e-9, max_iter: int = 
     The steps run on the float64 matrix `X.as_array()`: each entry is the
     float of the exact distance, so every step rounds as the same
     subtraction, maximum and average over Python floats would.
-    Returns (ExtremalFunction, iterations); raises NoConvergence otherwise.
+    Returns (tuple of values, iterations); raises NoConvergence otherwise.
     """
-    vals = tuple(float(v) for v in (f.values if isinstance(f, ExtremalFunction) else f))
+    vals = tuple(map(float, f))
     if not is_admissible(vals, X, tol=1e-9):
         raise ValueError("input must be admissible: f(x) + f(y) >= d(x, y)")
     D = X.as_array()
@@ -92,12 +69,12 @@ def project_to_hull(f, X: FiniteMetricSpace, tol: float = 1e-9, max_iter: int = 
         q = (D - v).max(axis=1)
         slack = np.abs(v - q).max()
         if slack <= tol:
-            return ExtremalFunction(v.tolist()), it
+            return tuple(v.tolist()), it
         v = (v + q) / 2.0
     raise NoConvergence(f"projection did not reach slack {tol} in {max_iter} iterations")
 
 
-def minimal_below_exact(f, X: FiniteMetricSpace) -> ExtremalFunction:
+def minimal_below_exact(f, X: FiniteMetricSpace) -> tuple:
     """Exact extremal function below an admissible f (rational arithmetic).
 
     One sweep of coordinate minimization lands on the hull: lowering a
@@ -105,8 +82,7 @@ def minimal_below_exact(f, X: FiniteMetricSpace) -> ExtremalFunction:
     can only confirm the bound.  Intended for small rational spaces where the
     float projector's tolerance is unwanted.
     """
-    vals = [Fraction(v) if not isinstance(v, Fraction) else v
-            for v in (f.values if isinstance(f, ExtremalFunction) else f)]
+    vals = list(map(Fraction, f))
     if not is_admissible(vals, X):
         raise ValueError("input must be admissible: f(x) + f(y) >= d(x, y)")
     rows = X.rows
@@ -114,11 +90,10 @@ def minimal_below_exact(f, X: FiniteMetricSpace) -> ExtremalFunction:
     for x in range(n):
         floor = max((rows[x][y] - vals[y] for y in range(n) if y != x), default=0)
         vals[x] = max(floor, 0)
-    result = ExtremalFunction(tuple(vals))
-    ok, slack = is_extremal(result, X, tol=0)
+    ok, slack = is_extremal(vals, X, tol=0)
     if not ok:
         raise AssertionError(f"exact sweep missed extremality by {slack}")
-    return result
+    return tuple(vals)
 
 
 def hull_sample_delta(X: FiniteMetricSpace, sample) -> DeltaEstimate:
@@ -132,7 +107,7 @@ def hull_sample_delta(X: FiniteMetricSpace, sample) -> DeltaEstimate:
     return four_point_delta(FiniteMetricSpace(rows, validate=False))
 
 
-def extend_isometry(phi, f: ExtremalFunction, X: FiniteMetricSpace) -> ExtremalFunction:
+def extend_isometry(phi, f, X: FiniteMetricSpace) -> tuple:
     """Push a hull point through a distance-preserving permutation: f o phi^-1.
 
     phi is a permutation of range(X.size); the extension preserves both
@@ -145,7 +120,5 @@ def extend_isometry(phi, f: ExtremalFunction, X: FiniteMetricSpace) -> ExtremalF
         for j in range(n):
             if X.rows[phi[i]][phi[j]] != X.rows[i][j]:
                 raise ValueError(f"phi does not preserve the distance at ({i},{j})")
-    inv = [0] * n
-    for i, p in enumerate(phi):
-        inv[p] = i
-    return ExtremalFunction(tuple(f.values[inv[t]] for t in range(n)))
+    inv = {p: i for i, p in enumerate(phi)}
+    return tuple(f[inv[t]] for t in range(n))

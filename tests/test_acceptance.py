@@ -198,12 +198,12 @@ def test_criterion_8_tight_span():
         for i in range(4):
             for j in range(4):
                 d = sup_distance(kuratowski_embed(i, X), kuratowski_embed(j, X))
-                assert d == X.rows[i][j]  # exact rational equality
+                assert d == X.rows[i][j]  # exact: quarter-integers in float64
 
     for _ in range(100):
         X = random_rational_metric(4, rng)
         base = kuratowski_embed(rng.randrange(4), X)
-        start = [float(v) + 2 * rng.random() for v in base.values]
+        start = [v + 2 * rng.random() for v in base]
         f, iterations = project_to_hull(start, X, tol=1e-9, max_iter=10_000)
         ok, slack = is_extremal(f, X, tol=1e-9)
         assert ok and iterations <= 10_000 and slack < 1e-9

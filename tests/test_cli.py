@@ -1,14 +1,11 @@
 import hashlib
 import json
 import math
-import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hypactions.cli import EXPERIMENTS, _json_text, _quarters, main, parse_config, validate_config
-from hypactions.metrics import FiniteMetricSpace, random_rational_metric
+from hypactions.cli import EXPERIMENTS, _json_text, _parser, main, parse_config, validate_config
 from oracles import adjacency_naive, cone_off_edges_naive, graph_metric_naive
 
 BASE_CONFIGS = {
@@ -297,6 +294,7 @@ MALFORMED = [
     ("parameters.A", _with("cone-off", lambda c: c["parameters"].update(A=10**400))),  # past the float range
     ("parameters.x", _with("sl2-embed", lambda c: c["parameters"].update(x="1/0"))),
     ("parameters.x", _with("sl2-embed", lambda c: c["parameters"].update(x="sqrt3-1"))),
+    ("parameters.points", _with("tightspan", lambda c: c["parameters"].update(points=129))),
 ]
 
 
@@ -309,6 +307,24 @@ def test_malformed_config_exits_1_and_names_its_path(tmp_path, capsys, path, cfg
     assert f"config error at {path}:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_tightspan_accepts_up_to_128_points():
+    # past 128 points the distinct-point redraw of a random metric takes
+    # about 2e5 whole-set draws at 200 points and never ends from 1,682
+    assert validate_config(_with("tightspan", lambda c: c["parameters"].update(points=128))) == []
+    assert validate_config(_with("tightspan", lambda c: c["parameters"].update(points=1))) == []
+
+
+def test_main_builds_its_parser_once_and_dispatches_to_the_current_command(tmp_path, monkeypatch, capsys):
+    import hypactions.cli
+
+    assert main(["schema"]) == 0
+    assert _parser() is _parser()
+    calls = []
+    monkeypatch.setattr(hypactions.cli, "cmd_run", lambda args: calls.append(args.config) or 7)
+    assert main(["run", str(tmp_path / "cfg.json")]) == 7
+    assert calls == [str(tmp_path / "cfg.json")]
 
 
 def test_parse_config_types_and_defaults():
@@ -727,13 +743,6 @@ def test_exact_results_are_byte_identical_to_the_golden_digests(tmp_path, group,
     assert code == 0
     result = json.loads((out / "summary.json").read_text())["result"]
     assert hashlib.sha256(_json_text(result).encode()).hexdigest() == digest
-
-
-def test_quarters_is_four_times_the_metric_and_refuses_other_denominators():
-    X = random_rational_metric(8, random.Random(3))
-    assert _quarters(X) == [[int(4 * v) for v in row] for row in X.rows]
-    with pytest.raises(AssertionError):
-        _quarters(FiniteMetricSpace([[0, Fraction(1, 3)], [Fraction(1, 3), 0]]))
 
 
 def test_verify_tightspan_rederives_the_tree_matrix(tmp_path, capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypactions.errors import NoConvergence
 from hypactions.metrics import (
@@ -11,7 +13,6 @@ from hypactions.metrics import (
     random_tree_metric,
 )
 from hypactions.tightspan import (
-    ExtremalFunction,
     extend_isometry,
     hull_sample_delta,
     is_admissible,
@@ -29,13 +30,32 @@ FOUR_CYCLE = FiniteMetricSpace([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2,
 
 def test_kuratowski_examples():
     one_point = FiniteMetricSpace([[0]])
-    assert kuratowski_embed(0, one_point).values == (0,)
+    assert kuratowski_embed(0, one_point) == (0,)
     two_point = FiniteMetricSpace([[0, 3], [3, 0]])
-    assert kuratowski_embed(0, two_point).values == (0, 3)
+    assert kuratowski_embed(0, two_point) == (0, 3)
     for i in range(3):
         for j in range(3):
             d = sup_distance(kuratowski_embed(i, THREE_POINT), kuratowski_embed(j, THREE_POINT))
             assert d == THREE_POINT.rows[i][j]
+
+
+def _isometric_pairs(rows):
+    """Pairs j < i with sup_t |d(i, t) - d(j, t)| = d(i, j), the count the
+    tightspan experiment takes of each random metric."""
+    return sum(sup_distance(r, s) == r[j] for i, r in enumerate(rows) for j, s in enumerate(rows[:i]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(1, 24), seed=st.integers(0, 2**32))
+def test_random_rational_metric_is_quarter_integers_exact_in_float64(n, seed):
+    rows = random_rational_metric(n, random.Random(seed)).rows
+    for i, row in enumerate(rows):
+        assert row[i] == 0
+        for j, v in enumerate(row):
+            assert type(v) is float and (4 * v).is_integer() and 0 <= 4 * v <= 80
+            assert v == rows[j][i]
+    exact = [[Fraction(v) for v in row] for row in rows]
+    assert _isometric_pairs(rows) == _isometric_pairs(exact) == n * (n - 1) // 2
 
 
 def test_kuratowski_is_extremal():
@@ -47,7 +67,7 @@ def test_kuratowski_is_extremal():
 def test_is_extremal_shifted():
     # shifting by +1 moves both f and its conjugate, so the slack is 2
     f = kuratowski_embed(0, THREE_POINT)
-    shifted = ExtremalFunction(tuple(v + 1 for v in f.values))
+    shifted = tuple(v + 1 for v in f)
     ok, slack = is_extremal(shifted, THREE_POINT, tol=1e-9)
     assert not ok and slack == pytest.approx(2.0)
 
@@ -55,14 +75,12 @@ def test_is_extremal_shifted():
 def test_tripod_center():
     # the center of the tripod spanned by a 3-point space has f(x) = (y, z)_x
     d = THREE_POINT.rows
-    center = ExtremalFunction(
-        (
-            Fraction(d[0][1] + d[0][2] - d[1][2], 2),
-            Fraction(d[1][0] + d[1][2] - d[0][2], 2),
-            Fraction(d[2][0] + d[2][1] - d[0][1], 2),
-        )
+    center = (
+        Fraction(d[0][1] + d[0][2] - d[1][2], 2),
+        Fraction(d[1][0] + d[1][2] - d[0][2], 2),
+        Fraction(d[2][0] + d[2][1] - d[0][1], 2),
     )
-    assert center.values == (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2))
+    assert center == (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2))
     ok, slack = is_extremal(center, THREE_POINT, tol=0)
     assert ok and slack == 0
     # all three admissibility constraints are tight at the center
@@ -75,7 +93,7 @@ def test_project_fixes_extremal_points():
     f = kuratowski_embed(1, THREE_POINT)
     out, iterations = project_to_hull(f, THREE_POINT)
     assert iterations == 0
-    assert out.values == tuple(float(v) for v in f.values)
+    assert out == tuple(float(v) for v in f)
 
 
 def test_project_two_point_shift():
@@ -90,11 +108,11 @@ def test_project_random_admissible_on_four_cycle():
     rng = random.Random(1)
     for _ in range(25):
         base = kuratowski_embed(rng.randrange(4), FOUR_CYCLE)
-        start = [v + 3 * rng.random() for v in base.values]
+        start = [v + 3 * rng.random() for v in base]
         out, iterations = project_to_hull(start, FOUR_CYCLE, tol=1e-9, max_iter=200)
         ok, slack = is_extremal(out, FOUR_CYCLE, tol=1e-9)
         assert ok and iterations <= 200
-        assert all(o <= s + 1e-12 for o, s in zip(out.values, start))
+        assert all(o <= s + 1e-12 for o, s in zip(out, start))
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -104,7 +122,8 @@ def test_project_matches_the_plain_loop_exactly(n):
         X = random_rational_metric(n, rng)
         start = [float(v) + rng.random() * 3 for v in X.rows[rng.randrange(n)]]
         out, iterations = project_to_hull(start, X)
-        assert (out.values, iterations) == project_to_hull_loop(start, X.rows, 1e-9)
+        exact_rows = [[Fraction(v) for v in row] for row in X.rows]
+        assert (out, iterations) == project_to_hull_loop(start, exact_rows, 1e-9)
         assert iterations > 0
 
 
@@ -131,14 +150,14 @@ def test_extremal_functions_are_one_lipschitz():
 
 
 def test_minimal_below_exact():
-    f = ExtremalFunction((Fraction(3), Fraction(5), Fraction(4)))
+    f = (Fraction(3), Fraction(5), Fraction(4))
     out = minimal_below_exact(f, THREE_POINT)
     ok, slack = is_extremal(out, THREE_POINT, tol=0)
     assert ok and slack == 0
-    assert all(o <= v for o, v in zip(out.values, f.values))
+    assert all(o <= v for o, v in zip(out, f))
     assert is_admissible(out, THREE_POINT)
     with pytest.raises(ValueError):
-        minimal_below_exact(ExtremalFunction((Fraction(0), Fraction(0), Fraction(0))), THREE_POINT)
+        minimal_below_exact((Fraction(0), Fraction(0), Fraction(0)), THREE_POINT)
 
 
 def test_hull_sample_delta_tree_points():
@@ -163,18 +182,18 @@ def test_hull_sample_delta_four_cycle_filling():
 
 
 def test_hull_sample_delta_rejects_non_extremal():
-    bad = ExtremalFunction((10.0, 10.0, 10.0))
+    bad = (10.0, 10.0, 10.0)
     with pytest.raises(ValueError):
         hull_sample_delta(THREE_POINT, [bad])
 
 
 def test_extend_isometry_identity_and_swap():
     f = kuratowski_embed(0, THREE_POINT)
-    assert extend_isometry([0, 1, 2], f, THREE_POINT).values == f.values
+    assert extend_isometry([0, 1, 2], f, THREE_POINT) == f
     X = FiniteMetricSpace([[0, 2, 5], [2, 0, 5], [5, 5, 0]])  # points 0, 1 symmetric
     g = kuratowski_embed(0, X)
     swapped = extend_isometry([1, 0, 2], g, X)
-    assert swapped.values == kuratowski_embed(1, X).values
+    assert swapped == kuratowski_embed(1, X)
     with pytest.raises(ValueError):
         extend_isometry([1, 0, 2], f, THREE_POINT)  # not distance-preserving
 
@@ -184,7 +203,7 @@ def test_extend_isometry_three_cycle_on_equilateral():
     phi = [1, 2, 0]
     for x in range(3):
         moved = extend_isometry(phi, kuratowski_embed(x, X), X)
-        assert moved.values == kuratowski_embed(phi[x], X).values
+        assert moved == kuratowski_embed(phi[x], X)
 
 
 def test_extend_isometry_preserves_sup_distance_and_commutes():
@@ -200,5 +219,5 @@ def test_extend_isometry_preserves_sup_distance_and_commutes():
     moved_start = tuple(start[phi.index(t)] for t in range(3))
     move_then_proj = project_to_hull(moved_start, X)[0]
     assert all(
-        abs(a - b) <= 2e-9 for a, b in zip(proj_then_move.values, move_then_proj.values)
+        abs(a - b) <= 2e-9 for a, b in zip(proj_then_move, move_then_proj)
     )
