@@ -11,7 +11,6 @@ from hypactions.groups import BSOracle
 from hypactions.metrics import PseudoLength
 from hypactions.quasimorphism import (
     anisotropy_certificate,
-    defect_empirical,
     exponent_sum_qm,
     subordination_fit,
 )
@@ -28,8 +27,7 @@ ball = bs.enumerate_ball(4)
 print(f"|BS(2,3) ball of radius 4| = {len(ball)}")
 
 q = exponent_sum_qm()
-defect = defect_empirical(q, ball.elements)
-print(f"empirical defect over {defect.pairs_checked} pairs: {defect.value}")
+print(f"analytic defect bound (a homomorphism): {q.defect_bound}")
 
 t_syllables = PseudoLength({x: float(x.t_syllable_count()) for x in ball.elements})
 fit = subordination_fit(q, t_syllables)

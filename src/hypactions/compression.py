@@ -100,9 +100,6 @@ class CompressedGenSet:
         self._jump_cache: dict | None = None
         self._jump_sigs: frozenset | None = None
 
-    def cap_key(self):
-        return (self.rank, tuple((w.signed, cap) for w, cap in self.families))
-
     def base_generators(self) -> list[FreeWord]:
         gens = []
         for i in range(self.rank):
@@ -153,16 +150,6 @@ class CompressedGenSet:
                 for w, cap in self.families
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        rank = len(obj["base"])
-        fams = []
-        for f in obj["families"]:
-            cap = f["cap"]
-            cap = INF if cap in ("inf", None) else int(cap)
-            fams.append((parse_word(f["w"], rank=rank), cap))
-        return cls(rank, fams)
 
     def __repr__(self):
         fams = ", ".join(

@@ -23,18 +23,6 @@ class DomainMiss(ToolkitError, KeyError):
         super().__init__(f"element outside materialized domain: {element!r}")
 
 
-class AxiomViolation(ToolkitError, ValueError):
-    """A claimed pseudo-length fails one of its defining axioms."""
-
-    def __init__(self, axiom, witness, detail=""):
-        msg = f"axiom {axiom!r} violated by {witness!r}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-        self.axiom = axiom
-        self.witness = witness
-
-
 class NotLoxodromic(ToolkitError, ValueError):
     pass
 

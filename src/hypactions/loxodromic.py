@@ -1,5 +1,5 @@
-"""Isometry classification, translation lengths, quasi-axes, equivalence
-witnesses, the translation-length compression ratio, and the isotropy probe.
+"""Translation lengths, loxodromic certificates, quasi-axes, the
+translation-length compression ratio, and the isotropy probe.
 """
 
 from __future__ import annotations
@@ -11,20 +11,8 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .baumslag import BSElement
-from .errors import BudgetExceeded, NotLoxodromic
-from .words import FreeWord, _concat, tree_distance
-
-ELLIPTIC_EVIDENCE = "elliptic-evidence"
-LOXODROMIC = "loxodromic"
-UNKNOWN = "unknown"
-
-
-@dataclass
-class IsometryClass:
-    verdict: str
-    tau_upper: float
-    tau_lower: float
-    certificate: str = ""
+from .errors import NotLoxodromic
+from .words import FreeWord, _concat
 
 
 @dataclass
@@ -87,32 +75,6 @@ def certify_loxodromic(g, embedding=None) -> tuple[bool, str, float]:
     return False, "", 0.0
 
 
-def classify_isometry(g, lengths, horizon: int, embedding=None) -> IsometryClass:
-    """Estimate, then certify where an exact argument exists.
-
-    The certificate (exact tree translation length, trace test) refers to
-    the canonical action of g's kind; tau_lower bounds tau_upper only when
-    `lengths` is an orbit length of that same action.
-    """
-    est = translation_length_estimate(g, lengths, horizon)
-    certified, kind, tau_lower = certify_loxodromic(g, embedding)
-    if certified:
-        return IsometryClass(LOXODROMIC, est.upper, tau_lower, certificate=kind)
-    # affine lower-bound fit l(g^n) >= lam*n - c across the horizon: evidence only
-    values = [r * (i + 1) for i, r in enumerate(est.trace)]
-    if horizon >= 2:
-        lam = (values[-1] - values[0]) / (horizon - 1)
-        c = max(lam * (i + 1) - v for i, v in enumerate(values))
-        if lam > 0:
-            return IsometryClass(
-                UNKNOWN, est.upper, 0.0,
-                certificate=f"affine-fit-evidence lam={lam:.6g} c={c:.6g}",
-            )
-    if max(values) <= values[0] + 1e-12:
-        return IsometryClass(ELLIPTIC_EVIDENCE, est.upper, 0.0)
-    return IsometryClass(UNKNOWN, est.upper, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # quasi-axes
 
@@ -167,76 +129,7 @@ def build_quasi_axis(oracle, g, gamma, window: int) -> QuasiAxis:
 
 
 # ---------------------------------------------------------------------------
-# equivalence witnesses
-
-
-@dataclass
-class EquivalenceWitness:
-    a: object
-    m: int
-    n: int
-    epsilon: float
-
-    def check(self, oracle, g, h, dist) -> bool:
-        """Re-evaluate max{d(a, 1), d(a g^m, h^n)} <= epsilon."""
-        value = max(
-            dist(self.a, oracle.identity()),
-            dist(self.a * g**self.m, h**self.n),
-        )
-        return value <= self.epsilon + 1e-12
-
-
-@dataclass
-class SearchExhausted:
-    epsilon: float
-    N: int
-    radius: int
-    candidates_checked: int
-
-
-WITNESS_SEARCH_BUDGET = 5_000_000  # candidates (a, m, n) checked before BudgetExceeded
-
-
-def equivalence_witness_search(oracle, g, h, epsilon: float, N: int, radius: int):
-    """Search for (a, m, n), m, n > N, with max{d(as,s), d(a g^m s, h^n s)} <= eps.
-
-    The basepoint s is the identity and d is the exact free-group word
-    metric.  The exponents run up to N + max(4, radius), and candidates are
-    scanned in lexicographic (|a|, m+n, m) order, so the returned witness is
-    minimal in that order.  Exhaustion at finite scale is evidence, not
-    proof, of non-equivalence.
-    """
-    power_cap = N + max(4, radius)
-    ball = oracle.enumerate_ball(radius)
-    identity = oracle.identity()
-    g_pows = {m: g**m for m in range(N + 1, power_cap + 1)}
-    h_pows = {n: h**n for n in range(N + 1, power_cap + 1)}
-    checked = 0
-    pairs = sorted(
-        ((m, n) for m in g_pows for n in h_pows), key=lambda p: (p[0] + p[1], p)
-    )
-    for a in ball.elements:  # BFS order: |a| ascending, then lexicographic
-        if tree_distance(a, identity) > epsilon:
-            continue
-        for m, n in pairs:
-            checked += 1
-            if checked > WITNESS_SEARCH_BUDGET:
-                raise BudgetExceeded(
-                    "witness search budget exhausted",
-                    extent={"checked": checked},
-                )
-            if tree_distance(a * g_pows[m], h_pows[n]) <= epsilon:
-                return EquivalenceWitness(a=a, m=m, n=n, epsilon=epsilon)
-    return SearchExhausted(
-        epsilon=epsilon,
-        N=N,
-        radius=radius,
-        candidates_checked=checked,
-    )
-
-
-# ---------------------------------------------------------------------------
-# compression ratio and the chain lower bound
+# compression ratio
 
 
 @dataclass
@@ -253,43 +146,6 @@ def compression_function(g, lengths_compressed, lengths_reference, horizon: int)
             "not-loxodromic-downstairs: reference translation length estimate is 0"
         )
     return CompressionValue(ratio=num.upper / den.upper)
-
-
-def chain_lower_bound(segment_lengths, C: float, delta: float) -> float:
-    """Lower bound for d(x_0, x_n) along a chain with pinched Gromov products:
-    sum of the segment lengths minus 2(n-1)(C + 8*delta)."""
-    n = len(segment_lengths)
-    if n == 0:
-        return 0.0
-    return float(sum(segment_lengths)) - 2.0 * (n - 1) * (C + 8.0 * delta)
-
-
-def tau_profiles_proportional(profile1, profile2):
-    """Are two translation-length profiles positive multiples of each other?
-
-    Profiles are parallel sequences of values over a common element list; a
-    nonzero proportionality constant c with profile1 = c * profile2 is the
-    finite-scale shadow of equality of projective classes.  Values within
-    1e-9 of 0 count as 0, and ratios agree to a relative 1e-9.  Returns
-    (verdict, c or None).
-    """
-    tol = 1e-9
-    p1 = [float(v) for v in profile1]
-    p2 = [float(v) for v in profile2]
-    if len(p1) != len(p2):
-        raise ValueError("profiles must have equal length")
-    c = None
-    for a, b in zip(p1, p2):
-        if abs(a) <= tol and abs(b) <= tol:
-            continue
-        if abs(a) <= tol or abs(b) <= tol:
-            return False, None
-        ratio = a / b
-        if c is None:
-            c = ratio
-        elif abs(ratio - c) > tol * max(1.0, abs(c)):
-            return False, None
-    return True, c
 
 
 # ---------------------------------------------------------------------------

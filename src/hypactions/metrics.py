@@ -1,5 +1,5 @@
 """Pseudo-lengths, finite metric spaces, the four-point hyperbolicity
-estimator, generating-set comparators, and the cone-off construction.
+estimator, and the cone-off construction.
 
 Distances are 64-bit floats (exact integers for word metrics); the only
 tolerance in this module is the absolute 1e-12 used when comparing against
@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AxiomViolation, BudgetExceeded, DomainMiss
+from .errors import BudgetExceeded, DomainMiss
 
 ZERO_TOL = 1e-12
 
@@ -51,93 +51,6 @@ class PseudoLength:
     @classmethod
     def from_word_lengths(cls, ball) -> "PseudoLength":
         return cls({g: float(r) for g, r in ball.length.items()})
-
-
-def orbit_pseudo_length(oracle, distances: dict) -> PseudoLength:
-    """Wrap a map g -> d(s, gs) as a PseudoLength, verifying the axioms:
-    symmetry on every invertible pair and subadditivity on every product that
-    lands back in the domain.  Raises AxiomViolation with the offending
-    element or pair.
-    """
-    values = {g: float(v) for g, v in distances.items()}
-    e = oracle.identity()
-    if e not in values:
-        raise AxiomViolation("identity", e, "identity missing from domain")
-    if abs(values[e]) > ZERO_TOL:
-        raise AxiomViolation("identity", e, f"l(1) = {values[e]} != 0")
-    for g, v in values.items():
-        if v < -ZERO_TOL:
-            raise AxiomViolation("non-negativity", g, f"l(g) = {v} < 0")
-    for g, v in values.items():
-        gi = g.inverse()
-        if gi in values and abs(values[gi] - v) > ZERO_TOL:
-            raise AxiomViolation("symmetry", g, f"l(g)={v}, l(g^-1)={values[gi]}")
-    items = list(values.items())
-    for g, vg in items:
-        for h, vh in items:
-            vgh = values.get(g * h)
-            if vgh is not None and vgh > vg + vh + ZERO_TOL:
-                raise AxiomViolation(
-                    "subadditivity", (g, h), f"l(gh)={vgh} > {vg}+{vh}"
-                )
-    return PseudoLength(values)
-
-
-def log_transform(lengths: PseudoLength, enumeration) -> list[float]:
-    """The sequence log2(l(g_i) + 1) along a fixed enumeration of the domain."""
-    return [math.log2(lengths(g) + 1.0) for g in enumeration]
-
-
-DOMINATED = "dominated"
-NOT_DOMINATED = "not-dominated"
-
-
-@dataclass
-class ComparisonReport:
-    direction: str
-    constant: float
-    worst_witness: object
-    note: str = ""
-    probe_ratios: list = field(default_factory=list)
-
-
-def compare_pseudo_lengths(l1: PseudoLength, l2: PseudoLength, probe=None) -> ComparisonReport:
-    """Fit the minimal C with l1 <= C*l2 + C on the shared domain.
-
-    If `probe` (a sequence of elements) is supplied and the ratios
-    (l1+1)/(l2+1) increase strictly along it, the verdict flips to
-    NOT_DOMINATED; that verdict is finite-scale evidence only and its note
-    says so.
-    """
-    shared = [g for g in l1.domain if g in l2]
-    if not shared:
-        raise ValueError("empty-domain: the pseudo-lengths share no elements")
-    best_c, worst = 0.0, None
-    for g in shared:
-        c = l1(g) / (l2(g) + 1.0)
-        if c > best_c:
-            best_c, worst = c, g
-    ratios = []
-    if probe is not None:
-        ratios = [(l1(g) + 1.0) / (l2(g) + 1.0) for g in probe]
-    increasing = len(ratios) >= 2 and all(
-        ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1)
-    )
-    if increasing:
-        return ComparisonReport(
-            direction=NOT_DOMINATED,
-            constant=best_c,
-            worst_witness=worst,
-            note="finite-scale evidence only (inconclusive)",
-            probe_ratios=ratios,
-        )
-    return ComparisonReport(
-        direction=DOMINATED,
-        constant=best_c,
-        worst_witness=worst,
-        note="C fitted on the shared domain; re-verify with constant",
-        probe_ratios=ratios,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +165,6 @@ def graph_metric_matrix(ball) -> np.ndarray:
 def gromov_product(dist, x, y, z) -> float:
     """(x, y)_z = (d(x,z) + d(y,z) - d(x,y)) / 2 for a distance callable."""
     return (dist(x, z) + dist(y, z) - dist(x, y)) / 2.0
-
-
-def orbit_distance(lengths: PseudoLength):
-    """The pseudo-metric d(g, h) = l(g^-1 h) of a pseudo-length.
-
-    Queries outside the materialized ball raise DomainMiss, so Gromov
-    products built on top fail loudly instead of guessing.
-    """
-
-    def dist(g, h):
-        return lengths(g.inverse() * h)
-
-    return dist
 
 
 @dataclass

@@ -1,6 +1,6 @@
-"""Quasi-morphisms on group oracles: substring-counting maps on free groups,
-the stable-letter exponent sum on BS(m, n), empirical defects, homogenization,
-subordination fitting, and anisotropy certificates.
+"""Quasi-morphisms on group oracles: substring-counting maps on free groups
+with their defect scan, the stable-letter exponent sum on BS(m, n),
+homogenization, subordination fitting, and anisotropy certificates.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class QuasiMorphism:
     `defect_bound` is an analytic bound when available (0 for homomorphisms);
     sampled defects are lower-bound evidence only and stay out of this field.
     `counting_word` is w when q is the counting quasi-morphism of w
-    (`brooks_qm`); `defect_empirical` then scans without forming products.
+    (`brooks_qm`), the one kind `defect_empirical` scans.
     """
 
     evaluate: callable
@@ -68,22 +68,6 @@ def exponent_sum_qm() -> QuasiMorphism:
     return QuasiMorphism(evaluate, defect_bound=0.0)
 
 
-def linear_combination(terms) -> QuasiMorphism:
-    """Linear combination sum c_i * q_i; defects add up when all are known."""
-    terms = list(terms)
-    bound = 0.0
-    for c, q in terms:
-        if q.defect_bound is None:
-            bound = None
-            break
-        bound += abs(c) * q.defect_bound
-
-    def evaluate(g):
-        return sum(c * q(g) for c, q in terms)
-
-    return QuasiMorphism(evaluate, defect_bound=bound)
-
-
 @dataclass
 class DefectEstimate:
     """The defect a certificate uses and where it comes from.
@@ -109,30 +93,21 @@ class DefectEstimate:
 
 
 def defect_empirical(q: QuasiMorphism, elements) -> DefectEstimate:
-    """max |q(gh) - q(g) - q(h)| over all ordered pairs of `elements`: a
+    """max |q(gh) - q(g) - q(h)| over all ordered pairs of `elements`, for a
+    counting quasi-morphism (`q.counting_word` set; ValueError otherwise): a
     certified lower bound on the true defect.  The witness is the first pair,
     in the order of `elements` (g outer, h inner), that reaches the max, and
     `pairs_checked` counts the n^2 pairs covered.
 
-    A counting quasi-morphism (`q.counting_word` set) is scanned by
-    cancellation length (`_counting_defect`): every ordered pair is covered,
-    gh is never formed, and the cost is O(n R) table lookups for a ball of
-    radius R instead of O(n^2) products.  Any other q multiplies every pair.
+    The scan goes by cancellation length (`_counting_defect`): every ordered
+    pair is covered, gh is never formed, and the cost is O(n R) table
+    lookups for a ball of radius R instead of O(n^2) products.
     """
+    if q.counting_word is None:
+        raise ValueError("defect_empirical scans counting quasi-morphisms only")
     elements = list(elements)
-    if q.counting_word is not None:
-        best, witness = _counting_defect(q.counting_word, elements)
-        return DefectEstimate(value=float(best), witness=witness, pairs_checked=len(elements) ** 2)
-    qs = [q(g) for g in elements]
-    best = 0.0
-    witness = None
-    for g, qg in zip(elements, qs):
-        for h, qh in zip(elements, qs):
-            d = abs(q(g * h) - qg - qh)
-            if d > best:
-                best = d
-                witness = (g, h)
-    return DefectEstimate(value=best, witness=witness, pairs_checked=len(elements) ** 2)
+    best, witness = _counting_defect(q.counting_word, elements)
+    return DefectEstimate(value=float(best), witness=witness, pairs_checked=len(elements) ** 2)
 
 
 def _counting_defect(w: FreeWord, elements):
@@ -156,8 +131,8 @@ def _counting_defect(w: FreeWord, elements):
     cancel exactly c letters against g are those at the node g^-1[:c] whose
     next letter is not g^-1[c], so each g reads at most |g| + 1 nodes.  Per
     g, the first h reaching its best value is the smallest such index; the
-    first g whose best is the overall max then gives the same witness as the
-    pair loop.
+    first g whose best is the overall max then gives the same witness as a
+    loop over the pairs in that order.
     """
     pattern, pattern_inv = w.signed, w.inverse().signed
     k = len(pattern)
@@ -252,9 +227,6 @@ class SubordinationFit:
     mode: str  # "slope" when q vanishes on the zero-length locus, else "affine"
     witness: object
 
-    def certifies(self, q, lengths: PseudoLength) -> bool:
-        return all(abs(q(g)) <= self.M * lengths(g) + self.M + ZERO_TOL for g in lengths.domain)
-
 
 def subordination_fit(q: QuasiMorphism, lengths: PseudoLength) -> SubordinationFit:
     """Fit the smallest M with |q(g)| <= M * l(g) + M on the ball.
@@ -342,7 +314,8 @@ def anisotropy_certificate(
     the ball.
 
     The defect behind the error bar is q's analytic bound when it has one,
-    else the empirical defect over ordered pairs of the ball.  The caller
+    else the empirical defect of a counting quasi-morphism over ordered
+    pairs of the ball (`defect_empirical`).  The caller
     asserts that the pseudo-length comes from a general-type action; the
     conclusion text presumes it.
     """
@@ -381,19 +354,3 @@ def anisotropy_certificate(
         trace=hom.trace,
         conclusion=conclusion,
     )
-
-
-def commutator_scan(q: QuasiMorphism, elements, cap: int | None = None) -> float:
-    """Diagnostic (heuristic) scan: max |q([g, h])| over pairs from a ball."""
-    elements = list(elements)
-    best = 0.0
-    checked = 0
-    for g in elements:
-        gi = g.inverse()
-        for h in elements:
-            if cap is not None and checked >= cap:
-                return best
-            checked += 1
-            comm = (g * h) * (gi * h.inverse())
-            best = max(best, abs(q(comm)))
-    return best

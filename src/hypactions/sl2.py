@@ -138,9 +138,6 @@ class QuadFieldElement:
         r = Fraction(other)
         return _element(r.numerator, 0, r.denominator, self.d)
 
-    def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
     def sign_under(self, embedding: "RealEmbedding") -> int:
         """Exact sign of the real number (p + q*embedding(sqrt(d))) / den."""
         p, q = self.p, self.q * embedding.sign
@@ -165,22 +162,6 @@ class QuadFieldElement:
         lo, hi = (root_lo, root_lo + 1) if c >= 0 else (root_lo + 1, root_lo)
         den = self.den * scale
         return Fraction(self.p * scale + c * lo, den), Fraction(self.p * scale + c * hi, den)
-
-    def refine_until_sign(self, embedding: "RealEmbedding") -> tuple[Fraction, Fraction, int]:
-        """Double the precision until the dyadic bracket excludes 0.
-
-        Terminates for every nonzero element (the bracket width shrinks to 0
-        around a nonzero value) and always agrees with the exact sign test;
-        an interval containing 0 is never used to report a sign.
-        """
-        if self.is_zero():
-            raise ValueError("zero has no sign-certifying interval")
-        bits = max(self.d.bit_length(), START_BITS)
-        while True:
-            lo, hi = self.interval_under(embedding, bits)
-            if lo > 0 or hi < 0:
-                return lo, hi, bits
-            bits *= 2
 
     def __str__(self):
         if self.q == 0:

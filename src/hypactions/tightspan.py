@@ -105,20 +105,3 @@ def hull_sample_delta(X: FiniteMetricSpace, sample) -> DeltaEstimate:
             raise ValueError(f"sample member misses extremality by {slack}")
     rows = [[float(sup_distance(f, g)) for g in sample] for f in sample]
     return four_point_delta(FiniteMetricSpace(rows, validate=False))
-
-
-def extend_isometry(phi, f, X: FiniteMetricSpace) -> tuple:
-    """Push a hull point through a distance-preserving permutation: f o phi^-1.
-
-    phi is a permutation of range(X.size); the extension preserves both
-    extremality and sup-distances.
-    """
-    n = X.size
-    if sorted(phi) != list(range(n)):
-        raise ValueError("phi must be a permutation of the points")
-    for i in range(n):
-        for j in range(n):
-            if X.rows[phi[i]][phi[j]] != X.rows[i][j]:
-                raise ValueError(f"phi does not preserve the distance at ({i},{j})")
-    inv = {p: i for i, p in enumerate(phi)}
-    return tuple(f[inv[t]] for t in range(n))

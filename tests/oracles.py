@@ -8,7 +8,8 @@ the n^3-per-basepoint four-point scan and the float64 sampled scan, one product 
 per-source BFS and per-pair geodesic walks for the in-ball graph metric,
 a per-source walk over parent and child links for a random tree's metric,
 cone-off and the coned metric, trial division up to sqrt(d) for square-freeness, the
-memoised pairwise scan for the defect of a quasi-morphism, Q(sqrt(d)) and its
+memoised pairwise scan for the defect of a quasi-morphism, the pseudo-length
+axioms and subordination checked element by element, Q(sqrt(d)) and its
 2x2 matrices in `Fraction` coordinates a + b*sqrt(d), and the tight-span
 projector as a plain loop over Fraction rows, and the isotropy probe over
 `FreeWord` pairs grouped in a dict with one product per candidate g.
@@ -339,6 +340,33 @@ def defect_naive(q, elements):
                 best = d
                 witness = (g, h)
     return best, witness
+
+
+def pseudo_length_violation(identity, values):
+    """The first failed pseudo-length axiom of the map g -> values[g] on its
+    domain, as (axiom, witness), or None: 0 at the identity, non-negative,
+    symmetric on each g whose inverse is in the domain, and subadditive on
+    each pair whose product is; one product per pair, 1e-12 slack."""
+    tol = 1e-12
+    if identity not in values or abs(values[identity]) > tol:
+        return "identity", identity
+    for g, v in values.items():
+        if v < -tol:
+            return "non-negativity", g
+        if g.inverse() in values and abs(values[g.inverse()] - v) > tol:
+            return "symmetry", g
+    for g, vg in values.items():
+        for h, vh in values.items():
+            vgh = values.get(g * h)
+            if vgh is not None and vgh > vg + vh + tol:
+                return "subadditivity", (g, h)
+    return None
+
+
+def subordinate(q, lengths, M):
+    """|q(g)| <= M * l(g) + M, up to 1e-12, at every g in the domain of the
+    pseudo-length `lengths`."""
+    return all(abs(q(g)) <= M * lengths(g) + M + 1e-12 for g in lengths.domain)
 
 
 def _sign(x):

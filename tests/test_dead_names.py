@@ -1,20 +1,20 @@
 """Every function, class, method and module-level name defined in the
-package has a reader.
+package has a reader outside the tests.
 
 A definition counts as read when its name is loaded anywhere in the package,
-the tests, the demos or the benchmark: as a name, as an attribute, as an
-imported name, or as the last dotted part of a string constant, so that a
-spec such as "Ball.adjacency", which the benchmark resolves with getattr, is
-a reference.  Assigning a name does not read it.  Dunder names are read by
-the language and are not checked.
+the demos or the benchmark: as a name, as an attribute, as an imported name,
+or as the last dotted part of a string constant, so that a spec such as
+"Ball.adjacency", which the benchmark resolves with getattr, is a reference.
+The tests do not count: a name only they read is code no experiment, demo
+or benchmark runs.  Assigning a name does not read it.  Dunder names are
+read by the language and are not checked.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "hypactions"
-READERS = ("src", "tests", "demos", "bench")
+READERS = ("src", "demos", "bench")
 
 
 def _is_dunder(name: str) -> bool:
@@ -63,6 +63,21 @@ def dead_names(package: dict[str, str], readers: list[str]) -> list[str]:
     ]
 
 
+def sources(root: Path) -> tuple[dict[str, str], list[str]]:
+    """The package's sources under `root` by file name, and every other
+    source under READERS."""
+    package = root / "src" / "hypactions"
+    return (
+        {path.name: path.read_text() for path in sorted(package.glob("*.py"))},
+        [
+            path.read_text()
+            for top in READERS
+            for path in sorted((root / top).rglob("*.py"))
+            if path.parent != package
+        ],
+    )
+
+
 def test_the_check_finds_a_name_nothing_reads():
     package = {
         "m.py": "class Ball:\n"
@@ -93,12 +108,23 @@ def test_the_check_finds_a_constant_nothing_reads():
     assert dead_names(package, readers) == ["c.py:3 HIGH", "c.py:4 DEAD", "c.py:5 DEAD"]
 
 
+def test_the_check_finds_a_name_only_the_tests_read(tmp_path):
+    files = {
+        "src/hypactions/m.py": "def run(): ...\n"
+                               "def tested(): ...\n"
+                               "def helper(): ...\n"
+                               "class Ball:\n"
+                               "    def adjacency(self): ...\n",
+        "src/hypactions/cli.py": "from .m import helper\nhelper()\n",
+        "tests/test_m.py": "from hypactions.m import Ball, run, tested\ntested(run(Ball))\n",
+        "demos/01_run.py": "from hypactions.m import Ball, run\nrun(Ball)\n",
+        "bench/tests/test_spec.py": 'SPEC = ("m", "Ball.adjacency")\n',
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert dead_names(*sources(tmp_path)) == ["m.py:2 tested"]
+
+
 def test_every_defined_name_has_a_reader():
-    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    readers = [
-        path.read_text()
-        for top in READERS
-        for path in sorted((ROOT / top).rglob("*.py"))
-        if path.parent != PACKAGE
-    ]
-    assert dead_names(package, readers) == []
+    assert dead_names(*sources(ROOT)) == []

@@ -8,13 +8,9 @@ from hypactions.baumslag import BSElement
 from hypactions.errors import NotLoxodromic
 from hypactions.groups import BSOracle, FreeGroupOracle
 from hypactions.loxodromic import (
-    EquivalenceWitness,
-    SearchExhausted,
     build_quasi_axis,
-    chain_lower_bound,
-    classify_isometry,
+    certify_loxodromic,
     compression_function,
-    equivalence_witness_search,
     isotropy_probe,
     translation_length_estimate,
     translation_length_exact,
@@ -70,20 +66,14 @@ def test_tau_power_and_conjugation_laws():
 
 
 def test_classify_isometry():
-    cls = classify_isometry(parse_word("ab"), word_len, 6)
-    assert cls.verdict == "loxodromic"
-    assert cls.tau_lower == 2.0 and cls.tau_upper == 2.0
-    cls = classify_isometry(F2.identity(), word_len, 6)
-    assert cls.verdict != "loxodromic"
+    assert certify_loxodromic(parse_word("ab")) == (True, "tree-translation-length", 2.0)
+    assert certify_loxodromic(F2.identity()) == (False, "tree-translation-length", 0.0)
     bs = BSOracle(2, 3)
-    cls = classify_isometry(bs.parse_element("t"), tree_length, 6)
-    assert cls.verdict == "loxodromic" and cls.certificate == "tree-translation-length"
+    assert certify_loxodromic(bs.parse_element("t")) == (True, "tree-translation-length", 1.0)
     # t-exponent sum 0, yet loxodromic on the Bass-Serre tree
     g = bs.parse_element("t^-1ata^-1")
     assert g.t_exponent_sum() == 0
-    cls = classify_isometry(g, tree_length, 6)
-    assert cls.verdict == "loxodromic" and cls.certificate == "tree-translation-length"
-    assert cls.tau_lower == 2.0 and cls.tau_upper >= 2.0
+    assert certify_loxodromic(g) == (True, "tree-translation-length", 2.0)
 
 
 TREE_GROUPS = {
@@ -158,31 +148,6 @@ def test_quasi_axis_examples():
         build_quasi_axis(F2, ab, parse_word("ba"), 1)
 
 
-def test_equivalence_witness_trivial():
-    g = parse_word("ab")
-    w = equivalence_witness_search(F2, g, g, epsilon=0.0, N=2, radius=1)
-    assert isinstance(w, EquivalenceWitness)
-    assert w.a == F2.identity() and w.m == w.n
-    assert w.check(F2, g, g, tree_distance)
-
-
-def test_equivalence_witness_conjugate():
-    g = parse_word("ab")
-    c = parse_word("a")
-    h = g.conjugate_by(c)
-    w = equivalence_witness_search(F2, g, h, epsilon=2.0 * len(c), N=2, radius=2)
-    assert isinstance(w, EquivalenceWitness)
-    assert w.check(F2, g, h, tree_distance)
-
-
-def test_equivalence_witness_exhausted_for_independent():
-    out = equivalence_witness_search(
-        F2, parse_word("a"), parse_word("b"), epsilon=1.0, N=3, radius=4
-    )
-    assert isinstance(out, SearchExhausted)
-    assert out.candidates_checked > 0
-
-
 def test_compression_function():
     g = parse_word("ab")
     val = compression_function(g, word_len, word_len, 5)
@@ -216,37 +181,16 @@ def test_compression_invariant_under_powers():
 
 
 def test_classify_isometry_sl2_certificate():
-    from hypactions.loxodromic import certify_loxodromic
     from hypactions.sl2 import RealEmbedding, lemma_emb_matrix, mat2, orbit_distance_h2, parse_qfe
 
     minus = RealEmbedding(-1)
     A = lemma_emb_matrix(parse_qfe("sqrt2-1", 2))
     ok, kind, tau = certify_loxodromic(A, embedding=minus)
     assert ok and kind == "sl2-trace" and tau > 0
-    cls = classify_isometry(A, lambda M: orbit_distance_h2(M, minus), 4, embedding=minus)
-    assert cls.verdict == "loxodromic" and cls.tau_upper >= cls.tau_lower - 1e-9
+    est = translation_length_estimate(A, lambda M: orbit_distance_h2(M, minus), 4)
+    assert est.upper >= tau - 1e-9
     ok, kind, _ = certify_loxodromic(mat2([[0, -1], [1, 0]]), embedding=minus)
     assert not ok and kind == "sl2-trace"
-
-
-def test_tau_profiles_proportional():
-    from hypactions.loxodromic import tau_profiles_proportional
-
-    ok, c = tau_profiles_proportional([0.0, 2.0, 4.0], [0.0, 1.0, 2.0])
-    assert ok and c == 2.0
-    ok, c = tau_profiles_proportional([0.0, 0.0], [0.0, 0.0])
-    assert ok and c is None
-    ok, _ = tau_profiles_proportional([0.0, 2.0], [1.0, 2.0])
-    assert not ok  # zero against nonzero
-    ok, _ = tau_profiles_proportional([1.0, 2.0], [1.0, 3.0])
-    assert not ok
-
-
-def test_chain_lower_bound():
-    assert chain_lower_bound([], 1.0, 0.0) == 0.0
-    assert chain_lower_bound([10.0], 1.0, 2.0) == 10.0  # n = 1: no correction
-    assert chain_lower_bound([10.0, 10.0], 1.0, 0.0) == 20.0 - 2.0
-    assert chain_lower_bound([5.0, 5.0, 5.0], 2.0, 0.25) == 15.0 - 4 * 4.0
 
 
 def test_match_pair_trivial_cases():

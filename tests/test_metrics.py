@@ -10,24 +10,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypactions.cli import _delta_inputs, parse_config
-from hypactions.errors import AxiomViolation, BudgetExceeded, DomainMiss
+from hypactions.errors import BudgetExceeded, DomainMiss
 from hypactions.groups import BSOracle, FreeGroupOracle
 from hypactions.metrics import (
-    DOMINATED,
-    NOT_DOMINATED,
     FiniteMetricSpace,
     PseudoLength,
     _bfs_metric,
     _scan_dtype,
-    compare_pseudo_lengths,
     cone_off,
     four_point_delta,
     free_ball_distance_matrix,
     gromov_product,
     graph_metric_matrix,
     induced_metric,
-    log_transform,
-    orbit_pseudo_length,
     quadruple_defect,
     random_rational_metric,
     random_tree_metric,
@@ -65,11 +60,9 @@ def test_gromov_product_examples():
 
 
 def test_gromov_product_on_pseudo_length_misses_domain():
-    from hypactions.metrics import orbit_distance
-
     ball = F2.enumerate_ball(2)
     lengths = PseudoLength.from_word_lengths(ball)
-    dist = orbit_distance(lengths)
+    dist = lambda g, h: lengths(g.inverse() * h)
     assert gromov_product(dist, parse_word("a"), parse_word("b"), F2.identity()) == 0.0
     with pytest.raises(DomainMiss):
         # a^2 and b^-2 sit in the ball, but their quotient word does not
@@ -311,78 +304,6 @@ def test_exhaustive_scan_on_inexact_floats_agrees_up_to_rounding():
 def test_four_point_delta_rejects_what_the_identity_does_not_cover(D, message):
     with pytest.raises(ValueError, match=message):
         four_point_delta(D)
-
-
-def test_orbit_pseudo_length_word_metric_valid():
-    ball = F2.enumerate_ball(3)
-    pl = orbit_pseudo_length(F2, {g: float(r) for g, r in ball.length.items()})
-    assert pl(F2.identity()) == 0.0
-    assert pl(parse_word("ab")) == 2.0
-    with pytest.raises(DomainMiss):
-        pl(parse_word("a^9"))
-
-
-def test_orbit_pseudo_length_detects_violations():
-    ball = F2.enumerate_ball(2)
-    values = {g: float(r) for g, r in ball.length.items()}
-    values[parse_word("a")] = 5.0  # breaks symmetry with a^-1
-    with pytest.raises(AxiomViolation) as info:
-        orbit_pseudo_length(F2, values)
-    assert info.value.axiom in ("symmetry", "subadditivity")
-    bad = dict(values)
-    bad[parse_word("a")] = 1.0
-    bad.pop(F2.identity())
-    with pytest.raises(AxiomViolation):
-        orbit_pseudo_length(F2, bad)
-
-
-def test_compare_pseudo_lengths_self():
-    ball = F2.enumerate_ball(3)
-    pl = PseudoLength.from_word_lengths(ball)
-    report = compare_pseudo_lengths(pl, pl)
-    assert report.direction == DOMINATED
-    assert report.constant < 1.0
-    C = report.constant
-    assert all(pl(g) <= C * pl(g) + C + 1e-12 for g in pl.domain)
-
-
-def test_compare_pseudo_lengths_enlarged_genset():
-    # word length for {a, b} against word length for {a, b, ab}
-    ball = F2.enumerate_ball(4)
-    base = PseudoLength.from_word_lengths(ball)
-    extra = F2.symmetrize([parse_word("a"), parse_word("b"), parse_word("ab")])
-    ball2 = F2.enumerate_ball(4, gens=extra)
-    coarse = PseudoLength({g: float(ball2.length[g]) for g in base.domain if g in ball2.index})
-    report = compare_pseudo_lengths(base, coarse)
-    assert report.direction == DOMINATED
-    assert report.constant <= 2.0
-    for g in coarse.domain:
-        assert base(g) <= 2.0 * coarse(g)
-
-
-def test_compare_pseudo_lengths_divergence_probe():
-    a = parse_word("a")
-    domain = [a**n for n in range(9)]
-    linear = PseudoLength({g: float(len(g)) for g in domain})
-    quadratic = PseudoLength({g: float(len(g)) ** 2 for g in domain})
-    report = compare_pseudo_lengths(quadratic, linear, probe=domain[1:])
-    assert report.direction == NOT_DOMINATED
-    assert report.note == "finite-scale evidence only (inconclusive)"
-    with pytest.raises(ValueError):
-        compare_pseudo_lengths(PseudoLength({}), linear)
-
-
-def test_log_transform():
-    ball = F2.enumerate_ball(2)
-    pl = PseudoLength.from_word_lengths(ball)
-    zeros = PseudoLength({g: 0.0 for g in pl.domain})
-    assert log_transform(zeros, ball.elements) == [0.0] * len(ball)
-    ones = PseudoLength({g: (0.0 if g == F2.identity() else 1.0) for g in pl.domain})
-    seq = log_transform(ones, ball.elements)
-    assert seq[0] == 0.0 and set(seq[1:]) == {1.0}
-    seq = log_transform(pl, ball.elements)
-    assert seq[:5] == [0.0, 1.0, 1.0, 1.0, 1.0]
-    assert seq[5] == pytest.approx(math.log2(3))
 
 
 def test_finite_metric_space_validation():

@@ -13,7 +13,6 @@ from hypactions.metrics import (
     random_tree_metric,
 )
 from hypactions.tightspan import (
-    extend_isometry,
     hull_sample_delta,
     is_admissible,
     is_extremal,
@@ -104,6 +103,18 @@ def test_project_two_point_shift():
     assert ok
 
 
+def test_project_commutes_with_an_isometry():
+    # the 3-cycle phi is an isometry of the equilateral space; f o phi^-1
+    # moves a function along it
+    X = FiniteMetricSpace([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    phi = [1, 2, 0]
+    move = lambda f: tuple(f[phi.index(t)] for t in range(3))
+    start = (0.9, 0.8, 0.7)
+    proj_then_move = move(project_to_hull(start, X)[0])
+    move_then_proj = project_to_hull(move(start), X)[0]
+    assert all(abs(a - b) <= 2e-9 for a, b in zip(proj_then_move, move_then_proj))
+
+
 def test_project_random_admissible_on_four_cycle():
     rng = random.Random(1)
     for _ in range(25):
@@ -185,39 +196,3 @@ def test_hull_sample_delta_rejects_non_extremal():
     bad = (10.0, 10.0, 10.0)
     with pytest.raises(ValueError):
         hull_sample_delta(THREE_POINT, [bad])
-
-
-def test_extend_isometry_identity_and_swap():
-    f = kuratowski_embed(0, THREE_POINT)
-    assert extend_isometry([0, 1, 2], f, THREE_POINT) == f
-    X = FiniteMetricSpace([[0, 2, 5], [2, 0, 5], [5, 5, 0]])  # points 0, 1 symmetric
-    g = kuratowski_embed(0, X)
-    swapped = extend_isometry([1, 0, 2], g, X)
-    assert swapped == kuratowski_embed(1, X)
-    with pytest.raises(ValueError):
-        extend_isometry([1, 0, 2], f, THREE_POINT)  # not distance-preserving
-
-
-def test_extend_isometry_three_cycle_on_equilateral():
-    X = FiniteMetricSpace([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    phi = [1, 2, 0]
-    for x in range(3):
-        moved = extend_isometry(phi, kuratowski_embed(x, X), X)
-        assert moved == kuratowski_embed(phi[x], X)
-
-
-def test_extend_isometry_preserves_sup_distance_and_commutes():
-    X = FiniteMetricSpace([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    phi = [1, 2, 0]
-    f = kuratowski_embed(0, X)
-    g = kuratowski_embed(1, X)
-    assert sup_distance(f, g) == sup_distance(
-        extend_isometry(phi, f, X), extend_isometry(phi, g, X)
-    )
-    start = (0.9, 0.8, 0.7)
-    proj_then_move = extend_isometry(phi, project_to_hull(start, X)[0], X)
-    moved_start = tuple(start[phi.index(t)] for t in range(3))
-    move_then_proj = project_to_hull(moved_start, X)[0]
-    assert all(
-        abs(a - b) <= 2e-9 for a, b in zip(proj_then_move, move_then_proj)
-    )
