@@ -7,8 +7,12 @@ a byte-identical `summary.json`, the one file a run writes, as one line of
 compact, key-sorted JSON (`python -m json.tool` prints it indented).  Exit codes:
 0 success, 1 validation error, 2 budget exceeded.  `verify` re-derives each
 claim from the config echoed in the summary by one rule (`_rederived`): it
-re-derives the result, compares it with the stored one key by key, then
-checks the few claims that equality cannot show.  Seven experiments re-run.
+re-derives the result and encodes the summary with it once, as `run` would
+write it.  When that text has the SHA-256 digest of the file read, every
+result key passes; otherwise (a forged, edited or re-indented file) it
+compares the stored result with the fresh one key by key to name the keys
+that differ.  Then it checks the few claims that equality cannot show.
+Seven experiments re-run.
 `delta` re-evaluates its stored witness in place of the four-point scan
 (`_replay_delta`); `cone-off` derives its edges from the induced metric on
 the whole ball (`_replay_cone_off`).
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import random
@@ -134,7 +139,7 @@ class Experiment:
     groups: tuple[str, ...]
     parameters: dict[str, Field]
     run: Callable  # Config -> result
-    verify: Callable  # (Config, result) -> [(label, ok)]
+    verify: Callable  # (Config, result, matches_file) -> [(label, ok)]
     check: Callable | None = None  # (group, parameters) -> problems no single field can see
 
 
@@ -269,8 +274,39 @@ def schema():
 
 
 def _json_text(value) -> str:
-    """`value` as the compact, key-sorted JSON text that `run` writes."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    """`value` as the compact, key-sorted JSON text that `run` writes.
+
+    Values are trees built by a runner or by `json.loads`, never cyclic, so
+    the encoder skips its cycle check.
+    """
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def _json_pieces(value, depth):
+    """`_json_text(value)` in pieces: one encode per value `depth` dict levels
+    down.
+
+    The C encoder keeps a string for every token until it returns, 10 to 15
+    bytes of memory per byte of text, so a summary encoded one result key at
+    a time peaks at its largest key instead of at the whole summary.
+    """
+    if depth == 0 or type(value) is not dict or not value:
+        yield _json_text(value)
+        return
+    for i, (key, item) in enumerate(sorted(value.items())):
+        yield ("," if i else "{") + json.dumps(key) + ":"
+        yield from _json_pieces(item, depth - 1)
+    yield "}"
+
+
+def _sha256(pieces) -> bytes:
+    """The SHA-256 digest of the concatenated text `pieces`."""
+    import hashlib  # loads OpenSSL, about 9 ms and 3.5 MB of RSS that only `verify` needs
+
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece.encode())
+    return digest.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -571,18 +607,25 @@ def _rederived(*claims, fresh=None):
 
     It re-runs the experiment's runner, or calls `fresh(config, stored
     result)` when one is given, and compares the stored result with the
-    fresh one, key by key, as JSON text written the way `run` writes it: a
-    stored `1` does not pass for a fresh `true` or `1.0`.  Each (label,
-    predicate) claim is checked on the config and the stored result: the
-    statements that equality with a re-run cannot show.
+    fresh one as JSON text written the way `run` writes it: a stored `1`
+    does not pass for a fresh `true` or `1.0`.  The comparison encodes once:
+    `matches_file(fresh result)` says whether the summary holding the fresh
+    result encodes to the file read, matched by SHA-256 digest, and then
+    every key passes.  Only a file that does not match (forged, edited or
+    indented) is compared key by key, encoding both sides of every key, to
+    name the keys that differ.  Each (label, predicate) claim is checked on
+    the config and the stored result: the statements that equality with a
+    re-run cannot show.
     """
 
-    def verify(c, res):
+    def verify(c, res, matches_file):
         fresh_result = fresh(c, res) if fresh else EXPERIMENTS[c.experiment].run(c)
+        keys = [*fresh_result, *(key for key in res if key not in fresh_result)]
+        whole = matches_file(fresh_result)
         checks = [
             (f"{key} re-derives from the config",
-             key in res and key in fresh_result and _json_text(res[key]) == _json_text(fresh_result[key]))
-            for key in [*fresh_result, *(key for key in res if key not in fresh_result)]
+             whole or key in res and key in fresh_result and _json_text(res[key]) == _json_text(fresh_result[key]))
+            for key in keys
         ]
         return checks + [(label, _holds(claim, c, res)) for label, claim in claims]
 
@@ -720,20 +763,34 @@ def cmd_run(args) -> int:
     return EXIT_BUDGET
 
 
-def _checks(summary):
-    """(label, ok) for every claim of a summary; a malformed part fails."""
+def _checks(summary, digest):
+    """(label, ok) for every claim of a summary read from a file whose text
+    has SHA-256 `digest`; a malformed part fails."""
     config, problems = parse_config(summary.get("config"))
     if problems:
         return [(f"config is valid at {p}", False) for p in problems]
+
+    def matches_file(result):
+        # the text `run` writes for this summary holding `result`, top-level and result keys one at a time
+        return _sha256(itertools.chain(_json_pieces({**summary, "result": result}, 2), ["\n"])) == digest
+
     try:
-        return VERIFIERS[config.experiment](config, summary.get("result"))
+        return VERIFIERS[config.experiment](config, summary.get("result"), matches_file)
     except MALFORMED as exc:
         return [(f"result re-checks ({type(exc).__name__}: {exc})", False)]
 
 
+def _read_summary(path):
+    """The parsed summary and the SHA-256 digest of its text; the text itself
+    is dropped before the replay."""
+    text = Path(path).read_text()
+    digest = _sha256([text])
+    return json.loads(text), digest
+
+
 def cmd_verify(args) -> int:
     try:
-        summary = json.loads(Path(args.summary).read_text())
+        summary, digest = _read_summary(args.summary)
     except (OSError, ValueError) as exc:
         print(f"cannot read summary: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -744,7 +801,7 @@ def cmd_verify(args) -> int:
         print(f"summary status is {summary.get('status')!r}; nothing to verify", file=sys.stderr)
         return EXIT_VALIDATION
     all_ok = True
-    for label, ok in _checks(summary):
+    for label, ok in _checks(summary, digest):
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
         all_ok &= bool(ok)
     return EXIT_OK if all_ok else EXIT_VALIDATION

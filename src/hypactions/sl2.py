@@ -434,13 +434,18 @@ def embedding_spectrum_compare(ball, e1: RealEmbedding, e2: RealEmbedding):
     """
     rows = []
     witnesses = []
-    for i, A in enumerate(ball.elements):
-        c1, c2 = classify(A, e1), classify(A, e2)
-        t1 = translation_length_h2(A, e1) if c1 == "loxodromic" else 0.0
-        t2 = translation_length_h2(A, e2) if c2 == "loxodromic" else 0.0
+    spectrum = {}  # trace -> its row fields: `classify` and `translation_length_h2` read only the trace
+    for word, A in zip(ball.words, ball.elements):
+        t = A.trace()
+        if t not in spectrum:
+            c1, c2 = classify(A, e1), classify(A, e2)
+            spectrum[t] = (str(t), c1, c2,
+                           translation_length_h2(A, e1) if c1 == "loxodromic" else 0.0,
+                           translation_length_h2(A, e2) if c2 == "loxodromic" else 0.0)
+        trace, c1, c2, t1, t2 = spectrum[t]
         row = {
-            "word": ball.words[i],
-            "trace": str(A.trace()),
+            "word": word,
+            "trace": trace,
             "class_e1": c1,
             "class_e2": c2,
             "tau_e1": t1,

@@ -4,8 +4,10 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hypactions.cli import EXPERIMENTS, _json_text, _parser, main, parse_config, validate_config
+from hypactions.cli import EXPERIMENTS, _json_pieces, _json_text, _parser, main, parse_config, validate_config
 from oracles import adjacency_naive, cone_off_edges_naive, graph_metric_naive
 
 BASE_CONFIGS = {
@@ -367,14 +369,23 @@ def _rederives(*keys):
     return [f"FAIL  {key} re-derives from the config" for key in keys]
 
 
-def _forged(tmp_path, cfg, forge, name="forged"):
-    """Run `cfg`, apply `forge` to the summary's result and write it back."""
+def _canonical(summary):
+    """`summary` as the text `run` writes, which verify first compares as a whole."""
+    return _json_text(summary) + "\n"
+
+
+# a forged summary with spaces after the separators, and one in the text `run` writes
+WRITERS = (json.dumps, _canonical)
+
+
+def _forged(tmp_path, cfg, forge, name="forged", write=json.dumps):
+    """Run `cfg`, apply `forge` to the summary's result and write it back as `write(summary)`."""
     code, out = run_config(tmp_path, cfg, name)
     assert code == 0
     summary_path = out / "summary.json"
     summary = json.loads(summary_path.read_text())
     forge(summary["result"])
-    summary_path.write_text(json.dumps(summary))
+    summary_path.write_text(write(summary))
     return summary_path
 
 
@@ -383,10 +394,11 @@ REDERIVED = sorted(EXPERIMENTS)
 
 @pytest.mark.parametrize("name", REDERIVED)
 def test_verify_fails_an_extra_result_key(tmp_path, capsys, name):
-    path = _forged(tmp_path, BASE_CONFIGS[name], lambda result: result.update(extra=1))
-    code, lines = _verify(path, capsys)
-    assert code == 1
-    assert _fails(lines) == _rederives("extra")
+    for write in WRITERS:
+        path = _forged(tmp_path, BASE_CONFIGS[name], lambda result: result.update(extra=1), write=write)
+        code, lines = _verify(path, capsys)
+        assert code == 1
+        assert _fails(lines) == _rederives("extra")
 
 
 @pytest.mark.parametrize("name", REDERIVED)
@@ -394,10 +406,65 @@ def test_verify_fails_each_deleted_result_key(tmp_path, capsys, name):
     _, out = run_config(tmp_path, BASE_CONFIGS[name], name)
     summary = json.loads((out / "summary.json").read_text())
     for key in summary["result"]:
-        path = _forged(tmp_path, BASE_CONFIGS[name], lambda result: result.pop(key), f"{name}-{key}")
-        code, lines = _verify(path, capsys)
-        assert code == 1
-        assert _rederives(key)[0] in lines
+        for write in WRITERS:
+            path = _forged(tmp_path, BASE_CONFIGS[name], lambda result: result.pop(key), f"{name}-{key}", write)
+            code, lines = _verify(path, capsys)
+            assert code == 1
+            assert _rederives(key)[0] in lines
+
+
+@pytest.mark.parametrize("name", sorted(BASE_CONFIGS))
+def test_verify_prints_the_same_lines_for_an_indented_honest_summary(tmp_path, capsys, name):
+    # the indented text differs from what `run` writes, so verify compares key by key
+    _, out = run_config(tmp_path, BASE_CONFIGS[name], name)
+    compact = _verify(out / "summary.json", capsys)
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(json.loads((out / "summary.json").read_text()), indent=2, sort_keys=True))
+    assert _verify(indented, capsys) == compact
+    assert compact[0] == 0 and all(line.startswith("PASS") for line in compact[1])
+
+
+def test_verify_encodes_an_honest_summary_once(tmp_path, capsys, monkeypatch):
+    import hypactions.cli
+
+    _, out = run_config(tmp_path, BASE_CONFIGS["cone-off"], "cone-off")
+    text = (out / "summary.json").read_text()
+    summary = json.loads(text)
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(summary, indent=2, sort_keys=True))
+    encoded = []
+
+    def counted(value):
+        encoded.append(_json_text(value))
+        return encoded[-1]
+
+    monkeypatch.setattr(hypactions.cli, "_json_text", counted)
+    assert _verify(out / "summary.json", capsys)[0] == 0
+    # the summary holding the fresh result, once, in pieces that leave out its keys and braces
+    assert len(text) / 2 < sum(map(len, encoded)) < len(text)
+    encoded.clear()
+    # a file that does not match: then both sides of every result key
+    assert _verify(indented, capsys)[0] == 0
+    assert sum(map(len, encoded)) > len(text) + len(_json_text(summary["result"]))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES, st.integers(0, 3))
+def test_json_pieces_join_to_the_text_run_writes(value, depth):
+    assert "".join(_json_pieces(value, depth)) == _json_text(value)
+
+
+@pytest.mark.parametrize("name", sorted(BASE_CONFIGS))
+def test_json_pieces_of_each_summary_join_to_its_file(tmp_path, name):
+    _, out = run_config(tmp_path, BASE_CONFIGS[name], name)
+    text = (out / "summary.json").read_text()
+    assert "".join(_json_pieces(json.loads(text), 2)) + "\n" == text
 
 
 def test_verify_delta_rejects_a_self_consistent_fabricated_block(tmp_path, capsys):
@@ -647,9 +714,10 @@ def _upper_ok_as_one(result):
 ], ids=["true-as-1", "int-as-float", "int-as-float-tightspan"])
 def test_verify_compares_values_as_json_stores_them(tmp_path, capsys, name, forge, keys):
     # equal under Python's ==, but not the text that `run` writes
-    code, lines = _verify(_forged(tmp_path, BASE_CONFIGS[name], forge), capsys)
-    assert code == 1
-    assert _fails(lines) == _rederives(*keys)
+    for write in WRITERS:
+        code, lines = _verify(_forged(tmp_path, BASE_CONFIGS[name], forge, write=write), capsys)
+        assert code == 1
+        assert _fails(lines) == _rederives(*keys)
 
 
 def test_verify_tightspan_checks_slacks_against_the_config_tol(tmp_path, capsys):

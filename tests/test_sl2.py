@@ -265,6 +265,35 @@ def test_spectrum_compare_finds_split_witness():
     assert any(r["class_e1"] == "elliptic" and r["class_e2"] == "loxodromic" for r in witnesses)
 
 
+@pytest.mark.parametrize("d, x, radius", [(2, "sqrt2-1", 4), (3, "sqrt3-1", 3)])
+def test_spectrum_compare_matches_a_classification_per_element(monkeypatch, d, x, radius):
+    # the rows are computed once per trace; the reference classifies every element
+    import hypactions.sl2
+
+    gens = [lemma_emb_matrix(parse_qfe(x, d)), mat2([[1, 1], [0, 1]], d)]
+    ball = SL2Oracle(d=d, gens=gens).enumerate_ball(radius)
+    traces = {A.trace() for A in ball.elements}
+    assert len(traces) < len(ball)
+    calls = []
+    monkeypatch.setattr(hypactions.sl2, "classify", lambda A, e: calls.append(A) or classify(A, e))
+    rows, witnesses = embedding_spectrum_compare(ball, PLUS, MINUS)
+    monkeypatch.undo()
+    per_trace = {r["trace"]: r for r in rows}.values()
+    assert len(per_trace) == len(traces)
+    # two classes per trace, and `translation_length_h2` classifies a loxodromic one again
+    assert len(calls) == sum(2 + (r["class_e1"] == "loxodromic") + (r["class_e2"] == "loxodromic") for r in per_trace)
+
+    def row(word, A):
+        c1, c2 = classify(A, PLUS), classify(A, MINUS)
+        return {"word": word, "trace": str(A.trace()), "class_e1": c1, "class_e2": c2,
+                "tau_e1": translation_length_h2(A, PLUS) if c1 == "loxodromic" else 0.0,
+                "tau_e2": translation_length_h2(A, MINUS) if c2 == "loxodromic" else 0.0}
+
+    assert rows == [row(word, A) for word, A in zip(ball.words, ball.elements)]
+    assert witnesses == [r for r in rows if r["class_e1"] != r["class_e2"]]
+    assert witnesses and len({r["trace"] for r in witnesses}) < len(witnesses)
+
+
 def test_mat2_json_roundtrip():
     A = lemma_emb_matrix(parse_qfe("sqrt2-1", 2))
     blob = [[{"a": str(e.a), "b": str(e.b)} for e in (A.a, A.b)],
