@@ -34,5 +34,5 @@ fit = subordination_fit(q, t_syllables)
 print(f"subordination constant M = {fit.M} ({fit.mode} fit)")
 
 cert = anisotropy_certificate(bs, q, t_syllables, bs.parse_element("t"), ball)
-print(f"homogenized value at t: {cert.homogenized_value} +- {cert.homogenization_error}")
+print(f"homogenized value at t (exact, q(t) for a homomorphism): {cert.homogenized_value}")
 print(cert.conclusion)

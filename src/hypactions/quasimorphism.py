@@ -1,16 +1,17 @@
 """Quasi-morphisms on group oracles: substring-counting maps on free groups
-with their defect scan, the stable-letter exponent sum on BS(m, n),
+with their exact defect, the stable-letter exponent sum on BS(m, n), exact
 homogenization, subordination fitting, and anisotropy certificates.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .baumslag import BSElement
 from .errors import CertificateError
-from .loxodromic import translation_length_estimate
+from .groups import DEFAULT_BALL_CAP
+from .loxodromic import translation_length_exact
 from .metrics import ZERO_TOL, PseudoLength
 from .words import FreeWord, count_occurrences, format_word
 
@@ -19,8 +20,7 @@ from .words import FreeWord, count_occurrences, format_word
 class QuasiMorphism:
     """A map q: G -> R with (empirically or analytically) bounded defect.
 
-    `defect_bound` is an analytic bound when available (0 for homomorphisms);
-    sampled defects are lower-bound evidence only and stay out of this field.
+    `defect_bound` is an analytic bound when available (0 for homomorphisms).
     `counting_word` is w when q is the counting quasi-morphism of w
     (`brooks_qm`), the one kind `defect_empirical` scans.
     """
@@ -73,8 +73,9 @@ class DefectEstimate:
     """The defect a certificate uses and where it comes from.
 
     source "analytic": the quasi-morphism's own `defect_bound`, no pairs
-    scanned; source "scan": the max over ordered pairs of a ball, with the
-    first pair that reaches it.
+    scanned; source "scan": the max over ordered pairs of some elements, with
+    the first pair that reaches it; source "exact": that scan over a ball
+    that holds a pair at the true defect (`defect_empirical`).
     """
 
     value: float
@@ -98,6 +99,18 @@ def defect_empirical(q: QuasiMorphism, elements) -> DefectEstimate:
     certified lower bound on the true defect.  The witness is the first pair,
     in the order of `elements` (g outer, h inner), that reaches the max, and
     `pairs_checked` counts the n^2 pairs covered.
+
+    On any set holding the ball B(2(|w| - 1)) the scan gives the exact
+    defect (Brooks, "Some remarks on bounded cohomology", 1981).  Write
+    g = u x and h = x^-1 v reduced, x the part that cancels, and let s(a, b)
+    count the signed occurrences of w across the seam of a reduced a b.  As
+    q(x^-1) = -q(x),
+
+        q(gh) - q(g) - q(h) = s(u, v) - s(u, x) - s(x^-1, v),
+
+    and each s reads at most |w| - 1 letters on either side of its seam, so
+    cutting u to its last |w| - 1 letters and x and v to their first keeps
+    every term and leaves a pair in B(2(|w| - 1)).
 
     The scan goes by cancellation length (`_counting_defect`): every ordered
     pair is covered, gh is never formed, and the cost is O(n R) table
@@ -197,28 +210,24 @@ def _counting_defect(w: FreeWord, elements):
     return best, witness
 
 
-@dataclass
-class HomogenizedValue:
-    value: float
-    error_bound: float
-    power: int
-    trace: list[float]
+def homogenization(q: QuasiMorphism, g) -> float:
+    """The homogenization lim q(g^n)/n, exactly.
 
-
-def homogenize(q: QuasiMorphism, g, n: int, defect: float | None = None) -> HomogenizedValue:
-    """q(g^n)/n with the telescoped error bound D/n.
-
-    `defect` defaults to the analytic bound attached to q; supply an empirical
-    estimate when no analytic bound exists (the error bar is then evidence).
+    A homomorphism (`defect_bound` 0) is its own.  For the counting
+    quasi-morphism of w, write g = u c u^-1 reduced with c cyclically
+    reduced: g^n = u c^n u^-1 is reduced, and away from both seams each copy
+    of c adds cyc_w(c) - cyc_{w^-1}(c), where cyc_w(c) counts the positions
+    i in 0..|c| - 1 at which w reads off the periodic word ccc... (Calegari,
+    scl, MSJ Memoirs 20, 2009, section 2.3).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if defect is None:
-        defect = q.defect_bound
-    if defect is None:
-        raise ValueError("homogenization needs a defect bound (analytic or empirical)")
-    trace = translation_length_estimate(g, q, n).trace  # q(g^i)/i for i = 1..n
-    return HomogenizedValue(value=trace[-1], error_bound=defect / n, power=n, trace=trace)
+    if q.defect_bound == 0:
+        return q(g)
+    if q.counting_word is None:
+        raise ValueError("exact homogenization needs a homomorphism or a counting quasi-morphism")
+    k, core = len(q.counting_word), translation_length_exact(g)  # |c| is the translation length
+    c = g.signed[(len(g) - core) // 2 : (len(g) + core) // 2]
+    # q counts w and w^-1 at the |c| start positions of this prefix of ccc...
+    return q(FreeWord((c * (k + 1))[: core + k - 1]))
 
 
 @dataclass
@@ -266,36 +275,31 @@ def _fit(evaluated) -> SubordinationFit:
 class AnisotropyCertificate:
     """A re-checkable certificate that a general-type action is anisotropic.
 
-    Contains every evaluated inequality: per-element subordination rows, the
-    defect witness, and the homogenization trace.  A nonzero homogenized value
-    of a subordinate quasi-morphism at g makes g loxodromic and inequivalent
-    to its inverse, so the action is not weakly isotropic.
+    Contains every evaluated inequality: per-element subordination rows and
+    the exact defect with its witness pair.  The homogenized value is exact
+    (`homogenization`), an integer held as a float.  A nonzero homogenized
+    value of a subordinate quasi-morphism at g makes g loxodromic and
+    inequivalent to its inverse, so the action is not weakly isotropic.
     """
 
     witness: object
     homogenized_value: float
-    homogenization_error: float
-    power: int
     subordination_M: float
     subordination_mode: str
     ball_radius: int
     defect: DefectEstimate
     rows: list  # (formatted element, |q(g)|, l(g))
-    trace: list
     conclusion: str
 
     def to_json(self, fmt=str):
         return {
             "witness": fmt(self.witness),
             "homogenized_value": self.homogenized_value,
-            "homogenization_error": self.homogenization_error,
-            "power": self.power,
             "subordination_M": self.subordination_M,
             "subordination_mode": self.subordination_mode,
             "ball_radius": self.ball_radius,
             "defect": self.defect.to_json(fmt),
             "rows": [list(r) for r in self.rows],
-            "homogenization_trace": list(self.trace),
             "conclusion": self.conclusion,
         }
 
@@ -306,29 +310,30 @@ def anisotropy_certificate(
     lengths: PseudoLength,
     g,
     ball,
-    power: int = 8,
     m_cap: float | None = None,
+    ball_cap: int = DEFAULT_BALL_CAP,
 ) -> AnisotropyCertificate:
     """Emit a certificate iff g lies in the ball, the homogenized value at g
     is nonzero and q is subordinate to the supplied orbit pseudo-length on
     the ball.
 
-    The defect behind the error bar is q's analytic bound when it has one,
-    else the empirical defect of a counting quasi-morphism over ordered
-    pairs of the ball (`defect_empirical`).  The caller
-    asserts that the pseudo-length comes from a general-type action; the
-    conclusion text presumes it.
+    The defect is q's analytic bound when it has one, else the exact
+    defect of a counting quasi-morphism of w: the scan of the ordered pairs
+    of B(2(|w| - 1)) (`defect_empirical`), whatever the radius of `ball`,
+    enumerated within `ball_cap`.  The caller asserts that the pseudo-length
+    comes from a general-type action; the conclusion text presumes it.
     """
     if g not in ball:
         detail = f"{oracle.format_element(g)} is not in the radius-{ball.radius} ball"
         raise CertificateError("witness-outside-ball", detail)
+    value = homogenization(q, g)
+    if value == 0:
+        raise CertificateError("zero-value", f"homogenized value at {oracle.format_element(g)} is 0")
     if q.defect_bound is not None:
         defect = DefectEstimate(value=q.defect_bound, witness=None, pairs_checked=0, source="analytic")
-    else:  # counting quasi-morphisms have no analytic bound
-        defect = defect_empirical(q, ball.elements)
-    hom = homogenize(q, g, power, defect=defect.value)
-    if abs(hom.value) <= ZERO_TOL:
-        raise CertificateError("zero-value", f"homogenized value at {oracle.format_element(g)} is 0")
+    else:  # a counting quasi-morphism: `homogenization` refuses any other q without a bound
+        pairs = oracle.enumerate_ball(2 * (len(q.counting_word) - 1), max_size=ball_cap)
+        defect = replace(defect_empirical(q, pairs.elements), source="exact")
     evaluated = [(h, abs(q(h)), lengths(h)) for h in lengths.domain]
     fit = _fit(evaluated)
     if m_cap is not None and fit.M > m_cap:
@@ -337,20 +342,17 @@ def anisotropy_certificate(
     conclusion = (
         "the quasi-morphism is subordinate to the orbit pseudo-length with "
         f"constant M = {fit.M:g} and has nonzero homogenized value "
-        f"{hom.value:g} at the witness, so the witness acts loxodromically "
+        f"{value:g} at the witness, so the witness acts loxodromically "
         "and is not equivalent to its inverse: the action is not weakly "
         "isotropic and the group is anisotropic"
     )
     return AnisotropyCertificate(
         witness=g,
-        homogenized_value=hom.value,
-        homogenization_error=hom.error_bound,
-        power=power,
+        homogenized_value=value,
         subordination_M=fit.M,
         subordination_mode=fit.mode,
         ball_radius=ball.radius,
         defect=defect,
         rows=rows,
-        trace=hom.trace,
         conclusion=conclusion,
     )

@@ -8,8 +8,8 @@ the n^3-per-basepoint four-point scan and the float64 sampled scan, one product 
 per-source BFS and per-pair geodesic walks for the in-ball graph metric,
 a per-source walk over parent and child links for a random tree's metric,
 cone-off and the coned metric, trial division up to sqrt(d) for square-freeness, the
-memoised pairwise scan for the defect of a quasi-morphism, the pseudo-length
-axioms and subordination checked element by element, Q(sqrt(d)) and its
+memoised pairwise scan for the defect of a quasi-morphism, q(g^n)/n for its
+homogenization, the pseudo-length axioms and subordination checked element by element, Q(sqrt(d)) and its
 2x2 matrices in `Fraction` coordinates a + b*sqrt(d), and the tight-span
 projector as a plain loop over Fraction rows, and the isotropy probe over
 `FreeWord` pairs grouped in a dict with one product per candidate g.
@@ -340,6 +340,11 @@ def defect_naive(q, elements):
                 best = d
                 witness = (g, h)
     return best, witness
+
+
+def homogenize_naive(q, g, n):
+    """q(g^n)/n for a free word g, with g^n reduced by `power_naive`."""
+    return q(type(g)(power_naive(g.signed, n))) / n
 
 
 def pseudo_length_violation(identity, values):

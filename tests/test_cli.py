@@ -297,6 +297,15 @@ MALFORMED = [
     ("parameters.x", _with("sl2-embed", lambda c: c["parameters"].update(x="1/0"))),
     ("parameters.x", _with("sl2-embed", lambda c: c["parameters"].update(x="sqrt3-1"))),
     ("parameters.points", _with("tightspan", lambda c: c["parameters"].update(points=129))),
+    # words outside the group, or a counting word that reduces to 1, are config errors too
+    ("parameters.qm.brooks", _with("qm-certify", lambda c: c.update(group={"kind": "free", "rank": 2}, parameters={
+        "g": "ab", "qm": {"brooks": "c"}}))),
+    ("parameters.qm.brooks", _with("qm-certify", lambda c: c.update(group={"kind": "free", "rank": 2}, parameters={
+        "g": "ab", "qm": {"brooks": "aA"}}))),
+    ("parameters.g", _with("qm-certify", lambda c: c.update(group={"kind": "free", "rank": 2}, parameters={
+        "g": "zz", "qm": {"brooks": "ab"}}))),
+    ("parameters.g", _with("qm-certify", lambda c: c["parameters"].update(g="b"))),
+    ("parameters.power", _with("qm-certify", lambda c: c["parameters"].update(power=8))),  # gone in 0.4.0
 ]
 
 
@@ -860,7 +869,7 @@ BROOKS = {
 
 def _zero_defect(cert):
     cert["defect"].update(value=0.0, witness_pair=None)
-    cert["homogenization_error"] = 0.0
+    cert["homogenized_value"] = 2.0
 
 
 @pytest.mark.parametrize("forge", [
@@ -876,12 +885,29 @@ def test_verify_qm_certify_rederives_the_certificate(tmp_path, capsys, forge):
     assert code == 0
     summary_path = out / "summary.json"
     summary = json.loads(summary_path.read_text())
-    assert summary["result"]["certificate"]["defect"]["source"] == "scan"
+    assert summary["result"]["certificate"]["defect"]["source"] == "exact"
     forge(summary["result"]["certificate"])
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
     assert code == 1
     assert _fails(lines) == _rederives("certificate")
+
+
+def test_qm_certify_scans_the_defect_on_b6_for_a_word_of_length_4(tmp_path):
+    # |abAB| = 4: the defect comes from B(6), 1,457 points, whatever the radius.
+    # No element of B(3) has a nonzero homogenization (abAB has no period
+    # of length 1 to 3), so radius 4 is the smallest that certifies.
+    cfg = {**BROOKS, "parameters": {"g": "abAB", "radius": 4, "qm": {"brooks": "abAB"}}}
+    code, out = run_config(tmp_path, cfg, "abAB")
+    assert code == 0
+    cert = json.loads((out / "summary.json").read_text())["result"]["certificate"]
+    assert (cert["defect"]["value"], cert["defect"]["pairs_checked"]) == (2.0, 1457**2)
+    assert (cert["homogenized_value"], len(cert["rows"])) == (1.0, 161)
+    assert main(["verify", str(out / "summary.json")]) == 0
+    too_small = {**cfg, "budgets": {"ball_cap": 1456}}
+    code, out = run_config(tmp_path, too_small, "abAB-cap")
+    assert code == 2
+    assert json.loads((out / "summary.json").read_text())["status"] == "budget-exceeded"
 
 
 def test_qm_certify_witness_outside_the_ball_fails(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import functools
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hypactions.errors import CertificateError
+from hypactions.errors import BudgetExceeded, CertificateError
 from hypactions.groups import BSOracle, FreeGroupOracle
 from hypactions.metrics import PseudoLength
 from hypactions.quasimorphism import (
@@ -12,11 +14,11 @@ from hypactions.quasimorphism import (
     brooks_qm,
     defect_empirical,
     exponent_sum_qm,
-    homogenize,
+    homogenization,
     subordination_fit,
 )
 from hypactions.words import FreeWord, parse_word
-from oracles import defect_naive, subordinate
+from oracles import defect_naive, homogenize_naive, subordinate
 
 ZERO = QuasiMorphism(lambda g: 0.0, defect_bound=0.0)
 
@@ -69,32 +71,62 @@ def test_defect_examples():
             defect_empirical(other, fball.elements[:10])
 
 
-def test_homogenize():
+def test_homogenization_examples():
     bs = BSOracle(2, 3)
-    qt = exponent_sum_qm()
-    g = bs.parse_element("ta")
-    hom = homogenize(qt, g, 6)
-    assert hom.value == 1.0 and hom.error_bound == 0.0
+    assert homogenization(exponent_sum_qm(), bs.parse_element("ta")) == 1.0  # a homomorphism is its own
 
     q = brooks_qm(w("ab"))
-    hom = homogenize(q, w("ab"), 8, defect=1.0)
-    assert hom.value == 1.0
-    assert hom.error_bound == 1.0 / 8
-    hom = homogenize(q, FreeWord.identity(), 4, defect=1.0)
-    assert hom.value == 0.0
+    assert homogenization(q, w("ab")) == 1.0
+    assert homogenization(q, w("ba^2b^-1")) == 0.0  # cyclically reduced to a^2
+    assert homogenization(q, FreeWord.identity()) == 0.0
+    assert homogenization(brooks_qm(w("aBa")), w("aB")) == 1.0  # aBa reads off aBaB... once a period
+    assert homogenization(brooks_qm(w("aBa")), w("ab")) == 0.0
+    # (ab)^8 holds abab 7 times, so q(g^8)/8 = 0.875; each copy of ab adds one
+    abab = _counting_qm(w("abab"))
+    assert (homogenization(abab, w("ab")), homogenize_naive(abab, w("ab"), 8)) == (1.0, 0.875)
+    # |c| < |w|: w is read off the periodic word ccc...
+    assert homogenization(_counting_qm(w("a^3")), w("a")) == 1.0
+    assert homogenization(brooks_qm(w("aab")), w("a")) == 0.0
     with pytest.raises(ValueError):
-        homogenize(q, w("ab"), 4)  # no defect bound anywhere
+        homogenization(QuasiMorphism(lambda g: 1.0), w("ab"))  # no bound, no counting word
 
 
-def test_homogenization_consistency():
-    q = brooks_qm(w("ab"))
-    D = 2.0
-    for text in ("ab", "ab^2", "ba"):
-        g = w(text)
-        for n in (2, 4):
-            v1 = homogenize(q, g, n, defect=D).value
-            v2 = homogenize(q, g, 2 * n, defect=D).value
-            assert abs(v1 - v2) <= D / n + 1e-12
+def _counting_qm(word):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # proper powers are valid counting words
+        return brooks_qm(word)
+
+
+def _free_words(rank, min_size, max_size):
+    letters = st.sampled_from([x for i in range(1, rank + 1) for x in (i, -i)])
+    return st.lists(letters, min_size=min_size, max_size=max_size).map(FreeWord)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@given(data=st.data())
+def test_homogenization_matches_the_naive_power(rank, data):
+    # q(g^n) - n q-bar(g) is constant once g^n reaches past |w| on both seams
+    word = data.draw(_free_words(rank, 1, 4).filter(len), label="w")
+    g = data.draw(_free_words(rank, 0, 9), label="g")
+    q = _counting_qm(word)
+    bar = homogenization(q, g)
+    assert bar == int(bar)
+    N = 2 * (len(word) + len(g))
+    offsets = [n * homogenize_naive(q, g, n) - n * bar for n in range(N, N + 4)]
+    assert max(offsets) - min(offsets) < 1e-9
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@given(data=st.data())
+def test_homogenization_is_odd_conjugation_invariant_and_homogeneous(rank, data):
+    q = _counting_qm(data.draw(_free_words(rank, 1, 4).filter(len), label="w"))
+    g = data.draw(_free_words(rank, 0, 7), label="g")
+    h = data.draw(_free_words(rank, 0, 5), label="h")
+    bar = homogenization(q, g)
+    assert homogenization(q, g.inverse()) == -bar
+    assert homogenization(q, h * g * h.inverse()) == bar
+    for k in range(-5, 6):
+        assert homogenization(q, g**k) == k * bar
 
 
 def test_subordination_fit_examples():
@@ -139,12 +171,9 @@ def test_subordination_monotone_in_radius():
 
 def test_brooks_defect_plateau():
     q = brooks_qm(w("ab"))
-    values = []
-    for radius in (2, 3, 4, 5):
-        ball = F2.enumerate_ball(radius)
-        values.append(defect_empirical(q, ball.elements).value)
-    # |w| = 2: the sampled defect stabilizes beyond radius 2|w| + 2
-    assert values[-1] == values[-2]
+    values = [defect_empirical(q, F2.enumerate_ball(radius).elements).value for radius in (2, 3, 4, 5)]
+    # |w| = 2: from radius 2(|w| - 1) = 2 on, every ball holds a pair at the exact defect 1 (q(ab) - q(a) - q(b))
+    assert values == [1.0] * 4
 
 
 def test_anisotropy_certificate_bs():
@@ -174,6 +203,11 @@ def test_anisotropy_certificate_brooks():
     cert = anisotropy_certificate(F2, q, lengths, w("ab"), ball)
     assert cert.homogenized_value == 1.0
     assert cert.subordination_M <= 1.0
+    # the defect is scanned on B(2), whatever the radius of the certificate's ball
+    assert cert.defect.to_json(F2.format_element) == {
+        "source": "exact", "value": 1.0, "witness_pair": ["b^-1", "a^-1"], "pairs_checked": 17**2}
+    with pytest.raises(BudgetExceeded):
+        anisotropy_certificate(F2, q, lengths, w("ab"), ball, ball_cap=16)
 
 
 @pytest.mark.parametrize("m, n", [(2, 3), (1, 2)])
@@ -185,7 +219,6 @@ def test_exponent_sum_defect_is_analytic_and_matches_the_scan(m, n):
     cert = anisotropy_certificate(bs, qt, tsyl, bs.parse_element("t"), ball)
     assert cert.defect.to_json() == {"source": "analytic", "value": 0.0, "witness_pair": None, "pairs_checked": 0}
     assert defect_naive(qt, ball.elements) == (cert.defect.value, None)
-    assert cert.homogenization_error == 0.0
 
 
 F3 = FreeGroupOracle(3)
@@ -222,8 +255,41 @@ def test_brooks_defect_scan_matches_the_naive_scan(oracle, word, radius, stride)
         assert info.value.reason == "witness-outside-ball"
         return
     cert = anisotropy_certificate(oracle, q, lengths, w(word), ball)
-    assert cert.defect == est
-    assert cert.homogenization_error == est.value / cert.power
+    exact = defect_empirical(q, oracle.enumerate_ball(2 * (len(word) - 1)).elements)
+    assert cert.defect == replace(exact, source="exact")
+    if radius >= 2 * (len(word) - 1):
+        assert cert.defect.value == est.value
+
+
+# (word, rank): defect_naive at the radii where it takes at most about 2 s (up
+# to 485 points), the trie scan on the rest of 2(|w| - 1) .. 2(|w| - 1) + 2
+EXACT_DEFECT_CASES = [
+    *((word, 2) for word in ("a", "ab", "aab", "aBa", "abAB", "abab", "aabb", "abaB")),
+    *((word, 3) for word in ("abc", "aBc")),
+]
+NAIVE_POINTS = 485
+
+
+@functools.cache
+def _ball(rank, radius):
+    return FreeGroupOracle(rank).enumerate_ball(radius)
+
+
+@pytest.mark.parametrize("word, rank", EXACT_DEFECT_CASES, ids=[f"F{r}-{x}" for x, r in EXACT_DEFECT_CASES])
+def test_exact_defect_equals_the_scan_of_every_larger_ball(word, rank):
+    oracle = FreeGroupOracle(rank)
+    q = _counting_qm(w(word))
+    ball = oracle.enumerate_ball(len(word))
+    cert = anisotropy_certificate(oracle, q, PseudoLength.from_word_lengths(ball), w(word), ball)
+    low = 2 * (len(word) - 1)
+    assert cert.defect.source == "exact"
+    assert cert.defect.pairs_checked == len(_ball(rank, low)) ** 2
+    for radius in range(low, low + 3):
+        elements = _ball(rank, radius).elements
+        if len(elements) <= NAIVE_POINTS:
+            assert defect_naive(q, elements)[0] == cert.defect.value, radius
+        else:
+            assert defect_empirical(q, elements).value == cert.defect.value, radius
 
 
 def test_brooks_defect_scan_skips_h_that_cancels_further():
