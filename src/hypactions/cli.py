@@ -13,7 +13,8 @@ result key passes; otherwise (a forged, edited or re-indented file) it
 compares the stored result with the fresh one key by key to name the keys
 that differ.  Then it checks the few claims that equality cannot show.
 Seven experiments re-run.
-`delta` re-evaluates its stored witness in place of the four-point scan
+`delta` re-evaluates its stored witness in place of the four-point scan and,
+when exhaustive, checks `raw_max` against every defect at basepoint 0
 (`_replay_delta`); `cone-off` derives its edges from the induced metric on
 the whole ball (`_replay_cone_off`).
 
@@ -58,6 +59,7 @@ from .metrics import (
     ConeOffResult,
     DeltaEstimate,
     PseudoLength,
+    basepoint_scan,
     boundary_warnings,
     cone_off,
     four_point_delta,
@@ -342,24 +344,34 @@ def _run_delta(c):
 
 def _replay_delta(c, res):
     """The delta result with the stored witness re-evaluated in place of the
-    scan: it shows that the witness attains `raw_max`, not that `raw_max` is
-    the maximum.  A witness that is not four int indices into the ball (numpy
-    would wrap -1 to the last point) becomes (0, 0, 0, 0), which it is not."""
+    scan, which shows that the witness attains `raw_max`; and, on an
+    exhaustive summary, the claim that `raw_max` is at least the largest
+    defect with basepoint 0 (`metrics.basepoint_scan`, n^3 defects): a real
+    quadruple beating it proves that `raw_max` is not the maximum, and
+    where that largest defect is 0, as on a tree, delta <= 2 delta_0 = 0
+    proves that it is.  A witness that is not four int indices into the
+    ball (numpy would wrap -1 to the last point) becomes (0, 0, 0, 0), which
+    it is not."""
     stored = res.get("delta")
-    witness = stored.get("witness") if type(stored) is dict else None
+    witness, raw_max = (stored.get("witness"), stored.get("raw_max")) if type(stored) is dict else (None, None)
+    claims = []
 
     def replay(ball, D):
         in_ball = type(witness) is list and len(witness) == 4 and all(
             type(i) is int and 0 <= i < len(ball) for i in witness)
         quad = witness if in_ball else [0, 0, 0, 0]
-        raw_max = float(quadruple_defect(D, quad))
+        replayed = float(quadruple_defect(D, quad))
         mode, count = c.params["mode"], c.params["count"]
         sampled = mode == "sampled"
-        return DeltaEstimate(max(0.0, raw_max), raw_max, tuple(quad), sampled,
+        if not sampled:
+            at_0 = basepoint_scan(D, 0)[0]
+            claims.append((f"raw_max is at least the largest defect at basepoint 0, {at_0}",
+                           type(raw_max) is float and raw_max >= at_0))
+        return DeltaEstimate(max(0.0, replayed), replayed, tuple(quad), sampled,
                              quadruple_budget(len(ball), mode, count, c.budgets["quadruple_cap"]),
                              c.seed if sampled else None, ball.words)
 
-    return _delta(c, replay)
+    return _delta(c, replay), claims
 
 
 def _run_tau(c):
@@ -428,6 +440,25 @@ def _run_borel_order(c):
     }
 
 
+def _word_problems(group, words, nonidentity=()):
+    """A problem for each word {parameter key: text} that does not parse in
+    the group, or that is the identity when its key is in `nonidentity`."""
+    oracle = GROUPS[group["kind"]][1](group)
+    problems = []
+    for key, text in words.items():
+        try:
+            if not oracle.parse_element(text) and key in nonidentity:
+                problems.append(f"parameters.{key}: must not be the identity")
+        except ValueError as exc:
+            problems.append(f"parameters.{key}: {exc}")
+    return problems
+
+
+def _check_word(key):
+    """The check that the parameter `key` is a word of the group."""
+    return lambda group, params: _word_problems(group, {key: params[key]})
+
+
 def _check_qm_certify(group, params):
     """The exponent sum and t-syllables need a bs group, a counting word a
     free one; `g` and a counting word other than 1 must parse in it."""
@@ -441,13 +472,7 @@ def _check_qm_certify(group, params):
         words["qm.brooks"] = qm["brooks"]
     if kind == "free" and params["length"] == "t-syllable":
         problems.append("parameters.length: t-syllable needs a bs group")
-    for key, text in words.items():
-        try:
-            if not GROUPS[kind][1](group).parse_element(text) and key != "g":
-                problems.append(f"parameters.{key}: must not be the identity")
-        except ValueError as exc:
-            problems.append(f"parameters.{key}: {exc}")
-    return problems
+    return problems + _word_problems(group, words, nonidentity=("qm.brooks",))
 
 
 def _run_qm_certify(c):
@@ -566,7 +591,7 @@ def _replay_cone_off(c, res):
         return ConeOffResult(list(zip(xs.tolist(), ys.tolist())), np.flatnonzero(~allowed).tolist(),
                              boundary_warnings(D0, ball.radius), orbit_dist.tolist())
 
-    return _cone_off(c, coned)
+    return _cone_off(c, coned), []
 
 
 def _run_isotropy_probe(c):
@@ -611,19 +636,20 @@ def _rederived(*claims, fresh=None):
     """The verifier of an experiment whose whole result re-derives from its config.
 
     It re-runs the experiment's runner, or calls `fresh(config, stored
-    result)` when one is given, and compares the stored result with the
-    fresh one as JSON text written the way `run` writes it: a stored `1`
-    does not pass for a fresh `true` or `1.0`.  The comparison encodes once:
-    `matches_file(fresh result)` says whether the summary holding the fresh
-    result encodes to the file read, matched by SHA-256 digest, and then
-    every key passes.  Only a file that does not match (forged, edited or
+    result)` when one is given, which returns a fresh result and the
+    (label, ok) claims that only its replay can check.  It compares the
+    stored result with the fresh one as JSON text written the way `run`
+    writes it: a stored `1` does not pass for a fresh `true` or `1.0`.  The
+    comparison encodes once: `matches_file(fresh result)` says whether the
+    summary holding the fresh result encodes to the file read, matched by
+    SHA-256 digest, and then every key passes.  Only a file that does not match (forged, edited or
     indented) is compared key by key, to name the keys that differ.  Each
     (label, predicate) claim is checked on the config and the stored
     result: what equality with a re-run cannot show.
     """
 
     def verify(c, res, matches_file):
-        fresh_result = fresh(c, res) if fresh else EXPERIMENTS[c.experiment].run(c)
+        fresh_result, replay_claims = fresh(c, res) if fresh else (EXPERIMENTS[c.experiment].run(c), [])
         keys = [*fresh_result, *(key for key in res if key not in fresh_result)]
         whole = matches_file(fresh_result)
         checks = [
@@ -631,7 +657,7 @@ def _rederived(*claims, fresh=None):
              whole or key in res and key in fresh_result and _json_text(res[key]) == _json_text(fresh_result[key]))
             for key in keys
         ]
-        return checks + [(label, _holds(claim, c, res)) for label, claim in claims]
+        return checks + replay_claims + [(label, _holds(claim, c, res)) for label, claim in claims]
 
     return verify
 
@@ -648,7 +674,7 @@ EXPERIMENTS = {
     }, _run_tau, _rederived(
         ("upper bound dominates the exact value",
          lambda c, r: r["upper"] >= r["exact"] - 1e-12),
-    )),
+    ), _check_word("g")),
     "compress": Experiment(("free",), {
         "families": Field([Field({"w": Field(str), "cap": Field(int, bound=at_least(1))})], bound=("non-empty", bool)),
         "k_max": Field(int, 12, at_least(1)),
@@ -671,6 +697,9 @@ EXPERIMENTS = {
         "m_cap": Field(float, None),
     }, _run_qm_certify, _rederived(
         ("homogenized value is nonzero", lambda c, r: r["certificate"]["homogenized_value"] != 0),
+        # |q(g^n)| <= M l(g^n) + M for every n forces a zero homogenization when M = 0
+        ("subordination M is positive beside a nonzero homogenized value",
+         lambda c, r: r["certificate"]["homogenized_value"] == 0 or r["certificate"]["subordination_M"] > 0),
     ), _check_qm_certify),
     "sl2-embed": Experiment(("sl2",), {
         "x": Field(str, "sqrt2-1"),
@@ -692,7 +721,7 @@ EXPERIMENTS = {
         "radius": Field(int, 4, at_least(0)),
         "orbit": Field(str, "a"),
         "A": Field(float, 1.0, at_least(0)),
-    }, _run_cone_off, _rederived(fresh=_replay_cone_off)),
+    }, _run_cone_off, _rederived(fresh=_replay_cone_off), _check_word("orbit")),
     "isotropy-probe": Experiment(("free",), {
         "radius": Field(int, 3, at_least(1)),
         "D": Field(float, 2.0),

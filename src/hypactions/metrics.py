@@ -278,17 +278,23 @@ def _first_worst_point(D: np.ndarray) -> int:
     return low
 
 
-def _basepoint_scan(D: np.ndarray, l: int):
-    """(max, first maximising (x, y, z, l) in row-major order) of the ordered
-    defects with basepoint t = l, built from the n x n Gromov products at l
-    a few rows of x at a time."""
+def _basepoint_blocks(D: np.ndarray, l: int):
+    """The ordered defects with basepoint t = l, built from the n x n Gromov
+    products at l a few rows of x at a time: yields (i0, T), where T[i, j, k]
+    is the defect of (i0 + i, j, k, l)."""
     n = D.shape[0]
     col = D[:, l]
     G = (col[:, None] + col[None, :] - D) / 2.0
     rows = max(1, SCAN_STEP_BYTES // G.itemsize // (n * n))
-    best, witness = -math.inf, None
     for i0 in range(0, n, rows):
-        T = np.minimum(G[i0 : i0 + rows, :, None], G[None, :, :]) - G[i0 : i0 + rows, None, :]
+        yield i0, np.minimum(G[i0 : i0 + rows, :, None], G[None, :, :]) - G[i0 : i0 + rows, None, :]
+
+
+def basepoint_scan(D: np.ndarray, l: int):
+    """(max, first maximising (x, y, z, l) in row-major order) of the ordered
+    defects with basepoint t = l."""
+    best, witness = -math.inf, None
+    for i0, T in _basepoint_blocks(D, l):
         m = float(T.max())
         if m > best:
             i, j, k = np.unravel_index(int(np.argmax(T)), T.shape)
@@ -296,17 +302,42 @@ def _basepoint_scan(D: np.ndarray, l: int):
     return best, witness
 
 
+def _zero_at_basepoint_0(D: np.ndarray) -> bool:
+    """Whether no defect with basepoint 0 is positive, stopping at the first
+    block that holds one.
+
+    Then every defect is at most 0, by the bound delta <= 2 delta_w for any
+    basepoint w (Fournier, Ismail and Vigneron, IPL 2015), which needs no
+    triangle inequality.  With K(a, b) = (a.b)_w, the identity
+
+        (x.y)_t = (x.y)_w + d(t, w) - (x.t)_w - (y.t)_w
+
+    holds for every symmetric D with zero diagonal, so the defect of
+    (x, y, z, t) is min(K(x,y) + K(z,t), K(y,z) + K(x,t)) - K(x,z) - K(y,t).
+    The scan at w says K(a,b) >= min(K(a,c), K(c,b)) - delta_w for all a, b
+    and c, repeats included; applied to (x, z) through y and t and to (y, t)
+    through x and z, it bounds that defect by 2 delta_w.
+    """
+    return all(T.max() <= 0 for _, T in _basepoint_blocks(D, 0))
+
+
+def _index_dtype(entries: int):
+    """int32 when every flat index below `entries` fits in it, else int64."""
+    return np.int32 if entries <= 2**31 else np.int64
+
+
 def _sampled_scan(D: np.ndarray, count: int, rng):
     """(max, first maximising quadruple drawn) of `count` drawn defects."""
     n = D.shape[0]
     flat = D.astype(_scan_dtype(D)).ravel()
-    step = SCAN_STEP_BYTES // 8  # int64 indices in one cache-sized block
+    index = _index_dtype(flat.size)  # numpy draws the same stream in either type
+    step = SCAN_STEP_BYTES // np.dtype(index).itemsize  # indices in one cache-sized block
     best, witness = -math.inf, None
     remaining = count
     while remaining > 0:
         m_now = min(250_000, remaining)
         remaining -= m_now
-        idx = rng.integers(0, n, size=(4, m_now))
+        idx = rng.integers(0, n, size=(4, m_now), dtype=index)
         for s in range(0, m_now, step):
             x, y, z, t = idx[:, s : s + step]
             xn, yn = x * n, y * n
@@ -358,17 +389,24 @@ def four_point_delta(
     symmetric and zero on the diagonal (ValueError otherwise); negative
     entries and triangle violations are scanned as they are.
     mode "exhaustive" covers all n^4 ordered quadruples; `quadruple_cap` and
-    `quadruples_checked` count them, so the cap is crossed above n^4.  It
-    evaluates each unordered quadruple once, as (largest - middle)/2 of its
-    three matching sums (see `_defect_blocks`), about n^4/24 evaluations in
-    O(n^2) memory.  Integer distances are scanned exactly in a narrow integer
-    type.  The first point l of a maximising quadruple then reruns the
-    ordered scan with basepoint l, whose maximum is `raw_max` and whose first
-    argmax is `witness`: the first basepoint, and the first (x, y, z) at it,
-    that reach the maximum, as a scan over every basepoint in turn finds
-    them (exactly so when sums of two distances are exact in float64).
+    `quadruples_checked` count them, so the cap is crossed above n^4.  On
+    distances `_scan_dtype` scans as integers, whose defects are exact in
+    float64, it first scans the n^3 ordered defects with basepoint 0,
+    stopping at the first positive one: when there is none, delta <= 2 delta_0
+    = 0 (see `_zero_at_basepoint_0`), so `raw_max` is 0 with witness
+    (0, 0, 0, 0), as the scans below would find, and they are skipped.  That
+    settles every tree, a free-group ball among them.  Otherwise it evaluates
+    each unordered quadruple once, as (largest - middle)/2 of its three
+    matching sums (see `_defect_blocks`), about n^4/24 evaluations in O(n^2)
+    memory.  Integer distances are scanned exactly in a narrow integer type.
+    The first point l of a maximising quadruple then reruns the ordered scan
+    with basepoint l, whose maximum is `raw_max` and whose first argmax is
+    `witness`: the first basepoint, and the first (x, y, z) at it, that reach
+    the maximum, as a scan over every basepoint in turn finds them (exactly
+    so when sums of two distances are exact in float64).
     mode "sampled" scans, in the same types, `count` <= `quadruple_cap`
-    quadruples drawn from a PRNG seeded with `seed` (0 when None).
+    quadruples drawn from a PRNG seeded with `seed` (0 when None), with int32
+    indices while n^2 <= 2^31 (int64 past that; both draw the same stream).
     """
     D = metric.as_array() if isinstance(metric, FiniteMetricSpace) else np.asarray(metric, dtype=np.float64)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
@@ -387,8 +425,10 @@ def four_point_delta(
     if sampled:
         seed = 0 if seed is None else seed
         best, best_w = _sampled_scan(D, count, np.random.default_rng(seed))
+    elif _scan_dtype(D) is not np.float64 and _zero_at_basepoint_0(D):
+        best, best_w = 0.0, (0, 0, 0, 0)  # what the scan below returns when every defect is at most 0
     else:
-        best, best_w = _basepoint_scan(D, _first_worst_point(D))
+        best, best_w = basepoint_scan(D, _first_worst_point(D))
     return DeltaEstimate(
         delta=max(0.0, best),
         raw_max=best,

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypactions.cli import EXPERIMENTS, _json_pieces, _json_text, _parser, main, parse_config, validate_config
+from hypactions.cli import (
+    EXPERIMENTS,
+    _delta_inputs,
+    _json_pieces,
+    _json_text,
+    _parser,
+    main,
+    parse_config,
+    validate_config,
+)
+from hypactions.metrics import quadruple_defect
 from oracles import adjacency_naive, cone_off_edges_naive, graph_metric_naive
 
 BASE_CONFIGS = {
@@ -306,6 +316,10 @@ MALFORMED = [
         "g": "zz", "qm": {"brooks": "ab"}}))),
     ("parameters.g", _with("qm-certify", lambda c: c["parameters"].update(g="b"))),
     ("parameters.power", _with("qm-certify", lambda c: c["parameters"].update(power=8))),  # gone in 0.4.0
+    ("parameters.g", _with("tau", lambda c: c["parameters"].update(g="zz"))),
+    ("parameters.orbit", _with("cone-off", lambda c: c["parameters"].update(orbit="zz"))),
+    ("parameters.orbit", _with("cone-off", lambda c: c.update(group={"kind": "bs", "m": 2, "n": 3},
+                                                              parameters={"orbit": "a^"}))),
 ]
 
 
@@ -524,11 +538,12 @@ def test_verify_delta_refuses_a_negative_index_that_numpy_would_wrap(tmp_path, c
     assert _fails(lines) == _rederives("delta", "witness_distances")
 
 
-@pytest.mark.parametrize("group, parameters", [
-    ({"kind": "free", "rank": 2}, {"radius": 2}),
-    ({"kind": "bs", "m": 2, "n": 3}, {"radius": 2, "mode": "sampled", "count": 500}),
+# an exhaustive summary adds one claim, from the basepoint-0 scan (n^3 defects)
+@pytest.mark.parametrize("group, parameters, claims", [
+    ({"kind": "free", "rank": 2}, {"radius": 2}, ["raw_max is at least the largest defect at basepoint 0, 0.0"]),
+    ({"kind": "bs", "m": 2, "n": 3}, {"radius": 2, "mode": "sampled", "count": 500}, []),
 ], ids=["exhaustive", "sampled"])
-def test_verify_delta_replays_the_witness_without_scanning(tmp_path, capsys, monkeypatch, group, parameters):
+def test_verify_delta_replays_the_witness_without_scanning(tmp_path, capsys, monkeypatch, group, parameters, claims):
     import hypactions.cli
 
     _, out = run_config(tmp_path, _with("delta", lambda c: c.update(group=group, parameters=parameters)), "delta")
@@ -540,7 +555,33 @@ def test_verify_delta_replays_the_witness_without_scanning(tmp_path, capsys, mon
     code, lines = _verify(out / "summary.json", capsys)
     assert code == 0
     assert lines == [f"PASS  {key} re-derives from the config"
-                     for key in ("ball_size", "metric", "delta", "witness_distances")]
+                     for key in ("ball_size", "metric", "delta", "witness_distances")] + [f"PASS  {c}" for c in claims]
+
+
+def test_verify_delta_refuses_a_raw_max_beaten_at_basepoint_0(tmp_path, capsys):
+    # a BS(1, 2) R4 summary forged to the witness (7, 5, 1, 0), whose own
+    # defect 0.5 it claims as the maximum, with that quadruple's distances
+    # and labels: the witness replays, but basepoint 0 alone reaches 2
+    cfg = _with("delta", lambda c: c.update(group={"kind": "bs", "m": 1, "n": 2}, parameters={"radius": 4}))
+    ball, D, _ = _delta_inputs(parse_config(cfg)[0])
+    quad = (7, 5, 1, 0)
+    assert quadruple_defect(D, quad) == 0.5
+
+    def forge(result):
+        assert result["delta"]["raw_max"] == 3.0
+        result["delta"].update(witness=list(quad), witness_labels=[ball.words[i] for i in quad],
+                               raw_max=0.5, delta=0.5)
+        result["witness_distances"] = [[float(D[a, b]) for b in quad] for a in quad]
+
+    code, lines = _verify(_forged(tmp_path, cfg, forge), capsys)
+    assert code == 1
+    assert _fails(lines) == ["FAIL  raw_max is at least the largest defect at basepoint 0, 2.0"]
+
+    # the honest summary passes the same claim
+    _, out = run_config(tmp_path, cfg, "honest")
+    code, lines = _verify(out / "summary.json", capsys)
+    assert code == 0
+    assert lines[-1] == "PASS  raw_max is at least the largest defect at basepoint 0, 2.0"
 
 
 def test_verify_cone_off_derives_the_edges_without_cone_off(tmp_path, capsys, monkeypatch):
@@ -910,6 +951,20 @@ def test_qm_certify_scans_the_defect_on_b6_for_a_word_of_length_4(tmp_path):
     assert json.loads((out / "summary.json").read_text())["status"] == "budget-exceeded"
 
 
+def test_verify_qm_certify_refuses_m_zero_beside_a_nonzero_value(tmp_path, capsys):
+    # no element of B(3) contains abab, so |q| is 0 on the whole ball and the
+    # fit gives M = 0, yet |q(g^n)| <= M l(g^n) + M for every n would force
+    # the homogenized value at ab to be 0, not 1
+    cfg = {**BROOKS, "parameters": {"g": "ab", "radius": 3, "qm": {"brooks": "abab"}}}
+    code, out = run_config(tmp_path, cfg, "abab")
+    assert code == 0
+    cert = json.loads((out / "summary.json").read_text())["result"]["certificate"]
+    assert (cert["subordination_M"], cert["homogenized_value"]) == (0.0, 1.0)
+    code, lines = _verify(out / "summary.json", capsys)
+    assert code == 1
+    assert _fails(lines) == ["FAIL  subordination M is positive beside a nonzero homogenized value"]
+
+
 def test_qm_certify_witness_outside_the_ball_fails(tmp_path, capsys):
     cfg = _with("qm-certify", lambda c: c["parameters"].update(radius=0))
     code, _ = run_config(tmp_path, cfg)
@@ -934,6 +989,7 @@ def test_verify_isotropy_probe_replays_its_pairs(tmp_path, capsys):
 def test_a_proper_power_counting_word_warns_in_one_plain_line(tmp_path, capsys):
     cfg = json.loads(json.dumps(BROOKS))
     cfg["parameters"]["qm"]["brooks"] = "abab"
+    cfg["parameters"]["radius"] = 4  # B(3) holds no abab, and its M = 0 certificate fails verify
     code, out = run_config(tmp_path, cfg, "abab")
     run_err = capsys.readouterr().err
     assert code == 0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hypactions import metrics
 from hypactions.cli import _delta_inputs, parse_config
 from hypactions.errors import BudgetExceeded, DomainMiss
 from hypactions.groups import BSOracle, FreeGroupOracle
@@ -16,6 +17,7 @@ from hypactions.metrics import (
     FiniteMetricSpace,
     PseudoLength,
     _bfs_metric,
+    _index_dtype,
     _scan_dtype,
     cone_off,
     four_point_delta,
@@ -165,6 +167,23 @@ def test_four_point_delta_sampled_budget():
     assert four_point_delta(np.zeros((3, 3)), mode="sampled", count=1000, quadruple_cap=1000).quadruples_checked == 1000
 
 
+@pytest.fixture
+def no_full_scan(monkeypatch):
+    """`_first_worst_point`, the n^4/24 scan, raises when it is reached."""
+    def full_scan(D):
+        raise AssertionError("the exhaustive scan ran")
+
+    monkeypatch.setattr(metrics, "_first_worst_point", full_scan)
+
+
+@pytest.fixture
+def full_scans(monkeypatch):
+    """The matrices `_first_worst_point` is called on, in order."""
+    calls, full_scan = [], metrics._first_worst_point
+    monkeypatch.setattr(metrics, "_first_worst_point", lambda D: calls.append(D) or full_scan(D))
+    return calls
+
+
 @pytest.mark.parametrize("group, radius", [
     ({"kind": "free", "rank": 2}, 3),
     ({"kind": "free", "rank": 2}, 4),
@@ -172,7 +191,9 @@ def test_four_point_delta_sampled_budget():
     ({"kind": "bs", "m": 1, "n": 2}, 4),
     ({"kind": "bs", "m": 2, "n": 3}, 3),
 ])
-def test_exhaustive_scan_matches_the_basepoint_scan_on_balls(group, radius):
+def test_exhaustive_scan_matches_the_basepoint_scan_on_balls(group, radius, request):
+    if group["kind"] == "free":  # a tree: the scan at basepoint 0 settles it
+        request.getfixturevalue("no_full_scan")
     cfg = {"format": 1, "group": group, "experiment": "delta", "parameters": {"radius": radius},
            "budgets": {"quadruple_cap": 10**9}}
     _, D, _ = _delta_inputs(parse_config(cfg)[0])
@@ -293,6 +314,69 @@ def test_exhaustive_scan_on_inexact_floats_agrees_up_to_rounding():
         est = four_point_delta(D)
         assert est.raw_max == pytest.approx(four_point_delta_basepoint(D)[0], abs=1e-12)
         assert quadruple_defect(D, est.witness) == est.raw_max
+
+
+@pytest.mark.parametrize("kind", [np.int8, np.int16, np.int32], ids=["int8", "int16", "int32"])
+def test_a_tree_is_certified_at_basepoint_0_at_every_scan_width(kind, no_full_scan):
+    most, scale = TREE_SCALES[kind]
+    rng = random.Random(5)
+    for _ in range(20):
+        D = scale * random_tree_metric(rng.randint(2, most), rng).as_array()
+        assert _scan_dtype(D) is kind
+        est = four_point_delta(D)
+        assert (est.raw_max, est.witness) == four_point_delta_basepoint(D) == (0.0, (0, 0, 0, 0))
+
+
+def test_exhaustive_f2_r5_needs_only_the_basepoint_0_scan(no_full_scan):
+    # 485 points: the n^4/24 scan takes seconds, one basepoint a fraction of one
+    D = free_ball_distance_matrix(F2.enumerate_ball(5))
+    est = four_point_delta(D, quadruple_cap=10**11)
+    assert (est.delta, est.raw_max, est.witness, est.quadruples_checked) == (0.0, 0.0, (0, 0, 0, 0), 485**4)
+
+
+def test_a_float_tree_takes_the_full_scan(full_scans):
+    # half-integer weights are exact in float64, but only an integer scan is
+    # trusted to certify: float distances go through the n^4/24 scan
+    rng = random.Random(6)
+    trees = [random_tree_metric(rng.randint(2, 8), rng).as_array() / 2 for _ in range(20)]
+    trees = [D for D in trees if (D % 1).any()]  # some weight is odd
+    for D in trees:
+        assert _scan_dtype(D) is np.float64
+        est = four_point_delta(D)
+        assert (est.raw_max, est.witness) == four_point_delta_basepoint(D) == (0.0, (0, 0, 0, 0))
+    assert len(full_scans) == len(trees) > 10
+
+
+def test_a_positive_defect_at_basepoint_0_takes_the_full_scan(full_scans):
+    D = graph_metric_matrix(BS12.enumerate_ball(3))
+    est = four_point_delta(D)
+    assert est.raw_max > 0
+    assert (est.raw_max, est.witness) == four_point_delta_basepoint(D)
+    assert len(full_scans) == 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(integer_distances())
+def test_every_defect_is_at_most_twice_the_worst_at_basepoint_0(D):
+    """delta <= 2 delta_0 with no triangle inequality: with K(a, b) = (a.b)_0,
+
+        (x.y)_t = (x.y)_0 + d(t, 0) - (x.t)_0 - (y.t)_0
+
+    is algebra on a symmetric D with zero diagonal, so the defect of
+    (x, y, z, t) is min(K(x,y) + K(z,t), K(y,z) + K(x,t)) - K(x,z) - K(y,t),
+    and four triples of the scan at 0 bound it by 2 delta_0.  The inputs
+    break the triangle inequality and hold negative distances."""
+    at_0 = metrics.basepoint_scan(D, 0)[0]
+    assert four_point_delta_naive(D.tolist()) <= 2 * at_0
+
+
+@pytest.mark.parametrize("entries, dtype", [
+    (2**31 - 1, np.int32),
+    (2**31, np.int32),  # the largest index, 2^31 - 1, still fits
+    (2**31 + 1, np.int64),
+])
+def test_sampled_indices_are_int32_while_every_flat_index_fits(entries, dtype):
+    assert _index_dtype(entries) is dtype
 
 
 @pytest.mark.parametrize("D, message", [
