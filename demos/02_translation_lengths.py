@@ -27,7 +27,7 @@ for c in ("b", "ab", "a^2b^-1"):
     print(f"tau({conj}) = {translation_length_exact(conj)}")
 
 # the standard quasi-axis of ab through the identity, three periods wide
-axis = build_quasi_axis(F2, parse_word("ab"), parse_word("ab"), window=3)
+axis = build_quasi_axis(parse_word("ab"), window=3)
 print("axis of ab:", " ".join(str(p) for p in axis.points()))
 
 # declaring ab a generator halves every (ab)-power's length: ratio 1/2

@@ -39,9 +39,9 @@ print(
 
 # an exponentially separated family f1 * f2^(3^n): distinct members' axes
 # overlap in a bounded window, the self-overlap fills it
-fam = make_bf_family(F2, w("a"), w("b"), count=2, base=3, window=1)
+fam = make_bf_family(w("a"), w("b"), count=2)
 print(f"\nfamily members: {[str(g) for g in fam.members]}, axis constants K={fam.K}, L={fam.L}")
 ball = F2.enumerate_ball(3)
 cross = overlap_scan(fam.axes[0], fam.axes[1], 0.0, ball.elements)
 self_scan = overlap_scan(fam.axes[0], fam.axes[0], 0.0, [F2.identity()])
-print(f"cross overlap diameter {cross.max_diameter}, self overlap {self_scan.max_diameter}")
+print(f"cross overlap diameter {cross}, self overlap {self_scan}")

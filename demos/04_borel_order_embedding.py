@@ -24,8 +24,8 @@ words = ["ab", "ab^2", "a^2b", "ab^3"]
 
 # the floor caps N_i come from a finite-scale overlap scan plus a margin;
 # distinct axes barely overlap, so small caps suffice
-axes = [build_quasi_axis(F2, parse_word(w), parse_word(w), 1) for w in words]
-N = surrogate_overlap_caps(axes, 0.0, F2.enumerate_ball(2).elements, margin=1)
+axes = [build_quasi_axis(parse_word(w), 1) for w in words]
+N = surrogate_overlap_caps(axes, 0.0, F2.enumerate_ball(2).elements)
 print(f"overlap-scan surrogates N_i = {N} (translate ball radius 2, margin 1)")
 
 config = BorelMapConfig(2, words, [1, 1, 1, 1])

@@ -40,5 +40,5 @@ print(f"float projection of {start}: {tuple(round(v, 6) for v in f)}"
 rng = random.Random(1)
 tree = random_tree_metric(7, rng)
 sample = [kuratowski_embed(i, tree) for i in range(tree.size)]
-est = hull_sample_delta(tree, sample)
+est = hull_sample_delta(tree, sample, quadruple_cap=len(sample) ** 4)  # all of its ordered quadruples
 print(f"\nrandom tree metric on 7 points: hull sample delta = {est.delta}")

@@ -39,17 +39,6 @@ class BSElement:
         """Image under the homomorphism BS(m, n) -> Z killing a."""
         return sum(eps for _, eps in self.pairs)
 
-    def tokens(self):
-        """The normal form as ('a', k) / ('t', +-1) tokens."""
-        out = []
-        for exp, eps in self.pairs:
-            if exp:
-                out.append(("a", exp))
-            out.append(("t", eps))
-        if self.tail:
-            out.append(("a", self.tail))
-        return out
-
     # -- group operations --------------------------------------------------
 
     def __mul__(self, other: "BSElement") -> "BSElement":

@@ -522,9 +522,11 @@ def _run_sl2_embed(c):
 def _run_tightspan(c):
     # random.Random(seed) draws the Kuratowski metrics, then each projection
     # trial's metric and start (a random row of the metric plus noise), then
-    # the random tree
+    # the random tree, whose hull sample the quadruple cap bounds before any draw
+    n, tol, tree_points = c.params["points"], c.params["tol"], c.params["tree_points"]
+    cap = c.budgets["quadruple_cap"]
+    quadruple_budget(tree_points, "exhaustive", None, cap)
     rng = random.Random(c.seed)
-    n, tol = c.params["points"], c.params["tol"]
     isometric = 0
     for _ in range(c.params["trials"]):
         rows = random_rational_metric(n, rng).rows
@@ -539,7 +541,8 @@ def _run_tightspan(c):
         f, its = project_to_hull([v + rng.random() * 3 for v in X.rows[rng.randrange(n)]], X, tol=tol)
         slacks.append(is_extremal(f, X, tol)[1])
         iterations.append(its)
-    tree = random_tree_metric(c.params["tree_points"], rng)
+    tree = random_tree_metric(tree_points, rng)
+    sample = [kuratowski_embed(i, tree) for i in range(tree.size)]
     return {
         "points": n,
         "trials": c.params["trials"],
@@ -547,7 +550,7 @@ def _run_tightspan(c):
         "projection_trials": c.params["proj_trials"],
         "max_slack": max(slacks, default=0.0),
         "max_iterations": max(iterations, default=0),
-        "tree_sample_delta": hull_sample_delta(tree, [kuratowski_embed(i, tree) for i in range(tree.size)]).to_json(),
+        "tree_sample_delta": hull_sample_delta(tree, sample, cap).to_json(),
         "tree_matrix": tree.rows,
     }
 

@@ -13,14 +13,15 @@ oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .loxodromic import QuasiAxis, build_quasi_axis, certify_loxodromic
+from .loxodromic import QuasiAxis, build_quasi_axis, translation_length_exact
 from .words import FreeWord, format_word, parse_word, tree_distance
 
-INF = math.inf
+BF_BASE = 3  # g_n = f1 * f2^(3^n), the family of `make_bf_family`
+BF_WINDOW = 1  # each member's quasi-axis runs from g^-1 to g^1
+OVERLAP_MARGIN = 1  # `surrogate_overlap_caps` adds this to each scan maximum
 
 
 def _substrings_with_provenance(big: tuple, out: dict, direction: int):
@@ -40,9 +41,8 @@ def subword_set(w: FreeWord, n: int) -> dict[FreeWord, tuple[int, int, int]]:
     """
     if not w:
         raise ValueError("subword families need a nonempty word")
-    if n == INF or int(n) < 1:
-        raise ValueError("materializing subwords needs a finite cap >= 1")
-    n = int(n)
+    if n < 1:
+        raise ValueError("materializing subwords needs a cap >= 1")
     big = (w**n).signed
     if len(big) != n * len(w):
         raise ValueError("family word must be cyclically reduced")
@@ -53,18 +53,15 @@ def subword_set(w: FreeWord, n: int) -> dict[FreeWord, tuple[int, int, int]]:
     return {FreeWord._raw(t): prov for t, prov in found.items()}
 
 
-def subword_membership(u: FreeWord, w: FreeWord, n) -> bool:
+def subword_membership(u: FreeWord, w: FreeWord, n: int) -> bool:
     """Does u occur as a contiguous subword of w^n or w^-n?
 
-    For n = inf the power is chosen just large enough to decide membership.
     Subwords are taken linearly in the written word, not cyclically.
     """
     if not w:
         raise ValueError("membership needs a nonempty word")
     if not u:
         return False
-    if n is INF or n == INF:
-        n = -(-len(u) // len(w)) + 1
     if n < 1:
         return False
     big = (w**n).signed
@@ -79,7 +76,8 @@ def subword_membership(u: FreeWord, w: FreeWord, n) -> bool:
 
 
 class CompressedGenSet:
-    """Base alphabet X of a free group plus subword families (w_i, n_i)."""
+    """Base alphabet X of a free group plus subword families (w_i, n_i), each
+    cap n_i an int >= 1."""
 
     def __init__(self, rank: int, families):
         self.rank = rank
@@ -91,10 +89,9 @@ class CompressedGenSet:
                 raise ValueError("family words must be nonempty")
             if not w.is_cyclically_reduced():
                 raise ValueError(f"family word {w} must be cyclically reduced")
-            if cap is not INF:
-                cap = int(cap)
-                if cap < 1:
-                    raise ValueError("caps must be >= 1 or inf")
+            cap = int(cap)
+            if cap < 1:
+                raise ValueError("caps must be >= 1")
             fams.append((w, cap))
         self.families = tuple(fams)
         self._jump_cache: dict | None = None
@@ -112,10 +109,6 @@ class CompressedGenSet:
         if self._jump_cache is None:
             table: dict[FreeWord, tuple[int, int, int, int]] = {}
             for fam_idx, (w, cap) in enumerate(self.families):
-                if cap is INF:
-                    raise ValueError(
-                        "infinite caps cannot be materialized; use subword_membership"
-                    )
                 for u, (p, length, direction) in subword_set(w, cap).items():
                     if u not in table:
                         table[u] = (fam_idx, p, length, direction)
@@ -145,16 +138,11 @@ class CompressedGenSet:
         names = [format_word(FreeWord.generator(i)) for i in range(self.rank)]
         return {
             "base": names,
-            "families": [
-                {"w": format_word(w), "cap": "inf" if cap is INF else cap}
-                for w, cap in self.families
-            ],
+            "families": [{"w": format_word(w), "cap": cap} for w, cap in self.families],
         }
 
     def __repr__(self):
-        fams = ", ".join(
-            f"({format_word(w)},{'inf' if cap is INF else cap})" for w, cap in self.families
-        )
+        fams = ", ".join(f"({format_word(w)},{cap})" for w, cap in self.families)
         return f"CompressedGenSet(rank={self.rank}, families=[{fams}])"
 
 
@@ -229,8 +217,6 @@ def verify_length_bounds(j: int, k: int, W: CompressedGenSet, alpha: float, budg
     if k < 1:
         raise ValueError("k must be >= 1")
     w, cap = W.families[j]
-    if cap is INF:
-        raise ValueError("length bounds need a finite cap")
     g = w**k
     exact = compressed_word_length(g, W, budget=budget)
     upper = -(-k // cap)
@@ -250,18 +236,11 @@ def verify_length_bounds(j: int, k: int, W: CompressedGenSet, alpha: float, budg
     )
 
 
-@dataclass
-class OverlapScan:
-    max_diameter: float
-    witness_translate: object
-
-
-def overlap_scan(axis_i: QuasiAxis, axis_j: QuasiAxis, r: float, translates) -> OverlapScan:
+def overlap_scan(axis_i: QuasiAxis, axis_j: QuasiAxis, r: float, translates) -> float:
     """max over translates a of diam{p on axis_i : d(p, a . axis_j) <= r}."""
     pts_i = axis_i.points()
     pts_j = axis_j.points()
     best = 0.0
-    best_a = None
     for a in translates:
         moved = [a * q for q in pts_j]
         close = [p for p in pts_i if min(tree_distance(p, q) for q in moved) <= r]
@@ -271,14 +250,13 @@ def overlap_scan(axis_i: QuasiAxis, axis_j: QuasiAxis, r: float, translates) -> 
                 d = tree_distance(p, q)
                 if d > diam:
                     diam = d
-        if diam > best:
-            best = diam
-            best_a = a
-    return OverlapScan(max_diameter=best, witness_translate=best_a)
+        best = max(best, diam)
+    return best
 
 
-def surrogate_overlap_caps(axes, r: float, translates, margin: int = 2):
-    """Finite-scale N_i surrogates: cross-overlap scan maxima plus a margin.
+def surrogate_overlap_caps(axes, r: float, translates):
+    """Finite-scale N_i surrogates: cross-overlap scan maxima plus
+    OVERLAP_MARGIN.
 
     The true overlap bound ranges over the whole group; this replaces it by
     the scan over the supplied translate list.  Record the translates and
@@ -290,15 +268,14 @@ def surrogate_overlap_caps(axes, r: float, translates, margin: int = 2):
         for j, other in enumerate(axes):
             if j == i:
                 continue
-            scan = overlap_scan(axis, other, r, translates)
-            worst = max(worst, scan.max_diameter)
-        out.append(int(worst) + margin)
+            worst = max(worst, overlap_scan(axis, other, r, translates))
+        out.append(int(worst) + OVERLAP_MARGIN)
     return out
 
 
 @dataclass
 class BFFamily:
-    """g_n = f1 * f2^(c^n): an exponentially separated loxodromic family."""
+    """g_n = f1 * f2^(3^n): an exponentially separated loxodromic family."""
 
     members: list
     axes: list
@@ -306,33 +283,26 @@ class BFFamily:
     L: float
 
 
-def make_bf_family(oracle, f1, f2, count: int, base: int = 3, window: int = 1) -> BFFamily:
-    """Members f1*f2^(c^n) for n = 1..count, each with its standard quasi-axis
-    through the identity.  Every member must carry a loxodromic certificate."""
-    if base < 2:
-        raise ValueError("base must be >= 2")
+def make_bf_family(f1: FreeWord, f2: FreeWord, count: int) -> BFFamily:
+    """Members f1*f2^(3^n) for n = 1..count in a free group, each with its
+    standard quasi-axis through the identity over a window of BF_WINDOW
+    periods.  Every member must be loxodromic."""
     members = []
     axes = []
     K = 1.0
     L = 0.0
     for n in range(1, count + 1):
-        g = f1 * f2 ** (base**n)
-        ok, kind, tau = certify_loxodromic(g)
-        if not ok:
-            raise ValueError(f"family member {oracle.format_element(g)} has no loxodromic certificate")
-        if isinstance(g, FreeWord):
-            axis = build_quasi_axis(oracle, g, g, window)
-            K = max(K, len(g) / tau)
-        else:
-            axis = None
+        g = f1 * f2 ** (BF_BASE**n)
+        tau = translation_length_exact(g)
+        if not tau:
+            raise ValueError(f"family member {format_word(g)} is not loxodromic")
         members.append(g)
-        axes.append(axis)
+        axes.append(build_quasi_axis(g, BF_WINDOW))
+        K = max(K, len(g) / tau)
     if len(set(members)) != len(members):
         raise ValueError("family members must be pairwise distinct")
     # L fitted over the materialized windows: path length <= K * d + L
-    for axis, g in zip(axes, members):
-        if axis is None or not isinstance(g, FreeWord):
-            continue
+    for axis in axes:
         verts = axis.vertices
         for ii in range(len(verts)):
             for jj in range(ii + 1, len(verts)):
@@ -369,24 +339,20 @@ class PiPrefix:
 class QksComparison:
     sup_diff: int
     max_abs_diff: int
-    verdict: str
 
 
-def qks_compare(r: PiPrefix, s: PiPrefix, threshold: int | None = None) -> QksComparison:
+def qks_compare(r: PiPrefix, s: PiPrefix) -> QksComparison:
     """sup_n (r(n) - s(n)) over a shared prefix, plus the symmetric variant.
 
     Any finite prefix has a finite sup, so the prefix-level relation always
-    holds; the verdict compares the sup against a caller threshold.
+    holds.
     """
     if len(r) != len(s):
         raise ValueError("length-mismatch: prefixes must have equal length")
     if len(r) == 0:
         raise ValueError("length-mismatch: prefixes must be nonempty")
     diffs = [a - b for a, b in zip(r.values, s.values)]
-    sup = max(diffs)
-    sym = max(abs(d) for d in diffs)
-    verdict = "Q-related-at-prefix" if threshold is None or sup <= threshold else "not"
-    return QksComparison(sup_diff=sup, max_abs_diff=sym, verdict=verdict)
+    return QksComparison(sup_diff=max(diffs), max_abs_diff=max(abs(d) for d in diffs))
 
 
 @dataclass
@@ -423,9 +389,6 @@ class OrderPreservationReport:
     max_length: int
     max_ratio: float
     violations: list
-
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def order_preservation_check(r: PiPrefix, s: PiPrefix, config: BorelMapConfig) -> OrderPreservationReport:

@@ -1,4 +1,4 @@
-"""Translation lengths, loxodromic certificates, quasi-axes, the
+"""Translation lengths, quasi-axes of free-group elements, the
 translation-length compression ratio, and the isotropy probe.
 """
 
@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import mul
 
-from .baumslag import BSElement
 from .errors import NotLoxodromic
 from .words import FreeWord, _concat
 
@@ -56,32 +55,14 @@ def translation_length_exact(g) -> int:
     return max(0, tree_length(g * g) - tree_length(g))
 
 
-def certify_loxodromic(g, embedding=None) -> tuple[bool, str, float]:
-    """Exact positivity certificates: (is_loxodromic, kind, tau_lower).
-
-    FreeWord and BSElement: `translation_length_exact` on the Cayley or
-    Bass-Serre tree; determinant-one matrices: the exact trace test under
-    the supplied embedding.  Anything else is uncertified.
-    """
-    if isinstance(g, (FreeWord, BSElement)):
-        tau = translation_length_exact(g)
-        return tau > 0, "tree-translation-length", float(tau)
-    if embedding is not None and hasattr(g, "trace"):
-        from .sl2 import classify, translation_length_h2
-
-        if classify(g, embedding) == "loxodromic":
-            return True, "sl2-trace", translation_length_h2(g, embedding)
-        return False, "sl2-trace", 0.0
-    return False, "", 0.0
-
-
 # ---------------------------------------------------------------------------
 # quasi-axes
 
 
 @dataclass
 class QuasiAxis:
-    """The bi-infinite path ... g^-1 gamma, gamma, g gamma ... over a window.
+    """The bi-infinite path ... g^-1 gamma, gamma, g gamma ... over a window,
+    gamma the geodesic from the identity to g.
 
     vertices[i] = (parameter, element); consecutive translates share their
     endpoint vertices, so parameters run in steps of 1 along the path.
@@ -93,27 +74,12 @@ class QuasiAxis:
         return [v for _, v in self.vertices]
 
 
-def build_quasi_axis(oracle, g, gamma, window: int) -> QuasiAxis:
-    """Materialize the standard quasi-axis of g labeled by the geodesic gamma.
-
-    gamma spells a geodesic from the basepoint to g: either a FreeWord (free
-    groups, where the reduced word is the unique geodesic label) or a
-    sequence of generator elements whose product is g.
-    """
+def build_quasi_axis(g: FreeWord, window: int) -> QuasiAxis:
+    """Materialize the standard quasi-axis of g, labeled by its reduced word,
+    the unique geodesic label in a free group."""
     if window < 0:
         raise ValueError("window must be >= 0")
-    if isinstance(gamma, FreeWord):
-        if not isinstance(g, FreeWord) or gamma != g:
-            raise ValueError("label does not spell the element")
-        prefixes = [FreeWord(gamma.signed[:i]) for i in range(len(gamma))]
-    else:
-        steps = list(gamma)
-        prefixes = [oracle.identity()]
-        for s in steps[:-1] if steps else []:
-            prefixes.append(prefixes[-1] * s)
-        spelled = prefixes[-1] * steps[-1] if steps else oracle.identity()
-        if spelled != g:
-            raise ValueError("label does not spell the element")
+    prefixes = [FreeWord(g.signed[:i]) for i in range(len(g))]
     axis = QuasiAxis()
     segment_len = max(len(prefixes), 1)
     # the materialized path runs from g^-window s to g^window s (window >= 1);

@@ -96,12 +96,15 @@ class FiniteMetricSpace:
 
 
 def free_ball_distance_matrix(ball) -> np.ndarray:
-    """Exact word-metric matrix of a free-group ball: its in-ball graph metric.
+    """The in-ball graph metric of a free-group ball, by the ball's own
+    generators.
 
-    A ball of a tree is convex: the geodesic from u to v runs from u up to
-    their common prefix and down to v, through words no longer than u or v,
-    so it stays in the ball and the in-ball metric is the word metric
-    |u| + |v| - 2 lcp(u, v).
+    On a ball of the standard generators it is the word metric
+    |u| + |v| - 2 lcp(u, v): a ball of a tree is convex, since the geodesic
+    from u to v runs from u up to their common prefix and down to v, through
+    words no longer than u or v.  By other generators it is not: on the
+    radius-2 ball of F2 by {a, b, ab}, 672 of the 961 pairs differ from
+    |u| + |v| - 2 lcp(u, v).  `delta` builds standard balls only.
     """
     return graph_metric_matrix(ball)
 

@@ -315,7 +315,8 @@ def anisotropy_certificate(
 ) -> AnisotropyCertificate:
     """Emit a certificate iff g lies in the ball, the homogenized value at g
     is nonzero and q is subordinate to the supplied orbit pseudo-length on
-    the ball.
+    the ball with a positive constant M (M = 0 beside a nonzero value means
+    that the ball is too small to show q growing).
 
     The defect is q's analytic bound when it has one, else the exact
     defect of a counting quasi-morphism of w: the scan of the ordered pairs
@@ -336,6 +337,9 @@ def anisotropy_certificate(
         defect = replace(defect_empirical(q, pairs.elements), source="exact")
     evaluated = [(h, abs(q(h)), lengths(h)) for h in lengths.domain]
     fit = _fit(evaluated)
+    if fit.M == 0:  # |q(g^n)| <= M l(g^n) + M for every n would force the homogenization at g to 0
+        detail = f"fitted M = 0 on the radius-{ball.radius} ball beside the nonzero homogenized value {value:g}"
+        raise CertificateError("not-subordinate", detail)
     if m_cap is not None and fit.M > m_cap:
         raise CertificateError("not-subordinate", f"fitted M = {fit.M} exceeds cap {m_cap}")
     rows = sorted((oracle.format_element(h), value, length) for h, value, length in evaluated)

@@ -23,6 +23,8 @@ from .groups import GroupOracle
 
 # bits of the first dyadic bracket; refinement doubles it
 START_BITS = 64
+# the width within which the H^2 lengths below are returned
+H2_TOL = 1e-12
 
 
 @functools.cache
@@ -305,20 +307,6 @@ def mat2(rows, d: int = 2) -> Mat2:
     return Mat2(conv(a), conv(b), conv(c), conv(dd))
 
 
-def mat2_from_json(obj, d: int) -> Mat2:
-    """Entries as {"a": "p/q", "b": "r/s"} objects or plain strings."""
-
-    def entry(e):
-        if isinstance(e, dict):
-            a = _rational(str(e.get("a", 0)))
-            b = _rational(str(e.get("b", 0)))
-            return QuadFieldElement(a, b, d)
-        return parse_qfe(str(e), d)
-
-    (a, b), (c, dd) = obj
-    return Mat2(entry(a), entry(b), entry(c), entry(dd))
-
-
 def lemma_emb_matrix(x: QuadFieldElement) -> Mat2:
     """[[x, x^2 - 1], [1, x]]; the determinant is 1 for every x."""
     one = qfe(1, 0, x.d)
@@ -362,19 +350,20 @@ def _refine_acosh(value: QuadFieldElement, embedding: RealEmbedding, tol: float)
         bits *= 2
 
 
-def translation_length_h2(A: Mat2, embedding: RealEmbedding, tol: float = 1e-12) -> float:
-    """2*arccosh(|tr|/2) for loxodromic A; the stable translation length on H^2."""
+def translation_length_h2(A: Mat2, embedding: RealEmbedding) -> float:
+    """2*arccosh(|tr|/2) for loxodromic A, the stable translation length on
+    H^2, to within H2_TOL."""
     if classify(A, embedding) != "loxodromic":
         raise NotLoxodromic(f"matrix {A} is not loxodromic under {embedding.label()}")
     t = A.trace()
     if t.sign_under(embedding) < 0:
         t = -t
     half = _element(t.p, t.q, 2 * t.den, t.d)
-    return 2.0 * _refine_acosh(half, embedding, tol / 2)
+    return 2.0 * _refine_acosh(half, embedding, H2_TOL / 2)
 
 
 def orbit_distance_h2(A: Mat2, embedding: RealEmbedding) -> float:
-    """d_{H^2}(i, A i) to within 1e-12, from an exact field expression for cosh d."""
+    """d_{H^2}(i, A i) to within H2_TOL, from an exact field expression for cosh d."""
     a, b, c, d = A.entries()
     # A*i = u + v*i with u = (ac + bd)/(c^2 + d^2), v = 1/(c^2 + d^2)
     denom = c * c + d * d
@@ -383,7 +372,7 @@ def orbit_distance_h2(A: Mat2, embedding: RealEmbedding) -> float:
     one = QuadFieldElement(Fraction(1), Fraction(0), A.field_d)
     two = QuadFieldElement(Fraction(2), Fraction(0), A.field_d)
     cosh_d = one + (u * u + (v - one) * (v - one)) / (two * v)
-    return _refine_acosh(cosh_d, embedding, 1e-12)
+    return _refine_acosh(cosh_d, embedding, H2_TOL)
 
 
 class SL2Oracle(GroupOracle):
@@ -414,11 +403,6 @@ class SL2Oracle(GroupOracle):
             if x == g.inverse():
                 return f"{name}^-1"
         return str(x)
-
-    def parse_element(self, text):
-        import json as _json
-
-        return mat2_from_json(_json.loads(text), self.d)
 
     def __repr__(self):
         return f"SL2Oracle(d={self.d}, gens={len(self.gens)})"

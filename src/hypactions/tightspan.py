@@ -16,6 +16,8 @@ import numpy as np
 from .errors import NoConvergence
 from .metrics import DeltaEstimate, FiniteMetricSpace, four_point_delta
 
+MAX_ITER = 10_000  # `project_to_hull` gives up after this many averaging steps
+
 
 def sup_distance(f, g):
     """The hull metric: sup_x |f(x) - g(x)|."""
@@ -50,7 +52,7 @@ def is_extremal(f, X: FiniteMetricSpace, tol=1e-9):
     return worst <= tol, worst
 
 
-def project_to_hull(f, X: FiniteMetricSpace, tol: float = 1e-9, max_iter: int = 10_000):
+def project_to_hull(f, X: FiniteMetricSpace, tol: float = 1e-9):
     """Drive an admissible function to the hull by averaging with its conjugate.
 
     g <- (g + q(g))/2 decreases pointwise on admissible inputs and preserves
@@ -58,20 +60,21 @@ def project_to_hull(f, X: FiniteMetricSpace, tol: float = 1e-9, max_iter: int = 
     The steps run on the float64 matrix `X.as_array()`: each entry is the
     float of the exact distance, so every step rounds as the same
     subtraction, maximum and average over Python floats would.
-    Returns (tuple of values, iterations); raises NoConvergence otherwise.
+    Returns (tuple of values, iterations); raises NoConvergence when the
+    slack is still above tol after MAX_ITER steps.
     """
     vals = tuple(map(float, f))
     if not is_admissible(vals, X, tol=1e-9):
         raise ValueError("input must be admissible: f(x) + f(y) >= d(x, y)")
     D = X.as_array()
     v = np.array(vals, dtype=np.float64)
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         q = (D - v).max(axis=1)
         slack = np.abs(v - q).max()
         if slack <= tol:
             return tuple(v.tolist()), it
         v = (v + q) / 2.0
-    raise NoConvergence(f"projection did not reach slack {tol} in {max_iter} iterations")
+    raise NoConvergence(f"projection did not reach slack {tol} in {MAX_ITER} iterations")
 
 
 def minimal_below_exact(f, X: FiniteMetricSpace) -> tuple:
@@ -96,12 +99,13 @@ def minimal_below_exact(f, X: FiniteMetricSpace) -> tuple:
     return tuple(vals)
 
 
-def hull_sample_delta(X: FiniteMetricSpace, sample) -> DeltaEstimate:
-    """Exhaustive four-point scan of a hull sample under the sup-metric; every
-    member must be extremal within 1e-9."""
+def hull_sample_delta(X: FiniteMetricSpace, sample, quadruple_cap: int) -> DeltaEstimate:
+    """Exhaustive four-point scan of a hull sample under the sup-metric, within
+    `quadruple_cap` ordered quadruples; every member must be extremal within
+    1e-9."""
     for f in sample:
         ok, slack = is_extremal(f, X)
         if not ok:
             raise ValueError(f"sample member misses extremality by {slack}")
     rows = [[float(sup_distance(f, g)) for g in sample] for f in sample]
-    return four_point_delta(FiniteMetricSpace(rows, validate=False))
+    return four_point_delta(FiniteMetricSpace(rows, validate=False), quadruple_cap=quadruple_cap)

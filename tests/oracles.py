@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and separate from the package
 implementations: repeated-scan free reduction, exhaustive product
-enumeration, materialized-graph Dijkstra, a breadth-first search over the
+enumeration, a BS(m, n) normal form spelled back as the token stream
+`bs_normalize` reads, materialized-graph Dijkstra, a breadth-first search over the
 letter positions for compressed lengths, a plain-loop four-point scan,
 the n^3-per-basepoint four-point scan and the float64 sampled scan, one product per element and generator for the in-ball Cayley graph,
 per-source BFS and per-pair geodesic walks for the in-ball graph metric,
@@ -50,6 +51,18 @@ def power_naive(letters, n):
         letters = [-x for x in reversed(letters)]
         n = -n
     return reduce_naive(list(letters) * n)
+
+
+def bs_tokens(x):
+    """The normal form of a BS(m, n) element as ('a', k) / ('t', +-1) tokens."""
+    out = []
+    for exp, eps in x.pairs:
+        if exp:
+            out.append(("a", exp))
+        out.append(("t", eps))
+    if x.tail:
+        out.append(("a", x.tail))
+    return out
 
 
 def free_ball_naive(rank, radius):

@@ -183,6 +183,35 @@ def test_bs_quadruples_over_the_cap_exit_2_before_the_graph_metric(tmp_path, mon
         tmp_path, monkeypatch, {"kind": "bs", "m": 2, "n": 3}, parameters, error, 17)
 
 
+def _tightspan_with(tree_points, quadruple_cap):
+    return _with("tightspan", lambda c: (c["parameters"].update(tree_points=tree_points),
+                                         c.update(budgets={"quadruple_cap": quadruple_cap})))
+
+
+def test_tightspan_over_the_quadruple_cap_exits_2_before_drawing(tmp_path, monkeypatch):
+    import hypactions.cli
+
+    def no_draw(n, rng):
+        raise AssertionError("metric drawn for a config over the quadruple cap")
+
+    monkeypatch.setattr(hypactions.cli, "random_rational_metric", no_draw)
+    monkeypatch.setattr(hypactions.cli, "random_tree_metric", no_draw)
+    code, out = run_config(tmp_path, _tightspan_with(60, 1000), "over-cap")
+    assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "budget-exceeded"
+    assert summary["error"] == "12960000 ordered quadruples exceed cap 1000"  # 60^4, and the config's cap
+    assert summary["extent"] == {"points": 60}
+
+
+def test_tightspan_scans_its_tree_within_the_config_cap(tmp_path):
+    # 130^4 = 285,610,000 quadruples: over four_point_delta's default cap, within the config's
+    code, out = run_config(tmp_path, _tightspan_with(130, 10**12), "ts130")
+    assert code == 0
+    est = json.loads((out / "summary.json").read_text())["result"]["tree_sample_delta"]
+    assert (est["delta"], est["quadruples_checked"]) == (0.0, 130**4)
+
+
 def test_reruns_are_byte_identical(tmp_path):
     for name in ("delta", "tightspan", "qm-certify", "cone-off"):
         _, out1 = run_config(tmp_path, BASE_CONFIGS[name], f"{name}-1")
@@ -951,18 +980,31 @@ def test_qm_certify_scans_the_defect_on_b6_for_a_word_of_length_4(tmp_path):
     assert json.loads((out / "summary.json").read_text())["status"] == "budget-exceeded"
 
 
-def test_verify_qm_certify_refuses_m_zero_beside_a_nonzero_value(tmp_path, capsys):
+def test_qm_certify_run_refuses_m_zero_beside_a_nonzero_value(tmp_path, capsys):
     # no element of B(3) contains abab, so |q| is 0 on the whole ball and the
     # fit gives M = 0, yet |q(g^n)| <= M l(g^n) + M for every n would force
     # the homogenized value at ab to be 0, not 1
     cfg = {**BROOKS, "parameters": {"g": "ab", "radius": 3, "qm": {"brooks": "abab"}}}
     code, out = run_config(tmp_path, cfg, "abab")
-    assert code == 0
-    cert = json.loads((out / "summary.json").read_text())["result"]["certificate"]
-    assert (cert["subordination_M"], cert["homogenized_value"]) == (0.0, 1.0)
-    code, lines = _verify(out / "summary.json", capsys)
     assert code == 1
-    assert _fails(lines) == ["FAIL  subordination M is positive beside a nonzero homogenized value"]
+    assert not out.exists()
+    assert "experiment failed: not-subordinate: fitted M = 0 on the radius-3 ball" in capsys.readouterr().err
+
+
+def test_verify_qm_certify_refuses_m_zero_beside_a_nonzero_value(tmp_path, capsys):
+    cfg = {**BROOKS, "parameters": {"g": "ab", "radius": 4, "qm": {"brooks": "abab"}}}
+    code, out = run_config(tmp_path, cfg, "abab")
+    assert code == 0
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    cert = summary["result"]["certificate"]
+    assert (cert["subordination_M"] > 0, cert["homogenized_value"]) == (True, 1.0)
+    cert["subordination_M"] = 0.0  # the M that radius 3 fits and `run` refuses
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert _fails(lines) == [*_rederives("certificate"),
+                             "FAIL  subordination M is positive beside a nonzero homogenized value"]
 
 
 def test_qm_certify_witness_outside_the_ball_fails(tmp_path, capsys):
@@ -989,7 +1031,7 @@ def test_verify_isotropy_probe_replays_its_pairs(tmp_path, capsys):
 def test_a_proper_power_counting_word_warns_in_one_plain_line(tmp_path, capsys):
     cfg = json.loads(json.dumps(BROOKS))
     cfg["parameters"]["qm"]["brooks"] = "abab"
-    cfg["parameters"]["radius"] = 4  # B(3) holds no abab, and its M = 0 certificate fails verify
+    cfg["parameters"]["radius"] = 4  # B(3) holds no abab, and `run` refuses its M = 0 certificate
     code, out = run_config(tmp_path, cfg, "abab")
     run_err = capsys.readouterr().err
     assert code == 0

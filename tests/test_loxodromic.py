@@ -9,7 +9,6 @@ from hypactions.errors import NotLoxodromic
 from hypactions.groups import BSOracle, FreeGroupOracle
 from hypactions.loxodromic import (
     build_quasi_axis,
-    certify_loxodromic,
     compression_function,
     isotropy_probe,
     translation_length_estimate,
@@ -66,14 +65,15 @@ def test_tau_power_and_conjugation_laws():
 
 
 def test_classify_isometry():
-    assert certify_loxodromic(parse_word("ab")) == (True, "tree-translation-length", 2.0)
-    assert certify_loxodromic(F2.identity()) == (False, "tree-translation-length", 0.0)
+    # a positive exact translation length is the loxodromic certificate
+    assert translation_length_exact(parse_word("ab")) == 2
+    assert translation_length_exact(F2.identity()) == 0
     bs = BSOracle(2, 3)
-    assert certify_loxodromic(bs.parse_element("t")) == (True, "tree-translation-length", 1.0)
+    assert translation_length_exact(bs.parse_element("t")) == 1
     # t-exponent sum 0, yet loxodromic on the Bass-Serre tree
     g = bs.parse_element("t^-1ata^-1")
     assert g.t_exponent_sum() == 0
-    assert certify_loxodromic(g) == (True, "tree-translation-length", 2.0)
+    assert translation_length_exact(g) == 2
 
 
 TREE_GROUPS = {
@@ -132,20 +132,20 @@ def test_translation_length_bounds_the_exponent_sum(name, g):
 
 def test_quasi_axis_examples():
     a = parse_word("a")
-    axis = build_quasi_axis(F2, a, a, 2)
+    axis = build_quasi_axis(a, 2)
     assert axis.points() == [a**k for k in range(-2, 3)]
     assert [t for t, _ in axis.vertices] == list(range(-2, 3))
 
     ab = parse_word("ab")
-    axis = build_quasi_axis(F2, ab, ab, 1)
+    axis = build_quasi_axis(ab, 1)
     expected = [ab.inverse(), parse_word("b^-1"), F2.identity(), a, ab]
     assert axis.points() == expected
 
-    axis = build_quasi_axis(F2, ab, ab, 0)
+    axis = build_quasi_axis(ab, 0)
     assert axis.points() == [F2.identity(), a, ab]
 
     with pytest.raises(ValueError):
-        build_quasi_axis(F2, ab, parse_word("ba"), 1)
+        build_quasi_axis(ab, -1)
 
 
 def test_compression_function():
@@ -181,16 +181,24 @@ def test_compression_invariant_under_powers():
 
 
 def test_classify_isometry_sl2_certificate():
-    from hypactions.sl2 import RealEmbedding, lemma_emb_matrix, mat2, orbit_distance_h2, parse_qfe
+    from hypactions.sl2 import (
+        RealEmbedding,
+        classify,
+        lemma_emb_matrix,
+        mat2,
+        orbit_distance_h2,
+        parse_qfe,
+        translation_length_h2,
+    )
 
     minus = RealEmbedding(-1)
     A = lemma_emb_matrix(parse_qfe("sqrt2-1", 2))
-    ok, kind, tau = certify_loxodromic(A, embedding=minus)
-    assert ok and kind == "sl2-trace" and tau > 0
+    assert classify(A, minus) == "loxodromic"
+    tau = translation_length_h2(A, minus)
+    assert tau > 0
     est = translation_length_estimate(A, lambda M: orbit_distance_h2(M, minus), 4)
     assert est.upper >= tau - 1e-9
-    ok, kind, _ = certify_loxodromic(mat2([[0, -1], [1, 0]]), embedding=minus)
-    assert not ok and kind == "sl2-trace"
+    assert classify(mat2([[0, -1], [1, 0]]), minus) == "elliptic"
 
 
 def test_match_pair_trivial_cases():

@@ -91,6 +91,14 @@ def test_free_ball_distance_matrix_is_the_tree_distance(rank, radius):
     assert D.tolist() == [[float(tree_distance(u, v)) for v in ball.elements] for u in ball.elements]
 
 
+def test_free_ball_distance_matrix_off_the_standard_generators_is_the_in_ball_metric():
+    ball = F2.enumerate_ball(2, gens=F2.symmetrize([parse_word("a"), parse_word("b"), parse_word("ab")]))
+    D = free_ball_distance_matrix(ball)
+    assert np.array_equal(D, graph_metric_matrix(ball))
+    tree = np.array([[tree_distance(u, v) for v in ball.elements] for u in ball.elements])
+    assert (len(ball), int((D != tree).sum())) == (31, 672)  # of 961 pairs
+
+
 def test_free_ball_distance_matrix_memory_is_quadratic():
     ball = F2.enumerate_ball(6)
     tracemalloc.start()

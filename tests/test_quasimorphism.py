@@ -210,6 +210,19 @@ def test_anisotropy_certificate_brooks():
         anisotropy_certificate(F2, q, lengths, w("ab"), ball, ball_cap=16)
 
 
+def test_anisotropy_certificate_refuses_m_zero_beside_a_nonzero_value():
+    # abab occurs in no element of B(3), so the fit is M = 0, while q((ab)^n) grows like n
+    ball = F2.enumerate_ball(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # abab is a proper power
+        q = brooks_qm(w("abab"))
+    assert homogenization(q, w("ab")) == 1.0
+    assert subordination_fit(q, PseudoLength.from_word_lengths(ball)).M == 0.0
+    with pytest.raises(CertificateError, match="fitted M = 0 on the radius-3 ball") as info:
+        anisotropy_certificate(F2, q, PseudoLength.from_word_lengths(ball), w("ab"), ball)
+    assert info.value.reason == "not-subordinate"
+
+
 @pytest.mark.parametrize("m, n", [(2, 3), (1, 2)])
 def test_exponent_sum_defect_is_analytic_and_matches_the_scan(m, n):
     bs = BSOracle(m, n)

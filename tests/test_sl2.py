@@ -16,7 +16,6 @@ from hypactions.sl2 import (
     embedding_spectrum_compare,
     lemma_emb_matrix,
     mat2,
-    mat2_from_json,
     mat2_identity,
     orbit_distance_h2,
     parse_qfe,
@@ -81,11 +80,6 @@ def test_parse_qfe():
 def test_parse_qfe_zero_denominator_is_a_value_error(text):
     with pytest.raises(ValueError, match="zero denominator"):
         parse_qfe(text, 2)
-
-
-def test_mat2_from_json_zero_denominator_is_a_value_error():
-    with pytest.raises(ValueError, match="zero denominator"):
-        mat2_from_json([[{"a": "1/0"}, "0"], ["0", "1"]], 2)
 
 
 RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)) | st.integers(-5, 5)
@@ -295,10 +289,10 @@ def test_spectrum_compare_matches_a_classification_per_element(monkeypatch, d, x
 
 
 def test_mat2_json_roundtrip():
+    # the exact {"a", "b"} entries that sl2-embed writes read back as the matrix
     A = lemma_emb_matrix(parse_qfe("sqrt2-1", 2))
-    blob = [[{"a": str(e.a), "b": str(e.b)} for e in (A.a, A.b)],
-            [{"a": str(e.a), "b": str(e.b)} for e in (A.c, A.d)]]
-    assert mat2_from_json(blob, 2) == A
+    blob = [{"a": str(e.a), "b": str(e.b)} for e in A.entries()]
+    assert tuple(QuadFieldElement(Fraction(e["a"]), Fraction(e["b"]), 2) for e in blob) == A.entries()
 
 
 def _next_prime(n):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypactions.errors import NoConvergence
+from hypactions import tightspan
+from hypactions.errors import BudgetExceeded, NoConvergence
 from hypactions.metrics import (
     FiniteMetricSpace,
     four_point_delta,
@@ -25,6 +26,7 @@ from oracles import project_to_hull_loop
 
 THREE_POINT = FiniteMetricSpace([[0, 2, 3], [2, 0, 4], [3, 4, 0]])
 FOUR_CYCLE = FiniteMetricSpace([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+CAP = 10**6  # quadruples a hull sample scan may take, above every sample's n^4 here
 
 
 def test_kuratowski_examples():
@@ -120,7 +122,7 @@ def test_project_random_admissible_on_four_cycle():
     for _ in range(25):
         base = kuratowski_embed(rng.randrange(4), FOUR_CYCLE)
         start = [v + 3 * rng.random() for v in base]
-        out, iterations = project_to_hull(start, FOUR_CYCLE, tol=1e-9, max_iter=200)
+        out, iterations = project_to_hull(start, FOUR_CYCLE, tol=1e-9)
         ok, slack = is_extremal(out, FOUR_CYCLE, tol=1e-9)
         assert ok and iterations <= 200
         assert all(o <= s + 1e-12 for o, s in zip(out, start))
@@ -143,10 +145,11 @@ def test_project_rejects_inadmissible():
         project_to_hull((0.0, 0.0), FiniteMetricSpace([[0, 3], [3, 0]]))
 
 
-def test_project_no_convergence():
+def test_project_no_convergence(monkeypatch):
     # geometric convergence: three iterations cannot reach slack 1e-12
-    with pytest.raises(NoConvergence):
-        project_to_hull((3.0, 5.0, 4.0), THREE_POINT, tol=1e-12, max_iter=3)
+    monkeypatch.setattr(tightspan, "MAX_ITER", 3)
+    with pytest.raises(NoConvergence, match="in 3 iterations"):
+        project_to_hull((3.0, 5.0, 4.0), THREE_POINT, tol=1e-12)
 
 
 def test_extremal_functions_are_one_lipschitz():
@@ -175,19 +178,22 @@ def test_hull_sample_delta_tree_points():
     rng = random.Random(3)
     tree = random_tree_metric(7, rng)
     sample = [kuratowski_embed(i, tree) for i in range(tree.size)]
-    est = hull_sample_delta(tree, sample)
+    est = hull_sample_delta(tree, sample, CAP)
     assert est.delta == 0.0
+    assert hull_sample_delta(tree, sample, 7**4).quadruples_checked == 7**4
+    with pytest.raises(BudgetExceeded, match=f"exceed cap {7**4 - 1}"):
+        hull_sample_delta(tree, sample, 7**4 - 1)
 
 
 def test_hull_sample_delta_single_point():
-    est = hull_sample_delta(THREE_POINT, [kuratowski_embed(0, THREE_POINT)])
+    est = hull_sample_delta(THREE_POINT, [kuratowski_embed(0, THREE_POINT)], CAP)
     assert est.delta == 0.0
 
 
 def test_hull_sample_delta_four_cycle_filling():
     sample = [kuratowski_embed(i, FOUR_CYCLE) for i in range(4)]
     center, _ = project_to_hull([1.0, 1.0, 1.0, 1.0], FOUR_CYCLE)
-    est = hull_sample_delta(FOUR_CYCLE, sample + [center])
+    est = hull_sample_delta(FOUR_CYCLE, sample + [center], CAP)
     base = four_point_delta(FOUR_CYCLE)
     assert est.delta <= base.delta + 2e-9
 
@@ -195,4 +201,4 @@ def test_hull_sample_delta_four_cycle_filling():
 def test_hull_sample_delta_rejects_non_extremal():
     bad = (10.0, 10.0, 10.0)
     with pytest.raises(ValueError):
-        hull_sample_delta(THREE_POINT, [bad])
+        hull_sample_delta(THREE_POINT, [bad], CAP)
