@@ -27,10 +27,13 @@ returns typed values; validation, `run`, `verify` and `schema` all read it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import itertools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -861,12 +864,23 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # looked up at each call, so that a replaced `cmd_run` is the one that runs
     command = {"run": cmd_run, "verify": cmd_verify, "schema": cmd_schema}[args.command]
+    # stdout is held until the command returns, so that a reader closing it
+    # early, as `head` does, neither cuts the command short nor changes its
+    # exit code
+    out = io.StringIO()
     # a library warning, such as a counting word that is a proper power, is
     # one plain line on stderr rather than Python's file, line and source
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out):
         code = command(args)
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest of the output is not wanted; stdout points at devnull so
+        # that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

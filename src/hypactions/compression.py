@@ -6,9 +6,11 @@ The compressed Cayley graph of W = X u S(w_1, n_1) u ... is implicit and
 infinite.  Since W is closed under subwords and tree geodesics project onto
 the target's prefix path, an exact distance is one greedy forward walk along
 the target word: each hop takes the longest generator that starts where the
-last one ended.  Budgets surface as BudgetExceeded, never as silently wrong
-answers; unit tests cross-check against an independent materialized-graph
-oracle.
+last one ended.  W is held as a letter trie of its generators, so each probe
+of the walk is one dict step and a length costs O(|g|) probes.  Budgets
+surface as BudgetExceeded, never as silently wrong answers; unit tests
+cross-check against an independent materialized-graph oracle and the
+slice-and-hash walk.
 """
 
 from __future__ import annotations
@@ -95,7 +97,21 @@ class CompressedGenSet:
             fams.append((w, cap))
         self.families = tuple(fams)
         self._jump_cache: dict | None = None
-        self._jump_sigs: frozenset | None = None
+        # letter trie of the generators: the base letters, and every subword
+        # of w^cap and w^-cap.  Both words have period |w|, so the suffix at
+        # p + |w| is a prefix of the suffix at p: the first |w| suffixes
+        # spell every subword.
+        self.trie: dict = {}
+        for w, cap in fams:
+            big = w.signed * cap
+            for word in (big, tuple(-x for x in reversed(big))):
+                for p in range(len(w)):
+                    node = self.trie
+                    for x in word[p:]:
+                        node = node.setdefault(x, {})
+        for i in range(1, rank + 1):
+            self.trie.setdefault(i, {})
+            self.trie.setdefault(-i, {})
 
     def base_generators(self) -> list[FreeWord]:
         gens = []
@@ -115,12 +131,6 @@ class CompressedGenSet:
             self._jump_cache = table
         return self._jump_cache
 
-    def jump_signatures(self) -> frozenset:
-        """The letter tuples of the jump words, built once with the table."""
-        if self._jump_sigs is None:
-            self._jump_sigs = frozenset(u.signed for u in self.jump_table())
-        return self._jump_sigs
-
     def generators(self) -> list[FreeWord]:
         seen = {}
         for g in self.base_generators():
@@ -130,9 +140,12 @@ class CompressedGenSet:
         return [seen[k] for k in sorted(seen)]
 
     def __contains__(self, u: FreeWord) -> bool:
-        if len(u) == 1:
-            return abs(u.signed[0]) - 1 < self.rank
-        return u in self.jump_table()
+        node = self.trie
+        for x in u.signed:
+            node = node.get(x)
+            if node is None:
+                return False
+        return bool(u)
 
     def to_json(self):
         names = [format_word(FreeWord.generator(i)) for i in range(self.rank)]
@@ -163,27 +176,31 @@ def compressed_word_length(g: FreeWord, W: CompressedGenSet, budget: int = 2_000
     is a subword of the generator g[q:q'], hence J(p) >= q'.  Backward hops
     only fall further behind, so the walk reaches L first.
 
-    budget caps the number of membership probes.
+    A probe is one step down W's letter trie, the failing step included, so
+    a hop from i to j costs j - i probes, plus one when j < L.  budget caps
+    the probes of the whole walk: a hop stops extending where the next probe
+    would cross it, and that probe raises BudgetExceeded.
     """
     target = g.signed
     L = len(target)
-    jump_sigs = W.jump_signatures()
-    rank = W.rank
+    root = W.trie
     i = hops = probes = 0
     while i < L:
         hops += 1
+        node = root
         j = i
-        while j < L:
-            probes += 1
-            if probes > budget:
-                raise BudgetExceeded(
-                    f"compressed length probe budget {budget} exhausted",
-                    extent={"positions": L + 1, "depth_reached": hops - 1},
-                )
-            seg = target[i : j + 1]
-            if not ((j == i and abs(seg[0]) <= rank) or seg in jump_sigs):
+        stop = min(L, i + budget - probes)
+        while j < stop:
+            node = node.get(target[j])
+            if node is None:
                 break
             j += 1
+        probes += j - i + (j < L)
+        if probes > budget:
+            raise BudgetExceeded(
+                f"compressed length probe budget {budget} exhausted",
+                extent={"positions": L + 1, "depth_reached": hops - 1},
+            )
         if j == i:
             raise ValueError("element is not generated by the base alphabet and families")
         i = j

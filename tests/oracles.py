@@ -4,7 +4,8 @@ Everything here is deliberately naive and separate from the package
 implementations: repeated-scan free reduction, exhaustive product
 enumeration, a BS(m, n) normal form spelled back as the token stream
 `bs_normalize` reads, materialized-graph Dijkstra, a breadth-first search over the
-letter positions for compressed lengths, a plain-loop four-point scan,
+letter positions for compressed lengths and the slice-and-hash probe walk
+that the letter trie replaced, a plain-loop four-point scan,
 the n^3-per-basepoint four-point scan and the float64 sampled scan, one product per element and generator for the in-ball Cayley graph,
 per-source BFS and per-pair geodesic walks for the in-ball graph metric,
 a per-source walk over parent and child links for a random tree's metric,
@@ -147,6 +148,35 @@ def compressed_length_bfs(target, jump_sigs, rank):
                     nxt.append(j)
         frontier = nxt
     return dist[L]
+
+
+def compressed_length_sliced(target, jump_sigs, rank, budget):
+    """The greedy compressed-length walk with one slice and one hash per probe.
+
+    From position i, probe target[i:j+1] for j = i, i+1, ...: a base letter
+    (|letter| <= rank) or a member of jump_sigs extends the hop, and the
+    first failing probe ends it.  Returns (outcome, probes), where outcome is
+    ("hops", n), ("budget", message, extent) at the probe that crosses
+    budget, or ("unreachable", message) when a position starts no generator.
+    """
+    L = len(target)
+    i = hops = probes = 0
+    while i < L:
+        hops += 1
+        j = i
+        while j < L:
+            probes += 1
+            if probes > budget:
+                extent = {"positions": L + 1, "depth_reached": hops - 1}
+                return ("budget", f"compressed length probe budget {budget} exhausted", extent), probes
+            seg = target[i : j + 1]
+            if not ((j == i and abs(seg[0]) <= rank) or seg in jump_sigs):
+                break
+            j += 1
+        if j == i:
+            return ("unreachable", "element is not generated by the base alphabet and families"), probes
+        i = j
+    return ("hops", hops), probes
 
 
 def four_point_delta_naive(rows):

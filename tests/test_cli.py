@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -255,6 +258,53 @@ def test_time_cap_budget(tmp_path):
     assert code == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "budget-exceeded"
+
+
+def test_probe_cap_stops_the_k80_compress_run(tmp_path):
+    cfg = {
+        "format": 1,
+        "group": {"kind": "free", "rank": 2},
+        "experiment": "compress",
+        "parameters": {"families": [{"w": "ab^3", "cap": 2}, {"w": "ab^9", "cap": 3}], "k_max": 80},
+        "budgets": {"probe_cap": 300},
+        "seed": 0,
+    }
+    code, out = run_config(tmp_path, cfg, "k80")
+    assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "budget-exceeded"
+    assert summary["error"] == "compressed length probe budget 300 exhausted"
+    assert summary["extent"] == {"depth_reached": 33, "positions": 269}
+
+
+def _with_closed_stdout(*argv):
+    """Run the console entry point with the read end of its stdout pipe
+    closed before it writes."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        return subprocess.run([sys.executable, "-m", "hypactions", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+def test_a_closed_stdout_ends_schema_without_a_traceback():
+    proc = _with_closed_stdout("schema")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_a_closed_stdout_keeps_the_verdict_of_verify(tmp_path):
+    _, out = run_config(tmp_path, BASE_CONFIGS["tau"], "tau")
+    path = out / "summary.json"
+    honest = _with_closed_stdout("verify", str(path))
+    summary = json.loads(path.read_text())
+    summary["result"]["exact"] += 1
+    path.write_text(json.dumps(summary))
+    forged = _with_closed_stdout("verify", str(path))
+    assert [(proc.returncode, proc.stderr) for proc in (honest, forged)] == [(0, b""), (1, b"")]
 
 
 def test_verify_cone_off_rejects_an_edge_whose_geodesics_meet_the_orbit(tmp_path, capsys):

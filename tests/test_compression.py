@@ -22,7 +22,7 @@ from hypactions.errors import BudgetExceeded
 from hypactions.groups import FreeGroupOracle
 from hypactions.loxodromic import build_quasi_axis
 from hypactions.words import FreeWord, parse_word
-from oracles import compressed_length_bfs, dijkstra_compressed_naive
+from oracles import compressed_length_bfs, compressed_length_sliced, dijkstra_compressed_naive
 
 F2 = FreeGroupOracle(2)
 w = parse_word
@@ -89,36 +89,39 @@ def agrees_with_bfs(g, W):
     return compressed_word_length(g, W) == expected
 
 
-LETTERS = st.sampled_from([1, -1, 2, -2])
-
-
 @st.composite
 def genset_and_word(draw):
-    """A rank-2 compressed set with one to three families (caps 1-4) and a
-    target: a reduced word of length <= 60, a family power w^-20 .. w^59, or
-    a product of jump generators, optionally with a letter outside the base."""
+    """A compressed set of rank 1-3 with one to three families (caps 1-4) and
+    a target: a reduced word of length <= 60, a family power w^-20 .. w^59,
+    or a product of up to eight jump words, optionally with a letter outside
+    the base."""
+    rank = draw(st.integers(1, 3))
+    letters = st.sampled_from([x for i in range(1, rank + 1) for x in (i, -i)])
     families = []
     for _ in range(draw(st.integers(1, 3))):
-        word = FreeWord(draw(st.lists(LETTERS, min_size=1, max_size=5)))
+        word = FreeWord(draw(st.lists(letters, min_size=1, max_size=5)))
         while len(word) >= 2 and word.signed[0] == -word.signed[-1]:
             word = FreeWord(word.signed[1:-1])
         if word:
             families.append((word, draw(st.integers(1, 4))))
     if not families:
-        families = [(FreeWord((1, 2)), 2)]
-    W = CompressedGenSet(2, families)
+        families = [(FreeWord((1,)), 2)]
+    W = CompressedGenSet(rank, families)
     kind = draw(st.sampled_from(["word", "power", "product"]))
     if kind == "word":
-        g = FreeWord(draw(st.lists(LETTERS, max_size=60)))
+        size = draw(st.integers(0, 60))
+        g = FreeWord(draw(st.lists(letters, min_size=size, max_size=size)))
     elif kind == "power":
         g = draw(st.sampled_from([w for w, _ in families])) ** draw(st.integers(-20, 59))
     else:
+        size = draw(st.integers(0, 8))
+        jumps = st.sampled_from(sorted(W.jump_table(), key=lambda u: u.signed))
         g = FreeWord()
-        for u in draw(st.lists(st.sampled_from(sorted(W.jump_table(), key=lambda u: u.signed)), max_size=8)):
+        for u in draw(st.lists(jumps, min_size=size, max_size=size)):
             g = g * u
     if draw(st.booleans()):
         at = draw(st.integers(0, len(g)))
-        g = FreeWord(g.signed[:at] + (3,) + g.signed[at:])
+        g = FreeWord(g.signed[:at] + (rank + 1,) + g.signed[at:])
     return W, g
 
 
@@ -154,6 +157,70 @@ def test_walk_budget_counts_membership_probes():
     with pytest.raises(BudgetExceeded) as exc:
         compressed_word_length(g, W, budget=13)
     assert exc.value.extent == {"positions": 13, "depth_reached": 2}
+
+
+def walk_outcome(g, W, budget):
+    """compressed_word_length's result in the oracle's outcome terms."""
+    try:
+        return ("hops", compressed_word_length(g, W, budget=budget))
+    except BudgetExceeded as exc:
+        return ("budget", str(exc), exc.extent)
+    except ValueError as exc:
+        return ("unreachable", str(exc))
+
+
+class CountingNode(dict):
+    """A trie node that counts the lookups made through it."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        CountingNode.lookups += 1
+        return dict.get(self, key, default)
+
+
+def counting_copy(node):
+    return CountingNode({x: counting_copy(child) for x, child in node.items()})
+
+
+def trie_paths(node, prefix=()):
+    for x, child in node.items():
+        yield prefix + (x,)
+        yield from trie_paths(child, prefix + (x,))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(genset_and_word())
+def test_trie_walk_matches_the_sliced_walk_at_every_budget(case):
+    """Hops, the budget message and extent, and the unreachable error agree
+    with the slice-and-hash walk for every budget from 1 to one past what
+    the whole walk needs, and no walk looks up more trie nodes than its
+    budget allows."""
+    W, g = case
+    sigs = {u.signed for u in W.jump_table()}
+    _, needed = compressed_length_sliced(g.signed, sigs, W.rank, float("inf"))
+    W.trie = counting_copy(W.trie)
+    for budget in range(1, needed + 2):
+        expected, _ = compressed_length_sliced(g.signed, sigs, W.rank, budget)
+        CountingNode.lookups = 0
+        assert walk_outcome(g, W, budget) == expected, budget
+        assert CountingNode.lookups <= budget
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(genset_and_word())
+def test_trie_spells_the_generators_and_decides_membership(case):
+    W, g = case
+    base = {(x,) for i in range(1, W.rank + 1) for x in (i, -i)}
+    sigs = {u.signed for u in W.jump_table()}
+    assert set(trie_paths(W.trie)) == sigs | base
+    assert FreeWord() not in W
+    for i in range(len(g)):
+        for j in range(i + 1, min(len(g), i + 12) + 1):
+            u = FreeWord(g.signed[i:j])
+            assert (u in W) == (u.signed in sigs | base)
 
 
 def test_compressed_monotone_in_caps():
