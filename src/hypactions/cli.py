@@ -351,10 +351,9 @@ def _replay_delta(c, res):
     exhaustive summary, the claim that `raw_max` is at least the largest
     defect with basepoint 0 (`metrics.basepoint_scan`, n^3 defects): a real
     quadruple beating it proves that `raw_max` is not the maximum, and
-    where that largest defect is 0, as on a tree, delta <= 2 delta_0 = 0
-    proves that it is.  A witness that is not four int indices into the
-    ball (numpy would wrap -1 to the last point) becomes (0, 0, 0, 0), which
-    it is not."""
+    delta <= 2 delta_0 proves that it is, where the witness reaches it.  A
+    witness that is not four int indices into the ball (numpy would wrap -1
+    to the last point) becomes (0, 0, 0, 0), which it is not."""
     stored = res.get("delta")
     witness, raw_max = (stored.get("witness"), stored.get("raw_max")) if type(stored) is dict else (None, None)
     claims = []
@@ -370,6 +369,9 @@ def _replay_delta(c, res):
             at_0 = basepoint_scan(D, 0)[0]
             claims.append((f"raw_max is at least the largest defect at basepoint 0, {at_0}",
                            type(raw_max) is float and raw_max >= at_0))
+            if in_ball and type(raw_max) is float and replayed == raw_max and 2 * at_0 <= raw_max:
+                claims.append((f"raw_max is the maximum: the witness reaches it and every defect "
+                               f"is at most 2 delta_0 = {2 * at_0}", True))
         return DeltaEstimate(max(0.0, replayed), replayed, tuple(quad), sampled,
                              quadruple_budget(len(ball), mode, count, c.budgets["quadruple_cap"]),
                              c.seed if sampled else None, ball.words)

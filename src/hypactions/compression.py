@@ -87,6 +87,8 @@ class CompressedGenSet:
         for w, cap in families:
             if isinstance(w, str):
                 w = parse_word(w, rank=rank)
+            if any(abs(x) > rank for x in w.signed):
+                raise ValueError(f"family word {w} exceeds rank {rank}")
             if not w:
                 raise ValueError("family words must be nonempty")
             if not w.is_cyclically_reduced():

@@ -1,11 +1,13 @@
 """Pseudo-lengths, finite metric spaces, the four-point hyperbolicity
 estimator, and the cone-off construction.
 
-Distances are 64-bit floats (exact integers for word metrics); the only
-tolerance in this module is the absolute 1e-12 used when comparing against
-zero.  Every graph metric here (the in-ball metric, the word metric of a
-free-group ball, an induced subgraph's metric, and both metrics that cone-off
-compares) comes from one all-pairs BFS, `_bfs_metric`, over a table of
+Distances are 64-bit floats (exact integers for word metrics); the
+four-point scans read them in the narrowest integer type holding 4 max|d|,
+else in float64 (`_scan_dtype`).  The only tolerance in this module is the
+absolute 1e-12 used when comparing against zero.  Every graph metric here
+(the in-ball metric, the word metric of a free-group ball, an induced
+subgraph's metric, and both metrics that cone-off compares) comes from one
+all-pairs BFS, `_bfs_metric`, over a table of
 neighbour indices such as the one a Cayley ball keeps (`Ball.adjacency`).
 """
 
@@ -267,45 +269,60 @@ def _defect_blocks(D: np.ndarray):
             yield hi, (0, y + 1 + z0, y + 2 + z0)
 
 
-def _first_worst_point(D: np.ndarray) -> int:
+def _first_worst_point(S: np.ndarray) -> int:
     """The smallest point of any quadruple, repeated points allowed, whose
-    worst defect is the largest over all quadruples."""
-    D = D.astype(_scan_dtype(D))
+    worst defect is the largest over all quadruples.  In a block of distinct
+    points x < y < z, t, so that is the x (axis 0) of its first hit."""
     best, low = 0, 0  # the quadruple (0, 0, 0, 0)
-    for block, offsets in _defect_blocks(D):
+    for block, offsets in _defect_blocks(S):
         m = block.max()
         if m > best or (m == best and low > 0):
-            first = min(o + int(at.min()) for o, at in zip(offsets, np.nonzero(block == m)))
+            if offsets[1]:
+                first = int(np.argmax(block == m)) // block[0].size
+            else:
+                first = min(o + int(at.min()) for o, at in zip(offsets, np.nonzero(block == m)))
             low = first if m > best else min(low, first)
             best = m
     return low
 
 
-def _basepoint_blocks(D: np.ndarray, l: int):
-    """The ordered defects with basepoint t = l, built from the n x n Gromov
-    products at l a few rows of x at a time: yields (i0, T), where T[i, j, k]
-    is the defect of (i0 + i, j, k, l)."""
-    n = D.shape[0]
-    col = D[:, l]
-    G = (col[:, None] + col[None, :] - D) / 2.0
-    rows = max(1, SCAN_STEP_BYTES // G.itemsize // (n * n))
+def _basepoint_blocks(S: np.ndarray, l: int):
+    """Twice the ordered defects with basepoint t = l, in the type of S, from
+    G2, twice the Gromov products at l, a few rows of x at a time: yields
+    (i0, T), T[i, j, k] twice the defect of (i0 + i, j, k, l).  With
+    a = S[:, l], T[i, j, k] is the smaller of a_j - a_k - d_ij + d_ik and
+    a_j - a_i - d_jk + d_ik, so |T| <= 4 max|d|, metric or not."""
+    n = S.shape[0]
+    col = S[:, l]
+    G2 = col[:, None] + col[None, :] - S
+    rows = max(1, SCAN_STEP_BYTES // S.itemsize // (n * n))
     for i0 in range(0, n, rows):
-        yield i0, np.minimum(G[i0 : i0 + rows, :, None], G[None, :, :]) - G[i0 : i0 + rows, None, :]
+        T = np.minimum(G2[i0 : i0 + rows, :, None], G2[None, :, :])
+        T -= G2[i0 : i0 + rows, None, :]
+        yield i0, T
+
+
+def _basepoint_max(S: np.ndarray, l: int):
+    """`basepoint_scan` on S in its scan type."""
+    best, witness = None, None
+    for i0, T in _basepoint_blocks(S, l):
+        m = T.max()
+        if best is None or m > best:
+            i, j, k = np.unravel_index(int(np.argmax(T)), T.shape)
+            best, witness = m, (i0 + int(i), int(j), int(k), l)
+    return float(best) / 2, witness
 
 
 def basepoint_scan(D: np.ndarray, l: int):
     """(max, first maximising (x, y, z, l) in row-major order) of the ordered
-    defects with basepoint t = l."""
-    best, witness = -math.inf, None
-    for i0, T in _basepoint_blocks(D, l):
-        m = float(T.max())
-        if m > best:
-            i, j, k = np.unravel_index(int(np.argmax(T)), T.shape)
-            best, witness = m, (i0 + int(i), int(j), int(k), l)
-    return best, witness
+    defects with basepoint t = l.  Twice a defect is at most 4 max|d| in
+    absolute value, so the scan holds the doubled defects in `_scan_dtype`'s
+    narrow type of D (`_basepoint_blocks`) and halves only the maximum,
+    which is exact, as in float64."""
+    return _basepoint_max(D.astype(_scan_dtype(D), copy=False), l)
 
 
-def _zero_at_basepoint_0(D: np.ndarray) -> bool:
+def _zero_at_basepoint_0(S: np.ndarray) -> bool:
     """Whether no defect with basepoint 0 is positive, stopping at the first
     block that holds one.
 
@@ -321,7 +338,7 @@ def _zero_at_basepoint_0(D: np.ndarray) -> bool:
     and c, repeats included; applied to (x, z) through y and t and to (y, t)
     through x and z, it bounds that defect by 2 delta_w.
     """
-    return all(T.max() <= 0 for _, T in _basepoint_blocks(D, 0))
+    return all(T.max() <= 0 for _, T in _basepoint_blocks(S, 0))
 
 
 def _index_dtype(entries: int):
@@ -329,10 +346,10 @@ def _index_dtype(entries: int):
     return np.int32 if entries <= 2**31 else np.int64
 
 
-def _sampled_scan(D: np.ndarray, count: int, rng):
+def _sampled_scan(S: np.ndarray, count: int, rng):
     """(max, first maximising quadruple drawn) of `count` drawn defects."""
-    n = D.shape[0]
-    flat = D.astype(_scan_dtype(D)).ravel()
+    n = S.shape[0]
+    flat = S.ravel()
     index = _index_dtype(flat.size)  # numpy draws the same stream in either type
     step = SCAN_STEP_BYTES // np.dtype(index).itemsize  # indices in one cache-sized block
     best, witness = -math.inf, None
@@ -425,13 +442,14 @@ def four_point_delta(
         raise ValueError("distance matrix must be zero on the diagonal")
     total = quadruple_budget(n, mode, count, quadruple_cap)
     sampled = mode == "sampled"
+    S = D.astype(_scan_dtype(D), copy=False)
     if sampled:
         seed = 0 if seed is None else seed
-        best, best_w = _sampled_scan(D, count, np.random.default_rng(seed))
-    elif _scan_dtype(D) is not np.float64 and _zero_at_basepoint_0(D):
+        best, best_w = _sampled_scan(S, count, np.random.default_rng(seed))
+    elif S.dtype != np.float64 and _zero_at_basepoint_0(S):
         best, best_w = 0.0, (0, 0, 0, 0)  # what the scan below returns when every defect is at most 0
     else:
-        best, best_w = basepoint_scan(D, _first_worst_point(D))
+        best, best_w = _basepoint_max(S, _first_worst_point(S))
     return DeltaEstimate(
         delta=max(0.0, best),
         raw_max=best,

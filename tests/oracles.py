@@ -6,7 +6,10 @@ enumeration, a BS(m, n) normal form spelled back as the token stream
 `bs_normalize` reads, materialized-graph Dijkstra, a breadth-first search over the
 letter positions for compressed lengths and the slice-and-hash probe walk
 that the letter trie replaced, a plain-loop four-point scan,
-the n^3-per-basepoint four-point scan and the float64 sampled scan, one product per element and generator for the in-ball Cayley graph,
+the n^3-per-basepoint four-point scan in float64 Gromov products, the first worst
+point from every np.nonzero hit of `metrics._defect_blocks` in float64 (the one
+oracle that reads package code: it checks the search for the hit, not the blocks),
+and the float64 sampled scan, one product per element and generator for the in-ball Cayley graph,
 per-source BFS and per-pair geodesic walks for the in-ball graph metric,
 a per-source walk over parent and child links for a random tree's metric,
 cone-off and the coned metric, trial division up to sqrt(d) for square-freeness, the
@@ -194,24 +197,45 @@ def four_point_delta_naive(rows):
     return best
 
 
+def basepoint_scan_naive(D, l):
+    """All n^3 ordered defects with basepoint t = l in one float64 array of
+    Gromov products.  Returns (max, first maximising (i, j, k, l) in
+    row-major order)."""
+    col = D[:, l]
+    G = (col[:, None] + col[None, :] - D) / 2.0
+    T = np.minimum(G[:, :, None], G[None, :, :]) - G[:, None, :]
+    i, j, k = np.unravel_index(int(np.argmax(T)), T.shape)
+    return float(T.max()), (int(i), int(j), int(k), l)
+
+
 def four_point_delta_basepoint(D):
-    """The ordered scan one basepoint l at a time: all n^3 defects with t = l
-    in one array.  Returns (raw max, first maximising (i, j, k, l)): the first
-    basepoint reaching the maximum, and its first argmax in row-major order.
+    """The ordered scan one basepoint l at a time (`basepoint_scan_naive`).
+    Returns (raw max, first maximising (i, j, k, l)): the first basepoint
+    reaching the maximum, and its first argmax in row-major order.
     """
-    n = D.shape[0]
     best = -math.inf
     best_w = (0, 0, 0, 0)
-    for l in range(n):
-        col = D[:, l]
-        G = (col[:, None] + col[None, :] - D) / 2.0
-        T = np.minimum(G[:, :, None], G[None, :, :]) - G[:, None, :]
-        m = float(T.max())
+    for l in range(D.shape[0]):
+        m, w = basepoint_scan_naive(D, l)
         if m > best:
-            i, j, k = np.unravel_index(int(np.argmax(T)), T.shape)
-            best = m
-            best_w = (int(i), int(j), int(k), l)
+            best, best_w = m, w
     return best, best_w
+
+
+def first_worst_point_nonzero(D):
+    """The smallest point of any quadruple, repeated points allowed, whose
+    worst defect is the largest, from every hit of every float64
+    `metrics._defect_blocks` block, listed by np.nonzero."""
+    from hypactions.metrics import _defect_blocks
+
+    best, low = 0, 0  # the quadruple (0, 0, 0, 0)
+    for block, offsets in _defect_blocks(np.asarray(D, dtype=np.float64)):
+        m = block.max()
+        if m > best or (m == best and low > 0):
+            first = min(o + int(at.min()) for o, at in zip(offsets, np.nonzero(block == m)))
+            low = first if m > best else min(low, first)
+            best = m
+    return low
 
 
 def quadruple_defect_naive(D, quad):

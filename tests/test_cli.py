@@ -617,9 +617,13 @@ def test_verify_delta_refuses_a_negative_index_that_numpy_would_wrap(tmp_path, c
     assert _fails(lines) == _rederives("delta", "witness_distances")
 
 
-# an exhaustive summary adds one claim, from the basepoint-0 scan (n^3 defects)
+PROVED = "raw_max is the maximum: the witness reaches it and every defect is at most 2 delta_0 = {}"
+
+
+# an exhaustive summary adds the claims of the basepoint-0 scan (n^3 defects)
 @pytest.mark.parametrize("group, parameters, claims", [
-    ({"kind": "free", "rank": 2}, {"radius": 2}, ["raw_max is at least the largest defect at basepoint 0, 0.0"]),
+    ({"kind": "free", "rank": 2}, {"radius": 2}, ["raw_max is at least the largest defect at basepoint 0, 0.0",
+                                                  PROVED.format(0.0)]),
     ({"kind": "bs", "m": 2, "n": 3}, {"radius": 2, "mode": "sampled", "count": 500}, []),
 ], ids=["exhaustive", "sampled"])
 def test_verify_delta_replays_the_witness_without_scanning(tmp_path, capsys, monkeypatch, group, parameters, claims):
@@ -661,6 +665,55 @@ def test_verify_delta_refuses_a_raw_max_beaten_at_basepoint_0(tmp_path, capsys):
     code, lines = _verify(out / "summary.json", capsys)
     assert code == 0
     assert lines[-1] == "PASS  raw_max is at least the largest defect at basepoint 0, 2.0"
+
+
+# the proof line where 2 delta_0 <= raw_max, and silence where it is not
+@pytest.mark.parametrize("group, radius, at_0, raw_max", [
+    ({"kind": "free", "rank": 2}, 3, 0.0, 0.0),
+    ({"kind": "bs", "m": 1, "n": 2}, 3, 1.0, 2.0),
+    ({"kind": "bs", "m": 2, "n": 3}, 4, 1.5, 3.0),
+    ({"kind": "bs", "m": 2, "n": 3}, 3, 1.5, 2.0),
+    ({"kind": "bs", "m": 1, "n": 2}, 4, 2.0, 3.0),
+], ids=["F2-R3", "BS12-R3", "BS23-R4", "BS23-R3", "BS12-R4"])
+def test_verify_delta_says_the_maximum_is_proved_only_when_twice_delta_0_reaches_it(
+        tmp_path, capsys, group, radius, at_0, raw_max):
+    cfg = _with("delta", lambda c: c.update(group=group, parameters={"radius": radius},
+                                            budgets={"quadruple_cap": 10**9}))
+    _, out = run_config(tmp_path, cfg, "delta")
+    assert json.loads((out / "summary.json").read_text())["result"]["delta"]["raw_max"] == raw_max
+    code, lines = _verify(out / "summary.json", capsys)
+    assert code == 0
+    claims = [line for line in lines if "re-derives" not in line]
+    assert claims == [f"PASS  raw_max is at least the largest defect at basepoint 0, {at_0}"] + (
+        [f"PASS  {PROVED.format(2 * at_0)}"] if 2 * at_0 <= raw_max else [])
+
+
+def test_verify_delta_proves_no_maximum_for_a_forged_witness(tmp_path, capsys):
+    # BS(1, 2) R3: delta_0 = 1 and the maximum is 2
+    cfg = _with("delta", lambda c: c.update(group={"kind": "bs", "m": 1, "n": 2}, parameters={"radius": 3}))
+    ball, D, _ = _delta_inputs(parse_config(cfg)[0])
+    quad = (3, 18, 40, 5)
+    assert quadruple_defect(D, quad) == 1.5
+    at_0 = "PASS  raw_max is at least the largest defect at basepoint 0, 1.0"
+
+    # a witness of defect 1.5 under the true raw_max 2.0 does not replay to it
+    path = _forged(tmp_path, cfg, lambda result: result["delta"].update(witness=list(quad)))
+    code, lines = _verify(path, capsys)
+    assert code == 1
+    assert _fails(lines) == _rederives("delta", "witness_distances")
+    assert lines[-1] == at_0
+
+    # a whole forged block claiming 1.5, between delta_0 and 2 delta_0,
+    # replays and passes every check, but nothing says it is the maximum
+    def forge(result):
+        result["delta"].update(witness=list(quad), witness_labels=[ball.words[i] for i in quad],
+                               raw_max=1.5, delta=1.5)
+        result["witness_distances"] = [[float(D[a, b]) for b in quad] for a in quad]
+
+    code, lines = _verify(_forged(tmp_path, cfg, forge, "forged-block"), capsys)
+    assert code == 0
+    assert lines[-1] == at_0
+    assert not any("is the maximum" in line for line in lines)
 
 
 def test_verify_cone_off_derives_the_edges_without_cone_off(tmp_path, capsys, monkeypatch):

@@ -398,3 +398,15 @@ def test_genset_json_roundtrip():
     assert repr(W) == "CompressedGenSet(rank=2, families=[(ab^3,2), (ab^9,3)])"
     with pytest.raises(ValueError, match="caps must be >= 1"):
         CompressedGenSet(2, [("ab", 0)])
+
+
+@pytest.mark.parametrize("word, message", [
+    (FreeWord((3, 1)), "^family word ca exceeds rank 2$"),
+    (FreeWord((1, -3)), "^family word ac\\^-1 exceeds rank 2$"),
+    ("c", "^generator 'c' exceeds rank 2$"),
+], ids=["c", "C", "string"])
+def test_genset_refuses_a_family_letter_beyond_the_rank(word, message):
+    # a letter c of F3 would otherwise get compressed length 1 in F2
+    with pytest.raises(ValueError, match=message):
+        CompressedGenSet(2, [(word, 2)])
+    assert CompressedGenSet(3, [(word, 2)]).rank == 3

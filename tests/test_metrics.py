@@ -32,8 +32,10 @@ from hypactions.metrics import (
 from hypactions.words import parse_word, tree_distance
 from oracles import (
     adjacency_naive,
+    basepoint_scan_naive,
     cone_off_edges_naive,
     coned_metric_naive,
+    first_worst_point_nonzero,
     four_point_delta_basepoint,
     four_point_delta_naive,
     four_point_delta_sampled_naive,
@@ -376,6 +378,97 @@ def test_every_defect_is_at_most_twice_the_worst_at_basepoint_0(D):
     break the triangle inequality and hold negative distances."""
     at_0 = metrics.basepoint_scan(D, 0)[0]
     assert four_point_delta_naive(D.tolist()) <= 2 * at_0
+
+
+SCAN_KINDS = [np.int8, np.int16, np.int32]
+
+
+def at_the_limit(D, kind, past):
+    """D scaled so that 4 max|d| is at most the largest value of `kind`, or,
+    when `past`, one scale step beyond it."""
+    most = float(np.abs(D).max())
+    if not most:
+        return D
+    return D * (np.iinfo(kind).max // int(4 * most) + past)
+
+
+def assert_basepoint_scans_match_the_oracle(D):
+    """Every basepoint's scan and the basepoint-0 certificate equal the
+    float64 Gromov-product scan, value and witness bit for bit."""
+    for l in range(D.shape[0]):
+        assert metrics.basepoint_scan(D, l) == basepoint_scan_naive(D, l)
+    assert metrics._zero_at_basepoint_0(D.astype(_scan_dtype(D))) == (basepoint_scan_naive(D, 0)[0] <= 0)
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["at", "past"])
+@pytest.mark.parametrize("kind", SCAN_KINDS, ids=["int8", "int16", "int32"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(D=integer_distances())
+def test_basepoint_scan_matches_the_float64_oracle_at_each_side_of_every_scan_width(D, kind, past):
+    # negative entries and triangle violations, scaled to the edge of the type
+    D = at_the_limit(D, kind, past)
+    if D.any():
+        assert (_scan_dtype(D) is kind) != past
+    assert_basepoint_scans_match_the_oracle(D)
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["at", "past"])
+@pytest.mark.parametrize("kind", SCAN_KINDS, ids=["int8", "int16", "int32"])
+def test_basepoint_scan_matches_the_float64_oracle_on_trees_at_each_side_of_every_scan_width(kind, past):
+    most = TREE_SCALES[kind][0]
+    rng = random.Random(8)
+    for _ in range(10):
+        D = at_the_limit(random_tree_metric(rng.randint(2, most), rng).as_array(), kind, past)
+        assert (_scan_dtype(D) is kind) != past
+        assert_basepoint_scans_match_the_oracle(D)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["top", "bottom"])
+@pytest.mark.parametrize("most", [31, 32, 8191, 8192, 2**29 - 1, 2**29])
+def test_basepoint_scan_reaches_four_times_the_largest_distance(most, sign):
+    # with l = 0: d(0, 2) = d(1, 3) = M and every other distance -M make
+    # both terms of twice the defect of (1, 2, 3, 0) 4M, and -4M negated;
+    # M = 31, 8191 and 2^29 - 1 are the last scanned in int8, int16, int32
+    D = sign * most * np.array([
+        [0, -1, 1, -1],
+        [-1, 0, -1, 1],
+        [1, -1, 0, -1],
+        [-1, 1, -1, 0],
+    ], dtype=float)
+    assert quadruple_defect_naive(D, (1, 2, 3, 0)) == sign * 2 * most
+    if sign > 0:
+        assert basepoint_scan_naive(D, 0) == (2.0 * most, (1, 2, 3, 0))
+    assert_basepoint_scans_match_the_oracle(D)
+
+
+def test_basepoint_scan_on_inexact_floats_is_bit_identical():
+    # sums of thirds round, but twice a product rounds as the product does
+    rng = random.Random(3)
+    for _ in range(100):
+        n = rng.randint(4, 8)
+        D = np.zeros((n, n))
+        for i, j in combinations(range(n), 2):
+            D[i, j] = D[j, i] = rng.randint(0, 30) / 3
+        assert _scan_dtype(D) is np.float64
+        assert_basepoint_scans_match_the_oracle(D)
+
+
+@pytest.mark.parametrize("group, radius", [
+    ({"kind": "free", "rank": 2}, 3),
+    ({"kind": "bs", "m": 1, "n": 2}, 3),
+    ({"kind": "bs", "m": 1, "n": 2}, 4),
+    ({"kind": "bs", "m": 2, "n": 3}, 3),
+])
+def test_first_worst_point_matches_the_nonzero_scan_on_balls(group, radius):
+    cfg = {"format": 1, "group": group, "experiment": "delta", "parameters": {"radius": radius}}
+    _, D, _ = _delta_inputs(parse_config(cfg)[0])
+    assert metrics._first_worst_point(D.astype(_scan_dtype(D))) == first_worst_point_nonzero(D)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(integer_distances())
+def test_first_worst_point_matches_the_nonzero_scan(D):
+    assert metrics._first_worst_point(D.astype(_scan_dtype(D))) == first_worst_point_nonzero(D)
 
 
 @pytest.mark.parametrize("entries, dtype", [
