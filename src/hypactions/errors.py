@@ -37,7 +37,3 @@ class CertificateError(ToolkitError, ValueError):
     def __init__(self, reason, detail=""):
         super().__init__(f"{reason}: {detail}" if detail else reason)
         self.reason = reason
-
-
-class NoConvergence(ToolkitError, RuntimeError):
-    pass

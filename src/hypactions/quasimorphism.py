@@ -310,7 +310,6 @@ def anisotropy_certificate(
     lengths: PseudoLength,
     g,
     ball,
-    m_cap: float | None = None,
     ball_cap: int = DEFAULT_BALL_CAP,
 ) -> AnisotropyCertificate:
     """Emit a certificate iff g lies in the ball, the homogenized value at g
@@ -340,8 +339,6 @@ def anisotropy_certificate(
     if fit.M == 0:  # |q(g^n)| <= M l(g^n) + M for every n would force the homogenization at g to 0
         detail = f"fitted M = 0 on the radius-{ball.radius} ball beside the nonzero homogenized value {value:g}"
         raise CertificateError("not-subordinate", detail)
-    if m_cap is not None and fit.M > m_cap:
-        raise CertificateError("not-subordinate", f"fitted M = {fit.M} exceeds cap {m_cap}")
     rows = sorted((oracle.format_element(h), value, length) for h, value, length in evaluated)
     conclusion = (
         "the quasi-morphism is subordinate to the orbit pseudo-length with "

@@ -546,18 +546,15 @@ class FractionMat2:
         return tuple((e.a, e.b) for e in (self.a, self.b, self.c, self.d))
 
 
-def project_to_hull_loop(vals, rows, tol, max_iter=10_000):
-    """The tight-span projector as a plain loop: g <- (g + q(g))/2 with
-    q(g)(x) = max_y (rows[x][y] - g(y)), each Fraction entry subtracted from
-    a float.  Returns (values, iterations), or None without convergence."""
-    vals = tuple(float(v) for v in vals)
+def hull_sweep_fractions(vals, rows):
+    """The tight-span sweep in exact rationals: at each x in order, f(x)
+    drops to max(0, max_{y != x} (rows[x][y] - f(y))), every value and
+    distance taken as a Fraction."""
+    vals = [Fraction(v) for v in vals]
     n = len(rows)
-    for it in range(max_iter + 1):
-        q = tuple(max(rows[x][y] - vals[y] for y in range(n)) for x in range(n))
-        if max(abs(a - b) for a, b in zip(vals, q)) <= tol:
-            return vals, it
-        vals = tuple((a + b) / 2.0 for a, b in zip(vals, q))
-    return None
+    for x in range(n):
+        vals[x] = max([Fraction(0), *(Fraction(rows[x][y]) - vals[y] for y in range(n) if y != x)])
+    return tuple(vals)
 
 
 def match_pair(candidates, x, y, x2, y2, dist):

@@ -203,16 +203,16 @@ def test_criterion_8_tight_span():
     for _ in range(100):
         X = random_rational_metric(4, rng)
         base = kuratowski_embed(rng.randrange(4), X)
-        start = [v + 2 * rng.random() for v in base]
-        f, iterations = project_to_hull(start, X, tol=1e-9)
-        ok, slack = is_extremal(f, X, tol=1e-9)
-        assert ok and iterations <= 10_000 and slack < 1e-9
+        start = [v + math.floor(9 * rng.random()) / 4 for v in base]  # quarter-integers: exact in float64
+        f, steps = project_to_hull(start, X)
+        assert is_extremal(f, X) == (True, 0) and steps == 4
+        assert all(o <= s for o, s in zip(f, start))
 
     for _ in range(5):
         tree = random_tree_metric(6, rng)
         sample = [kuratowski_embed(i, tree) for i in range(tree.size)]
         assert hull_sample_delta(tree, sample, 6**4).delta == 0.0
-    report(8, "Kuratowski exactly isometric (20 spaces), 100 projections to slack < 1e-9, tree hulls flat")
+    report(8, "Kuratowski exactly isometric (20 spaces), 100 projections exactly extremal, tree hulls flat")
 
 
 def test_criterion_9_cone_off_sanity():

@@ -191,9 +191,6 @@ def test_anisotropy_certificate_bs():
     with pytest.raises(CertificateError) as info:
         anisotropy_certificate(bs, ZERO, tsyl, bs.parse_element("t"), ball)
     assert info.value.reason == "zero-value"
-    with pytest.raises(CertificateError) as info:
-        anisotropy_certificate(bs, qt, tsyl, bs.parse_element("t"), ball, m_cap=0.5)
-    assert info.value.reason == "not-subordinate"
 
 
 def test_anisotropy_certificate_brooks():
