@@ -5,13 +5,15 @@ translation-length compression ratio, and the isotropy probe.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import mul
 
+import numpy as np
+
 from .errors import NotLoxodromic
-from .words import FreeWord, _concat
+from .metrics import SCAN_STEP_BYTES
+from .words import FreeWord
 
 
 @dataclass
@@ -149,39 +151,38 @@ def isotropy_probe(ball, D: float, sample_size: int, seed: int = 0) -> IsotropyR
     integer equality, d the free-group word metric), scan g in the ball for
     max{d(gx, x'), d(gy, y')} <= D.
     A failing pair is finite-scale evidence against isotropy with constant D.
+
+    A distance d is drawn uniformly among those held by at least two pairs
+    i < j, then two of its pairs in row-major order.  The pair index keeps,
+    for each row i and distance d, how many j > i lie at d; only the drawn
+    rows are recomputed to find their partners, so no n x n table is ever
+    held.  All pairs are drawn before the scan, which scores every g of the
+    ball against a block of pairs at once (`_best_matches`) and keeps the
+    first g of least cost.
     """
     rng = random.Random(seed)
     elements = ball.elements
-    words = [x.signed for x in elements]
-    rows = _distance_rows(words)
-    running = {}  # d -> number of pairs i < j at distance d in rows 0..i, for each i
-    for d in range(1, 2 * max(map(len, words)) + 1):
-        counts = list(accumulate(row.count(chr(d)) for row in rows))
-        if counts[-1] >= 2:
-            running[d] = counts
-    if sample_size > 0 and not running:
+    fwd, pad, inv, length = _letter_arrays([x.signed for x in elements])
+    running = np.cumsum(_pair_counts(fwd, pad, length), axis=1)  # [d, i]: the pairs at d in rows 0..i
+    totals = running[:, -1].tolist()
+    eligible = [d for d in range(1, len(totals)) if totals[d] >= 2]
+    if sample_size > 0 and not eligible:
         raise ValueError("isotropy probe needs a distance held by two pairs; the ball has none")
-    eligible = sorted(running)
-    results = []
-    successes = 0
+    drawn = []  # (d, a): the a-th pair at distance d in row-major order
     for _ in range(sample_size):
         d = rng.choice(eligible)
-        counts, pair = running[d], []
-        for a in rng.sample(range(counts[-1]), 2):  # the a-th pair in row-major order
-            i, pos = bisect_right(counts, a), -1
-            for _ in range(a - (counts[i - 1] if i else 0) + 1):
-                pos = rows[i].find(chr(d), pos + 1)
-            pair += [i, i + 1 + pos]
-        x, y, x2, y2 = (words[i] for i in pair)
-        best_c, best = float("inf"), None
-        for k, g in enumerate(words):
-            c = _moved_distance(g, x, x2)
-            if c < best_c:
-                c = max(c, _moved_distance(g, y, y2))
-                if c < best_c:
-                    best_c, best = c, k
-                    if c == 0:
-                        break
+        drawn += [(d, a) for a in rng.sample(range(totals[d]), 2)]
+    dist, a = np.array(drawn, np.intp).reshape(-1, 2).T
+    rows = np.empty_like(a)
+    for d in set(dist.tolist()):
+        at = dist == d
+        rows[at] = running[d].searchsorted(a[at], "right")
+    rank = a - np.where(rows > 0, running[dist, rows - 1], 0)  # the pair's place in its row
+    pairs = np.column_stack([rows, _partners(fwd, pad, length, rows, dist, rank)]).reshape(-1, 4)
+    matches = _best_matches(fwd, pad, inv, length, pairs)
+    results = []
+    successes = 0
+    for pair, d, (best, best_c) in zip(pairs.tolist(), dist[::2].tolist(), matches):
         ok = best_c <= D
         successes += ok
         results.append(
@@ -196,39 +197,113 @@ def isotropy_probe(ball, D: float, sample_size: int, seed: int = 0) -> IsotropyR
     )
 
 
-def _distance_rows(words):
-    """Row i: chr(d(x_i, x_j)) for each j > i, as one str (a byte a pair
-    below distance 256, and no limit above).
+def _letter_arrays(words):
+    """The reduced words as n x (w + 1) letter arrays, w the longest length.
 
-    The words split into runs of one length l in increasing order (the
-    sorted BFS layers of a free ball).  In a run, the words starting with
-    x_i[:k] form a span found by bisection, and those sharing exactly k
-    letters with x_i lie at distance |x_i| + l - 2k, so each deeper span
-    overwrites its part of the run's row, down to a span of one word.
+    Returns (fwd, pad, inv, length): `fwd` holds each word followed by 0s,
+    `pad` the same with a non-letter in place of the 0s, and `inv` the
+    inverse words followed by 0s, in the narrowest integer type holding the
+    letters and that non-letter; every one has a final column past every
+    word, and its columns are contiguous.  `length` holds the word lengths
+    in the narrowest integer type holding 3w, the largest sum the probe
+    forms.
     """
-    cuts = [j for j in range(1, len(words)) if len(words[j]) != len(words[j - 1]) or words[j] <= words[j - 1]]
-    rows = []
-    for i, x in enumerate(words):
-        row = []
-        for s, e in zip([0, *cuts], [*cuts, len(words)]):
-            if e > i + 1:
-                lo, hi, top = s, e, len(x) + len(words[s])
-                run = [chr(top)] * (e - s)
-                for k in range(1, min(len(x), len(words[s])) + 1):
-                    if hi - lo < 2:  # at most one word left: its own distance
-                        run[lo - s : hi - s] = [chr(_moved_distance((), x, w)) for w in words[lo:hi]]
-                        break
-                    lo = bisect_left(words, x[:k], lo, hi)
-                    hi = bisect_left(words, x[:k] + (float("inf"),), lo, hi)
-                    run[lo - s : hi - s] = chr(top - 2 * k) * (hi - lo)
-                row += run[max(0, i + 1 - s) :]
-        rows.append("".join(row))
-    return rows
+    length = np.fromiter(map(len, words), np.intp, len(words))
+    flat = np.fromiter(chain.from_iterable(words), np.intp, int(length.sum()))
+    n, w = len(words), int(length.max())
+    blank = -1 - int(np.abs(flat).max(initial=0))  # below every letter
+    starts = np.repeat(np.cumsum(length) - length, length)
+    fwd = np.zeros((n, w + 1), np.min_scalar_type(blank), order="F")
+    fwd[np.repeat(np.arange(n), length), np.arange(flat.size) - starts] = flat
+    back = length[:, None] - 1 - np.arange(w + 1)  # column of fwd read at each column of inv
+    inv = np.asfortranarray(-fwd[np.arange(n)[:, None], np.where(back >= 0, back, w)])
+    pad = np.asfortranarray(np.where(fwd == 0, blank, fwd))
+    return fwd, pad, inv, length.astype(np.min_scalar_type(-3 * w - 1))
 
 
-def _moved_distance(g, x, y) -> int:
-    """d(gx, y) on reduced letter tuples."""
-    gx, k = _concat(g, x), 0
-    while k < len(gx) and k < len(y) and gx[k] == y[k]:
-        k += 1
-    return len(gx) + len(y) - 2 * k
+def _lcp(A, B, dtype):
+    """len(A) x len(B): the common prefix length of each row of A with each
+    row of B, one of them 0-terminated and the other padded with a
+    non-letter, so no column past the end of either word matches."""
+    alive = np.ones((len(A), len(B)), bool)
+    out = np.zeros((len(A), len(B)), dtype)
+    for k in range(A.shape[1] - 1):  # the last column is past every word
+        alive &= A[:, k, None] == B[:, k]
+        out += alive
+    return out
+
+
+def _distances(fwd, pad, length, rows, start):
+    """d(x_i, x_j) = |x_i| + |x_j| - 2 lcp(x_i, x_j) for i in rows, j >= start."""
+    common = _lcp(fwd[rows], pad[start:], length.dtype)
+    return length[rows, None] + length[start:] - 2 * common
+
+
+def _pair_counts(fwd, pad, length):
+    """counts[d, i]: the j > i with d(x_i, x_j) = d, for d = 0..2w, built
+    from blocks of about SCAN_STEP_BYTES of the distances from rows i to
+    the words after them."""
+    n, top = len(fwd), 2 * (fwd.shape[1] - 1)
+    counts = np.zeros((top + 1, n), np.int64)
+    step = max(1, SCAN_STEP_BYTES // (length.itemsize * n))
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        dist = _distances(fwd, pad, length, np.arange(i0, i1), i0 + 1)
+        dist[np.tri(i1 - i0, n - i0 - 1, -1, bool)] = 0  # j <= i
+        for d in range(1, top + 1):
+            counts[d, i0:i1] = np.count_nonzero(dist == d, axis=1)
+    return counts
+
+
+def _partners(fwd, pad, length, rows, dist, rank):
+    """For each i of rows: the j > i that is the rank-th (from 0) at its
+    distance in dist, recomputing only those rows, a block of about
+    SCAN_STEP_BYTES at a time."""
+    n, count = len(fwd), np.min_scalar_type(len(fwd))
+    step = max(1, SCAN_STEP_BYTES // (count.itemsize * n))  # the running count is the widest array
+    found = [np.zeros(0, np.intp)]
+    for s0 in range(0, len(rows), step):
+        i, e = rows[s0 : s0 + step], slice(s0, s0 + step)
+        hits = _distances(fwd, pad, length, i, 0) == dist[e, None]
+        hits &= np.arange(n) > i[:, None]
+        seen = hits.cumsum(axis=1, dtype=count)  # hits at or before each j
+        found.append((seen > rank[e, None]).argmax(axis=1))
+    return np.concatenate(found)
+
+
+def _best_matches(fwd, pad, inv, length, pairs):
+    """For each row (x, y, x', y') of pairs: (first g of least cost, that
+    cost), the cost max{d(gx, x'), d(gy, y')} over every g of the ball.
+
+    For a source x and target x' (a side), with c = lcp(g^-1, x) the
+    letters that cancel in g.x and h = |g| - c the letters of g left in it,
+    gx = g[:h] x[c:].  With p = lcp(g, x'), lcp(gx, x') is p when p < h,
+    and h + T[c, h] otherwise, T[c, o] = lcp(x[c:], x'[o:]) built per side.
+    Then d(gx, x') = |g| + |x| - 2c + |x'| - 2 lcp(gx, x').  Pairs run in
+    blocks whose largest array, the index into the stacked T tables, takes
+    about SCAN_STEP_BYTES.
+    """
+    n, m = fwd.shape
+    dtype = length.dtype
+    step = max(1, SCAN_STEP_BYTES // (2 * n * np.dtype(np.intp).itemsize))  # pairs per block
+    for q0 in range(0, len(pairs), step):
+        block = pairs[q0 : q0 + step]
+        src = np.concatenate([block[:, 0], block[:, 1]])
+        dst = np.concatenate([block[:, 2], block[:, 3]])
+        cut = _lcp(pad[src], inv, dtype)
+        left = length - cut
+        head = _lcp(pad[dst], fwd, dtype)
+        same = pad[src][:, :, None] == fwd[dst][:, None, :]
+        T = np.zeros((len(src), m, m + 1), dtype)
+        for a in range(m - 2, -1, -1):  # row m - 1 and column m stay 0: past every word
+            np.multiply(same[:, a], T[:, a + 1, 1:] + 1, out=T[:, a, :m])
+        at = cut * np.intp(m + 1)
+        at += left
+        at += np.arange(0, T.size, m * (m + 1))[:, None]
+        common = np.where(head < left, head, left + T.ravel()[at])
+        dist = length - 2 * cut
+        dist += (length[src] + length[dst])[:, None]
+        dist -= 2 * common
+        cost = np.maximum(dist[: len(block)], dist[len(block) :])
+        best = cost.argmin(axis=1)
+        yield from zip(best.tolist(), cost[np.arange(len(block)), best].tolist())

@@ -1,9 +1,13 @@
 import functools
 import operator
+import tracemalloc
+import types
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hypactions import loxodromic
 from hypactions.baumslag import BSElement
 from hypactions.errors import NotLoxodromic
 from hypactions.groups import BSOracle, FreeGroupOracle
@@ -264,18 +268,57 @@ def test_isotropy_probe_on_a_ball_of_other_generators(gens):
 
 
 def test_isotropy_probe_past_distance_255():
-    from hypactions.loxodromic import _distance_rows
-
     ball = free_ball(1, 130)  # distances up to 260
-    rows = _distance_rows([x.signed for x in ball.elements])
     elements = ball.elements
-    assert rows == ["".join(chr(tree_distance(x, y)) for y in elements[i + 1 :]) for i, x in enumerate(elements)]
+    fwd, pad, _, length = loxodromic._letter_arrays([x.signed for x in elements])
+    counts = loxodromic._pair_counts(fwd, pad, length)
+    expected = np.zeros((261, len(elements)), np.int64)  # [d, i]: the j > i at distance d
+    for i, x in enumerate(elements):
+        for y in elements[i + 1 :]:
+            expected[tree_distance(x, y), i] += 1
+    assert counts.tolist() == expected.tolist()
     fast = isotropy_probe(ball, D=1, sample_size=12, seed=9)
     assert repr(fast) == repr(isotropy_probe_naive(ball, D=1, sample_size=12, seed=9))
 
 
+@pytest.mark.parametrize("step_bytes", [1, 1000, 7728])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("rank, radius", [(2, 4), (3, 3)])
+def test_isotropy_probe_in_small_blocks_matches_the_word_oracle(monkeypatch, rank, radius, seed, step_bytes):
+    # 7728 bytes hold three F2 R4 pairs a block; 1000 bytes make one-pair blocks and
+    # six-row index blocks; 1 byte makes every block one row or one pair
+    calls, lcp = [], loxodromic._lcp
+
+    def counted(A, B, dtype):
+        calls.append(len(A))
+        return lcp(A, B, dtype)
+
+    monkeypatch.setattr(loxodromic, "SCAN_STEP_BYTES", step_bytes)
+    monkeypatch.setattr(loxodromic, "_lcp", counted)
+    ball = free_ball(rank, radius)
+    fast = isotropy_probe(ball, D=1, sample_size=20, seed=seed)
+    naive = isotropy_probe_naive(ball, D=1, sample_size=20, seed=seed, by_distance=naive_pairs(rank, radius))
+    assert repr(fast) == repr(naive)
+    assert len(calls) >= 14  # one call per block: at least 4 index, 2 partner and 4 pair blocks
+
+
+def test_isotropy_probe_holds_no_pair_table():
+    ball = free_ball(2, 6)
+    n = len(ball)
+    isotropy_probe(ball, D=2, sample_size=40, seed=7)  # first calls allocate caches
+    tracemalloc.start()
+    try:
+        isotropy_probe(ball, D=2, sample_size=40, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 2  # one byte a pair, as the distance rows the index replaced held
+
+
 def test_isotropy_probe_without_equidistant_pairs():
-    ball = free_ball(2, 0)  # one point, no pair at all
-    with pytest.raises(ValueError, match="held by two pairs"):
-        isotropy_probe(ball, D=1, sample_size=1)
-    assert isotropy_probe(ball, D=1, sample_size=0).pairs_checked == 0
+    # one point, no pair at all; then d(1, a) = 1, d(1, ab^2) = 3, d(a, ab^2) = 2
+    for ball in (free_ball(2, 0), types.SimpleNamespace(elements=[parse_word(w) for w in ("", "a", "ab^2")])):
+        with pytest.raises(ValueError, match="held by two pairs"):
+            isotropy_probe(ball, D=1, sample_size=1)
+        report = isotropy_probe(ball, D=1, sample_size=0)
+        assert (report.pairs_checked, report.successes, report.failures, report.hardest) == (0, 0, [], None)
