@@ -5,9 +5,10 @@ translation-length compression ratio, and the isotropy probe.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
-from operator import mul
+from operator import mul, neg
 
 import numpy as np
 
@@ -154,40 +155,44 @@ def isotropy_probe(ball, D: float, sample_size: int, seed: int = 0) -> IsotropyR
 
     A distance d is drawn uniformly among those held by at least two pairs
     i < j, then two of its pairs in row-major order.  The pair index keeps,
-    for each row i and distance d, how many j > i lie at d; only the drawn
-    rows are recomputed to find their partners, so no n x n table is ever
-    held.  All pairs are drawn before the scan, which scores every g of the
-    ball against a block of pairs at once (`_best_matches`) and keeps the
-    first g of least cost.
+    for each row i and distance d, how many j > i lie at d (`_pair_counts`);
+    only the drawn rows are recomputed to find their partners.  All pairs
+    are drawn before the scan, which scores every g of the ball against a
+    block of pairs at once (`_best_matches`) and keeps the first g of least
+    cost.
     """
     rng = random.Random(seed)
     elements = ball.elements
-    fwd, pad, inv, length = _letter_arrays([x.signed for x in elements])
-    running = np.cumsum(_pair_counts(fwd, pad, length), axis=1)  # [d, i]: the pairs at d in rows 0..i
-    totals = running[:, -1].tolist()
+    fwd, inv, length = _letter_arrays([x.signed for x in elements])
+    counts = _pair_counts(fwd, length)
+    totals = [int(t) for t in counts.sum(axis=0, dtype=float).tolist()]
     eligible = [d for d in range(1, len(totals)) if totals[d] >= 2]
     if sample_size > 0 and not eligible:
         raise ValueError("isotropy probe needs a distance held by two pairs; the ball has none")
-    drawn = []  # (d, a): the a-th pair at distance d in row-major order
+    draws = []  # (d, a): the a-th pair at distance d in row-major order
     for _ in range(sample_size):
         d = rng.choice(eligible)
-        drawn += [(d, a) for a in rng.sample(range(totals[d]), 2)]
-    dist, a = np.array(drawn, np.intp).reshape(-1, 2).T
-    rows = np.empty_like(a)
-    for d in set(dist.tolist()):
-        at = dist == d
-        rows[at] = running[d].searchsorted(a[at], "right")
-    rank = a - np.where(rows > 0, running[dist, rows - 1], 0)  # the pair's place in its row
-    pairs = np.column_stack([rows, _partners(fwd, pad, length, rows, dist, rank)]).reshape(-1, 4)
-    matches = _best_matches(fwd, pad, inv, length, pairs)
+        draws += [(d, a) for a in rng.sample(range(totals[d]), 2)]
+    picks = {}  # d: the a drawn at d
+    for d, a in draws:
+        picks.setdefault(d, []).append(a)
+    found = {}  # (d, a): (i, r), the a-th pair at d is the r-th (from 0) of the pairs (i, j) at d
+    for d, chosen in picks.items():
+        running = memoryview(counts[:, d].cumsum(dtype=float))  # the pairs at d in rows 0..i
+        for a in chosen:
+            i = bisect_right(running, a)
+            found[d, a] = i, a - (running[i - 1] if i else 0)
+    drawn = [(found[d, a][0], d, found[d, a][1]) for d, a in draws]
+    rows, dist, rank = np.array(drawn, float).reshape(-1, 3).T.copy()
+    partners = _partners(fwd, length, rows, dist, rank)
+    pairs = np.column_stack([rows, partners]).astype(np.intp).reshape(-1, 4)
     results = []
     successes = 0
+    matches = _best_matches(fwd, inv, length, pairs)
     for pair, d, (best, best_c) in zip(pairs.tolist(), dist[::2].tolist(), matches):
         ok = best_c <= D
         successes += ok
-        results.append(
-            ProbePairResult(*(elements[i] for i in pair), float(d), float(best_c), elements[best], ok)
-        )
+        results.append(ProbePairResult(*(elements[i] for i in pair), d, best_c, elements[best], ok))
     hardest = max(results, key=lambda r: r.best_constant, default=None)
     return IsotropyReport(
         pairs_checked=len(results),
@@ -197,81 +202,94 @@ def isotropy_probe(ball, D: float, sample_size: int, seed: int = 0) -> IsotropyR
     )
 
 
+# The probe computes in float64, exact on these small integers, with float64
+# arithmetic, ==, !=, where, copyto, minimum, maximum, min, cumsum and
+# indexing only, kernels that any process doing float64 work has loaded.
+# Each further kernel (a narrow integer add, a bool sum, an argmin, a < b)
+# faults in code pages of numpy's own, which count in the peak RSS.
+
+
 def _letter_arrays(words):
-    """The reduced words as n x (w + 1) letter arrays, w the longest length.
+    """(fwd, inv, length): the reduced words and their inverses as
+    n x (w + 1) float letter arrays, w the longest length, each word followed
+    by NaN, which differs from everything, NaN included; the final column
+    lies past every word, and the columns are contiguous.  `length` holds
+    the word lengths."""
+    n, w = len(words), max(map(len, words))
 
-    Returns (fwd, pad, inv, length): `fwd` holds each word followed by 0s,
-    `pad` the same with a non-letter in place of the 0s, and `inv` the
-    inverse words followed by 0s, in the narrowest integer type holding the
-    letters and that non-letter; every one has a final column past every
-    word, and its columns are contiguous.  `length` holds the word lengths
-    in the narrowest integer type holding 3w, the largest sum the probe
-    forms.
-    """
-    length = np.fromiter(map(len, words), np.intp, len(words))
-    flat = np.fromiter(chain.from_iterable(words), np.intp, int(length.sum()))
-    n, w = len(words), int(length.max())
-    blank = -1 - int(np.abs(flat).max(initial=0))  # below every letter
-    starts = np.repeat(np.cumsum(length) - length, length)
-    fwd = np.zeros((n, w + 1), np.min_scalar_type(blank), order="F")
-    fwd[np.repeat(np.arange(n), length), np.arange(flat.size) - starts] = flat
-    back = length[:, None] - 1 - np.arange(w + 1)  # column of fwd read at each column of inv
-    inv = np.asfortranarray(-fwd[np.arange(n)[:, None], np.where(back >= 0, back, w)])
-    pad = np.asfortranarray(np.where(fwd == 0, blank, fwd))
-    return fwd, pad, inv, length.astype(np.min_scalar_type(-3 * w - 1))
+    def letters(rows):  # rows[i] has the length of words[i]
+        flat = chain.from_iterable(chain(r, repeat(np.nan, w + 1 - len(s))) for r, s in zip(rows, words))
+        return np.asfortranarray(np.fromiter(flat, float, n * (w + 1)).reshape(n, w + 1))
+
+    inverses = (map(neg, reversed(s)) for s in words)
+    return letters(words), letters(inverses), np.fromiter(map(len, words), float, n)
 
 
-def _lcp(A, B, dtype):
+def _step(width):
+    """Rows of `width` floats in a block of about SCAN_STEP_BYTES."""
+    return max(1, SCAN_STEP_BYTES // (8 * width))
+
+
+def _lcp(A, B):
     """len(A) x len(B): the common prefix length of each row of A with each
-    row of B, one of them 0-terminated and the other padded with a
-    non-letter, so no column past the end of either word matches."""
-    alive = np.ones((len(A), len(B)), bool)
-    out = np.zeros((len(A), len(B)), dtype)
-    for k in range(A.shape[1] - 1):  # the last column is past every word
-        alive &= A[:, k, None] == B[:, k]
-        out += alive
+    row of B, the first column where they differ."""
+    out = np.full((len(A), len(B)), A.shape[1] - 1.0)  # the final column differs
+    for k in range(A.shape[1] - 2, -1, -1):
+        np.copyto(out, float(k), where=A[:, k, None] != B[:, k])
     return out
 
 
-def _distances(fwd, pad, length, rows, start):
+def _distances(fwd, length, rows, start):
     """d(x_i, x_j) = |x_i| + |x_j| - 2 lcp(x_i, x_j) for i in rows, j >= start."""
-    common = _lcp(fwd[rows], pad[start:], length.dtype)
-    return length[rows, None] + length[start:] - 2 * common
+    dist = _lcp(fwd[rows], fwd[start:])
+    dist *= -2
+    dist += length[rows, None]
+    dist += length[start:]
+    return dist
 
 
-def _pair_counts(fwd, pad, length):
-    """counts[d, i]: the j > i with d(x_i, x_j) = d, for d = 0..2w, built
-    from blocks of about SCAN_STEP_BYTES of the distances from rows i to
-    the words after them."""
+def _pair_counts(fwd, length):
+    """counts[i, d]: the j > i with d(x_i, x_j) = d, for d = 0..2w, in the
+    narrowest unsigned type holding n.  That is n x (2w + 1) counts, an
+    n x n table only on a rank-1 ball, where n = 2w + 1.  Each block of
+    rows, about SCAN_STEP_BYTES of distances to the words from the block on,
+    is counted by one `bincount`."""
     n, top = len(fwd), 2 * (fwd.shape[1] - 1)
-    counts = np.zeros((top + 1, n), np.int64)
-    step = max(1, SCAN_STEP_BYTES // (length.itemsize * n))
+    bins = top + 2  # the last bin takes the j <= i
+    counts = np.empty((n, bins), np.min_scalar_type(n))
+    place = np.arange(n, dtype=float)
+    step = _step(n)
     for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        dist = _distances(fwd, pad, length, np.arange(i0, i1), i0 + 1)
-        dist[np.tri(i1 - i0, n - i0 - 1, -1, bool)] = 0  # j <= i
-        for d in range(1, top + 1):
-            counts[d, i0:i1] = np.count_nonzero(dist == d, axis=1)
-    return counts
+        i = place[i0 : i0 + step, None]
+        key = _distances(fwd, length, slice(i0, i0 + step), i0)
+        square = key[:, : len(i)]  # the j <= i lie in it, where min(j - i, 1) != 1
+        np.copyto(square, top + 1.0, where=np.minimum(place[i0 : i0 + len(i)] - i, 1.0) != 1.0)
+        key += bins * (i - i0)
+        counts[i0 : i0 + step] = np.bincount(key.astype(np.intp).ravel(), minlength=bins * len(i)).reshape(-1, bins)
+        del key, square  # before the next block's distances
+    return counts[:, :-1]
 
 
-def _partners(fwd, pad, length, rows, dist, rank):
+def _partners(fwd, length, rows, dist, rank):
     """For each i of rows: the j > i that is the rank-th (from 0) at its
     distance in dist, recomputing only those rows, a block of about
-    SCAN_STEP_BYTES at a time."""
-    n, count = len(fwd), np.min_scalar_type(len(fwd))
-    step = max(1, SCAN_STEP_BYTES // (count.itemsize * n))  # the running count is the widest array
-    found = [np.zeros(0, np.intp)]
+    SCAN_STEP_BYTES of distances at a time.  Hits are counted over all j,
+    so that j is the hit that follows the hits at j <= i by rank + 1, and
+    no j <= i needs masking."""
+    n = len(fwd)
+    place = np.arange(n, dtype=float)
+    step = _step(n)
+    found = [np.zeros(0)]
     for s0 in range(0, len(rows), step):
-        i, e = rows[s0 : s0 + step], slice(s0, s0 + step)
-        hits = _distances(fwd, pad, length, i, 0) == dist[e, None]
-        hits &= np.arange(n) > i[:, None]
-        seen = hits.cumsum(axis=1, dtype=count)  # hits at or before each j
-        found.append((seen > rank[e, None]).argmax(axis=1))
+        i, e = rows[s0 : s0 + step].astype(np.intp), slice(s0, s0 + step)
+        seen = np.where(_distances(fwd, length, i, 0) == dist[e, None], 1.0, 0.0).cumsum(axis=1)
+        target = seen[np.arange(len(i)), i] + rank[e] + 1
+        found.append(np.where(seen == target[:, None], place, float(n)).min(axis=1))
+        del seen  # before the next block's distances
     return np.concatenate(found)
 
 
-def _best_matches(fwd, pad, inv, length, pairs):
+def _best_matches(fwd, inv, length, pairs):
     """For each row (x, y, x', y') of pairs: (first g of least cost, that
     cost), the cost max{d(gx, x'), d(gy, y')} over every g of the ball.
 
@@ -279,31 +297,46 @@ def _best_matches(fwd, pad, inv, length, pairs):
     letters that cancel in g.x and h = |g| - c the letters of g left in it,
     gx = g[:h] x[c:].  With p = lcp(g, x'), lcp(gx, x') is p when p < h,
     and h + T[c, h] otherwise, T[c, o] = lcp(x[c:], x'[o:]) built per side.
-    Then d(gx, x') = |g| + |x| - 2c + |x'| - 2 lcp(gx, x').  Pairs run in
-    blocks whose largest array, the index into the stacked T tables, takes
-    about SCAN_STEP_BYTES.
+    Then d(gx, x') = |g| + |x| - 2c + |x'| - 2 lcp(gx, x'), which is
+    2(h - lcp(gx, x')) - |g| + |x| + |x'|.  Pairs run in blocks whose
+    largest arrays, a row of n floats or a T table per side, take about
+    SCAN_STEP_BYTES.
     """
     n, m = fwd.shape
-    dtype = length.dtype
-    step = max(1, SCAN_STEP_BYTES // (2 * n * np.dtype(np.intp).itemsize))  # pairs per block
+    step = _step(2 * max(n, m * (m + 1)))  # pairs per block
     for q0 in range(0, len(pairs), step):
-        block = pairs[q0 : q0 + step]
-        src = np.concatenate([block[:, 0], block[:, 1]])
-        dst = np.concatenate([block[:, 2], block[:, 3]])
-        cut = _lcp(pad[src], inv, dtype)
-        left = length - cut
-        head = _lcp(pad[dst], fwd, dtype)
-        same = pad[src][:, :, None] == fwd[dst][:, None, :]
-        T = np.zeros((len(src), m, m + 1), dtype)
-        for a in range(m - 2, -1, -1):  # row m - 1 and column m stay 0: past every word
-            np.multiply(same[:, a], T[:, a + 1, 1:] + 1, out=T[:, a, :m])
-        at = cut * np.intp(m + 1)
-        at += left
-        at += np.arange(0, T.size, m * (m + 1))[:, None]
-        common = np.where(head < left, head, left + T.ravel()[at])
-        dist = length - 2 * cut
-        dist += (length[src] + length[dst])[:, None]
-        dist -= 2 * common
-        cost = np.maximum(dist[: len(block)], dist[len(block) :])
-        best = cost.argmin(axis=1)
-        yield from zip(best.tolist(), cost[np.arange(len(block)), best].tolist())
+        yield from _block_matches(fwd, inv, length, pairs[q0 : q0 + step])
+
+
+def _block_matches(fwd, inv, length, block):
+    """`_best_matches` on one block of pairs, whose arrays all go when it
+    returns."""
+    n, m = fwd.shape
+    src = np.concatenate([block[:, 0], block[:, 1]])
+    dst = np.concatenate([block[:, 2], block[:, 3]])
+    x, target = fwd[src], fwd[dst]
+    T = np.zeros((len(src), m, m + 1))
+    for a in range(m - 2, -1, -1):  # row m - 1 and column m stay 0: past every word
+        T[:, a, :m] = np.where(x[:, a, None] == target, T[:, a + 1, 1:] + 1, 0.0)
+    left = _lcp(x, inv)  # c
+    np.subtract(length, left, out=left)  # h
+    at = left * -m  # the flat index of T[c, h] = c (m + 1) + h, c = |g| - h
+    at += length * (m + 1)
+    at += np.arange(0, T.size, m * (m + 1), dtype=float)[:, None]
+    at = at.astype(np.intp)
+    tail = T.ravel()[at]
+    del at
+    tail += left
+    common = _lcp(target, fwd)  # p
+    np.minimum(common, left, out=common)
+    np.copyto(common, tail, where=common == left)  # p >= h
+    del tail
+    dist = np.subtract(left, common, out=common)
+    dist *= 2
+    dist -= length
+    dist += (length[src] + length[dst])[:, None]
+    cost = np.maximum(dist[: len(block)], dist[len(block) :])
+    least = cost.min(axis=1)
+    best = np.where(cost == least[:, None], np.arange(n, dtype=float), float(n))
+    best = best.min(axis=1)  # the first g of least cost
+    return zip(best.astype(np.intp).tolist(), least.tolist())

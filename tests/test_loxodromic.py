@@ -270,28 +270,29 @@ def test_isotropy_probe_on_a_ball_of_other_generators(gens):
 def test_isotropy_probe_past_distance_255():
     ball = free_ball(1, 130)  # distances up to 260
     elements = ball.elements
-    fwd, pad, _, length = loxodromic._letter_arrays([x.signed for x in elements])
-    counts = loxodromic._pair_counts(fwd, pad, length)
-    expected = np.zeros((261, len(elements)), np.int64)  # [d, i]: the j > i at distance d
+    fwd, _, length = loxodromic._letter_arrays([x.signed for x in elements])
+    counts = loxodromic._pair_counts(fwd, length)
+    expected = np.zeros((len(elements), 261), np.int64)  # [i, d]: the j > i at distance d
     for i, x in enumerate(elements):
         for y in elements[i + 1 :]:
-            expected[tree_distance(x, y), i] += 1
+            expected[i, tree_distance(x, y)] += 1
+    assert counts.dtype == np.uint16  # n = 261 rows hold up to 260 counts each
     assert counts.tolist() == expected.tolist()
     fast = isotropy_probe(ball, D=1, sample_size=12, seed=9)
     assert repr(fast) == repr(isotropy_probe_naive(ball, D=1, sample_size=12, seed=9))
 
 
-@pytest.mark.parametrize("step_bytes", [1, 1000, 7728])
+@pytest.mark.parametrize("step_bytes", [1, 3000, 7728])
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("rank, radius", [(2, 4), (3, 3)])
 def test_isotropy_probe_in_small_blocks_matches_the_word_oracle(monkeypatch, rank, radius, seed, step_bytes):
-    # 7728 bytes hold three F2 R4 pairs a block; 1000 bytes make one-pair blocks and
-    # six-row index blocks; 1 byte makes every block one row or one pair
+    # at 8 bytes a distance, 7728 bytes hold three F2 R4 pairs or six index rows a block,
+    # 3000 bytes one pair or two rows, and 1 byte one pair or one row
     calls, lcp = [], loxodromic._lcp
 
-    def counted(A, B, dtype):
+    def counted(A, B):
         calls.append(len(A))
-        return lcp(A, B, dtype)
+        return lcp(A, B)
 
     monkeypatch.setattr(loxodromic, "SCAN_STEP_BYTES", step_bytes)
     monkeypatch.setattr(loxodromic, "_lcp", counted)
