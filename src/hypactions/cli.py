@@ -75,7 +75,7 @@ from .metrics import (
     random_tree_metric,
     set_distance,
 )
-from .quasimorphism import anisotropy_certificate, brooks_qm, exponent_sum_qm
+from .quasimorphism import anisotropy_certificate, brooks_qm, exponent_sum_qm, is_proper_power
 from .sl2 import (
     RealEmbedding,
     SL2Oracle,
@@ -480,6 +480,11 @@ def _check_qm_certify(group, params):
     return problems + _word_problems(group, words, nonidentity=("qm.brooks",))
 
 
+def _qm(c):
+    qm = c.params["qm"]
+    return exponent_sum_qm() if qm == "exponent-sum" else brooks_qm(c.oracle.parse_element(qm["brooks"]))
+
+
 def _run_qm_certify(c):
     params, oracle = c.params, c.oracle
     g = oracle.parse_element(params["g"])
@@ -489,10 +494,23 @@ def _run_qm_certify(c):
         lengths = PseudoLength.from_word_lengths(ball)
     else:
         lengths = PseudoLength({h: float(h.t_syllable_count()) for h in ball.elements})
-    qm = params["qm"]
-    q = exponent_sum_qm() if qm == "exponent-sum" else brooks_qm(oracle.parse_element(qm["brooks"]))
+    q = _qm(c)
     cert = anisotropy_certificate(oracle, q, lengths, g, ball, c.budgets["ball_cap"])
-    return {"qm": qm, "length": length_kind, "certificate": cert.to_json(fmt=oracle.format_element)}
+    result = {"qm": params["qm"], "length": length_kind, "certificate": cert.to_json(fmt=oracle.format_element)}
+    if q.counting_word is not None:
+        result["proper_power"] = is_proper_power(q.counting_word)
+    return result
+
+
+def _defect_replays(c, r):
+    """|q(gh) - q(g) - q(h)| on the stored witness pair is the stored
+    defect, and the pair is null exactly when the defect is 0."""
+    defect = r["certificate"]["defect"]
+    if defect["witness_pair"] is None:
+        return defect["value"] == 0
+    g, h = map(c.oracle.parse_element, defect["witness_pair"])
+    q = _qm(c)
+    return defect["value"] != 0 and abs(q(g * h) - q(g) - q(h)) == defect["value"]
 
 
 def _check_sl2_embed(group, params):
@@ -704,6 +722,7 @@ EXPERIMENTS = {
         # |q(g^n)| <= M l(g^n) + M for every n forces a zero homogenization when M = 0
         ("subordination M is positive beside a nonzero homogenized value",
          lambda c, r: r["certificate"]["homogenized_value"] == 0 or r["certificate"]["subordination_M"] > 0),
+        ("defect witness pair replays to the defect value", _defect_replays),
     ), _check_qm_certify),
     "sl2-embed": Experiment(("sl2",), {
         "x": Field(str, "sqrt2-1"),

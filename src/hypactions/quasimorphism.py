@@ -6,7 +6,7 @@ homogenization, subordination fitting, and anisotropy certificates.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .baumslag import BSElement
 from .errors import CertificateError
@@ -40,7 +40,7 @@ def brooks_qm(w: FreeWord) -> QuasiMorphism:
     """
     if not w:
         raise ValueError("counting word must be nonempty")
-    if _is_proper_power(w):
+    if is_proper_power(w):
         warnings.warn(f"counting word {format_word(w)} is a proper power", stacklevel=2)
     w_inv = w.inverse()
 
@@ -50,7 +50,8 @@ def brooks_qm(w: FreeWord) -> QuasiMorphism:
     return QuasiMorphism(evaluate, counting_word=w)
 
 
-def _is_proper_power(w: FreeWord) -> bool:
+def is_proper_power(w: FreeWord) -> bool:
+    """Whether w is v^n for some word v and n > 1."""
     s = w.signed
     n = len(s)
     for period in range(1, n):
@@ -73,15 +74,14 @@ class DefectEstimate:
     """The defect a certificate uses and where it comes from.
 
     source "analytic": the quasi-morphism's own `defect_bound`, no pairs
-    scanned; source "scan": the max over ordered pairs of some elements, with
-    the first pair that reaches it; source "exact": that scan over a ball
-    that holds a pair at the true defect (`defect_empirical`).
+    evaluated; source "exact": the seam-class maximum of `defect_empirical`,
+    with the pair (g, h) that reaches it and the number of pairs evaluated.
     """
 
     value: float
     witness: tuple | None
     pairs_checked: int
-    source: str = "scan"
+    source: str = "exact"
 
     def to_json(self, fmt=str):
         g, h = self.witness if self.witness else (None, None)
@@ -94,120 +94,70 @@ class DefectEstimate:
 
 
 def defect_empirical(q: QuasiMorphism, elements) -> DefectEstimate:
-    """max |q(gh) - q(g) - q(h)| over all ordered pairs of `elements`, for a
-    counting quasi-morphism (`q.counting_word` set; ValueError otherwise): a
-    certified lower bound on the true defect.  The witness is the first pair,
-    in the order of `elements` (g outer, h inner), that reaches the max, and
-    `pairs_checked` counts the n^2 pairs covered.
+    """The defect sup |q(gh) - q(g) - q(h)| of a counting quasi-morphism
+    (`q.counting_word` = w set; ValueError otherwise), exact when `elements`
+    holds the ball B(|w| - 1), and otherwise a lower bound reached by the
+    witness pair.
 
-    On any set holding the ball B(2(|w| - 1)) the scan gives the exact
-    defect (Brooks, "Some remarks on bounded cohomology", 1981).  Write
-    g = u x and h = x^-1 v reduced, x the part that cancels, and let s(a, b)
-    count the signed occurrences of w across the seam of a reduced a b.  As
-    q(x^-1) = -q(x),
+    Write g = u x and h = x^-1 v with u x, x^-1 v and u v reduced, x the
+    part that cancels, and let s(a, b) count the signed occurrences of w
+    across the seam of a reduced a b.  As q(x^-1) = -q(x),
 
-        q(gh) - q(g) - q(h) = s(u, v) - s(u, x) - s(x^-1, v),
+        q(gh) - q(g) - q(h) = s(u, v) - s(u, x) - s(x^-1, v)
 
-    and each s reads at most |w| - 1 letters on either side of its seam, so
-    cutting u to its last |w| - 1 letters and x and v to their first keeps
-    every term and leaves a pair in B(2(|w| - 1)).
+    (Brooks, "Some remarks on bounded cohomology", 1981).  s(a, b) is the
+    signed popcount of ends(a) & starts(b), where bit j of ends(a) says a
+    ends with the head w[:j] (or w^-1[:j]), and bit j of starts(b) that b
+    starts with the tail w[j:] (or w^-1[j:]), over the |w| - 1 splits of w
+    and of w^-1.  So a left side u counts only as its class (last letter,
+    ends mask), and a right side x or v as (first letter, starts mask, ends
+    mask of its inverse), with letter 0 for the empty word, which cancels
+    against nothing.  The last |w| - 1 letters of u, or the first of x or
+    v, keep the class, so B(|w| - 1) holds every class.
 
-    The scan goes by cancellation length (`_counting_defect`): every ordered
-    pair is covered, gh is never formed, and the cost is O(n R) table
-    lookups for a ball of radius R instead of O(n^2) products.
+    The max runs over triples of classes, each kept as its first element in
+    `elements`, whose letters make the three products reduced.  The witness
+    is (u x, x^-1 v) of the first triple (u outer, v inner) that reaches
+    the max, or None when it is 0, and `pairs_checked` counts the triples:
+    each is one pair (g, h).
     """
     if q.counting_word is None:
-        raise ValueError("defect_empirical scans counting quasi-morphisms only")
-    elements = list(elements)
-    best, witness = _counting_defect(q.counting_word, elements)
-    return DefectEstimate(value=float(best), witness=witness, pairs_checked=len(elements) ** 2)
+        raise ValueError("defect_empirical evaluates counting quasi-morphisms only")
+    w = q.counting_word.signed
+    k = len(w)
+    splits = [(p[:j], p[j:]) for p in (w, q.counting_word.inverse().signed) for j in range(1, k)]
 
+    def ends(s):
+        return sum(1 << bit for bit, (head, _) in enumerate(splits) if s[-len(head) :] == head)
 
-def _counting_defect(w: FreeWord, elements):
-    """(max, first maximising pair or None) of |q(gh) - q(g) - q(h)| over
-    ordered pairs of reduced words, q the counting quasi-morphism of w.
+    def starts(s):
+        return sum(1 << bit for bit, (_, tail) in enumerate(splits) if s[: len(tail)] == tail)
 
-    Let c be the length of the common prefix of g^-1 and h.  Then gh is the
-    reduced concatenation u v with u = g[:|g| - c] and v = h[c:], so
+    def seam(left_ends, right_starts):
+        both = left_ends & right_starts  # the low k - 1 bits are w's splits, the high ones w^-1's
+        return (both & ((1 << (k - 1)) - 1)).bit_count() - (both >> (k - 1)).bit_count()
 
-        q(gh) - q(g) - q(h) = A(g, c) + B(h, c) + seam(ends(u), starts(v)),
-
-    where A = q(u) - q(g), B = q(v) - q(h), and the seam term counts the
-    occurrences of w and w^-1 that straddle the cut.  Those are fixed by two
-    bitmasks over the k - 1 splits of each of w and w^-1: which heads w[:j]
-    the word u ends with, and which tails w[j:] the word v starts with.
-
-    The h's go into a prefix trie.  B(h, c) counts the occurrences in h that
-    start before c, so it is fixed by the node s = h[:c] and the starts mask
-    of h[c:]; at each node, h's are grouped by their next letter x (0 when
-    h = s) and starts mask, keeping B and the first index.  The h's that
-    cancel exactly c letters against g are those at the node g^-1[:c] whose
-    next letter is not g^-1[c], so each g reads at most |g| + 1 nodes.  Per
-    g, the first h reaching its best value is the smallest such index; the
-    first g whose best is the overall max then gives the same witness as a
-    loop over the pairs in that order.
-    """
-    pattern, pattern_inv = w.signed, w.inverse().signed
-    k = len(pattern)
-    heads = [p[:j] for p in (pattern, pattern_inv) for j in range(1, k)]
-    tails = [p[j:] for p in (pattern, pattern_inv) for j in range(1, k)]
-    low = (1 << (k - 1)) - 1  # the splits of w; the high bits are those of w^-1
-
-    def occurrences(s):
-        # +1 where w starts, -1 where w^-1 starts, 0 elsewhere
-        return [(s[i : i + k] == pattern) - (s[i : i + k] == pattern_inv) for i in range(len(s) - k + 1)]
-
-    # a node is (children by letter, {next letter: {starts: (B, first index)}})
-    root = ({}, {})
-    for index, h in enumerate(elements):
-        s = h.signed
-        occ = occurrences(s)
-        node, before = root, 0  # before: signed occurrences starting before c
-        for c in range(len(s) + 1):
-            starts = 0
-            for bit, tail in enumerate(tails):
-                if s[c : c + len(tail)] == tail:
-                    starts |= 1 << bit
-            node[1].setdefault(s[c] if c < len(s) else 0, {}).setdefault(starts, (-before, index))
-            if c == len(s):
-                break
-            if c < len(occ):
-                before += occ[c]
-            node = node[0].setdefault(s[c], ({}, {}))
-
-    best, witness = 0, None
+    lefts, rights = {}, {}
     for g in elements:
-        s = g.signed
-        m = len(s)
-        inv = tuple(-x for x in reversed(s))
-        occ = occurrences(s)
-        g_best, g_index = 0, None
-        node, after = root, 0  # after: signed occurrences of g ending past m - c
-        for c in range(m + 1):
-            e = m - c
-            ends = 0
-            for bit, head in enumerate(heads):
-                if e >= len(head) and s[e - len(head) : e] == head:
-                    ends |= 1 << bit
-            skip = inv[c] if c < m else None
-            for letter, table in node[1].items():
-                if letter == skip:
+        s, inv = g.signed, g.inverse().signed
+        lefts.setdefault((s[-1] if s else 0, ends(s)), g)
+        rights.setdefault((s[0] if s else 0, starts(s), ends(inv)), g)
+    best, witness, triples = 0, None, 0
+    for (last_u, ends_u), u in lefts.items():
+        for (first_x, starts_x, ends_x_inv), x in rights.items():
+            if last_u and last_u == -first_x:
+                continue
+            for (first_v, starts_v, _), v in rights.items():
+                if first_v and first_v in (first_x, -last_u):
                     continue
-                for starts, (b, i) in table.items():
-                    both = ends & starts
-                    d = abs((both & low).bit_count() - (both >> (k - 1)).bit_count() - after + b)
-                    if d > g_best or (d == g_best and d and i < g_index):
-                        g_best, g_index = d, i
-            if c == m:
-                break
-            if c < len(occ):
-                after += occ[len(occ) - 1 - c]
-            node = node[0].get(inv[c])
-            if node is None:
-                break
-        if g_best > best:
-            best, witness = g_best, (g, elements[g_index])
-    return best, witness
+                triples += 1
+                d = abs(seam(ends_u, starts_v) - seam(ends_u, starts_x) - seam(ends_x_inv, starts_v))
+                if d > best:
+                    best, witness = d, (u, x, v)
+    if witness is not None:
+        u, x, v = witness
+        witness = (u * x, x.inverse() * v)
+    return DefectEstimate(value=float(best), witness=witness, pairs_checked=triples)
 
 
 def homogenization(q: QuasiMorphism, g) -> float:
@@ -318,9 +268,9 @@ def anisotropy_certificate(
     that the ball is too small to show q growing).
 
     The defect is q's analytic bound when it has one, else the exact
-    defect of a counting quasi-morphism of w: the scan of the ordered pairs
-    of B(2(|w| - 1)) (`defect_empirical`), whatever the radius of `ball`,
-    enumerated within `ball_cap`.  The caller asserts that the pseudo-length
+    defect of a counting quasi-morphism of w: the seam-class maximum over
+    the classes of B(|w| - 1) (`defect_empirical`), whatever the radius of
+    `ball`, with that ball enumerated within `ball_cap`.  The caller asserts that the pseudo-length
     comes from a general-type action; the conclusion text presumes it.
     """
     if g not in ball:
@@ -332,8 +282,7 @@ def anisotropy_certificate(
     if q.defect_bound is not None:
         defect = DefectEstimate(value=q.defect_bound, witness=None, pairs_checked=0, source="analytic")
     else:  # a counting quasi-morphism: `homogenization` refuses any other q without a bound
-        pairs = oracle.enumerate_ball(2 * (len(q.counting_word) - 1), max_size=ball_cap)
-        defect = replace(defect_empirical(q, pairs.elements), source="exact")
+        defect = defect_empirical(q, oracle.enumerate_ball(len(q.counting_word) - 1, max_size=ball_cap).elements)
     evaluated = [(h, abs(q(h)), lengths(h)) for h in lengths.domain]
     fit = _fit(evaluated)
     if fit.M == 0:  # |q(g^n)| <= M l(g^n) + M for every n would force the homogenization at g to 0

@@ -1042,6 +1042,7 @@ def test_verify_qm_certify_rederives_the_certificate(tmp_path, capsys, forge):
     summary_path = out / "summary.json"
     summary = json.loads(summary_path.read_text())
     assert summary["result"]["certificate"]["defect"]["source"] == "exact"
+    assert summary["result"]["proper_power"] is False
     forge(summary["result"]["certificate"])
     summary_path.write_text(json.dumps(summary))
     code, lines = _verify(summary_path, capsys)
@@ -1049,21 +1050,43 @@ def test_verify_qm_certify_rederives_the_certificate(tmp_path, capsys, forge):
     assert _fails(lines) == _rederives("certificate")
 
 
-def test_qm_certify_scans_the_defect_on_b6_for_a_word_of_length_4(tmp_path):
-    # |abAB| = 4: the defect comes from B(6), 1,457 points, whatever the radius.
-    # No element of B(3) has a nonzero homogenization (abAB has no period
-    # of length 1 to 3), so radius 4 is the smallest that certifies.
+def test_qm_certify_reads_the_defect_classes_of_b6_for_a_word_of_length_7(tmp_path, capsys):
+    # |abAB| = 4: the defect comes from the classes of B(3), whatever the
+    # radius, 361 class triples.  No element of B(3) has a nonzero
+    # homogenization (abAB has no period of length 1 to 3), so radius 4 is
+    # the smallest that certifies.
     cfg = {**BROOKS, "parameters": {"g": "abAB", "radius": 4, "qm": {"brooks": "abAB"}}}
     code, out = run_config(tmp_path, cfg, "abAB")
     assert code == 0
     cert = json.loads((out / "summary.json").read_text())["result"]["certificate"]
-    assert (cert["defect"]["value"], cert["defect"]["pairs_checked"]) == (2.0, 1457**2)
+    assert (cert["defect"]["value"], cert["defect"]["pairs_checked"]) == (2.0, 361)
     assert (cert["homogenized_value"], len(cert["rows"])) == (1.0, 161)
     assert main(["verify", str(out / "summary.json")]) == 0
-    too_small = {**cfg, "budgets": {"ball_cap": 1456}}
-    code, out = run_config(tmp_path, too_small, "abAB-cap")
+    # |abababa| = 7: its classes come from B(6), 1,457 points, which
+    # `ball_cap` bounds; radius 2 holds the witness ab, of homogenized value 1
+    cfg = {**BROOKS, "parameters": {"g": "ab", "radius": 2, "qm": {"brooks": "abababa"}}}
+    code, out = run_config(tmp_path, {**cfg, "budgets": {"ball_cap": 1456}}, "abababa-cap")
     assert code == 2
-    assert json.loads((out / "summary.json").read_text())["status"] == "budget-exceeded"
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["status"], summary["error"]) == ("budget-exceeded", "ball size cap 1456 exceeded at radius 6")
+    # within the cap, the run gets past the defect to the fit: abababa occurs in no element of B(2)
+    code, out = run_config(tmp_path, {**cfg, "budgets": {"ball_cap": 1457}}, "abababa")
+    assert code == 1
+    assert "experiment failed: not-subordinate: fitted M = 0 on the radius-2 ball" in capsys.readouterr().err
+
+
+def test_verify_qm_certify_replays_the_defect_witness(tmp_path, capsys):
+    code, out = run_config(tmp_path, BROOKS, "brooks")
+    assert code == 0
+    summary_path = out / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    defect = summary["result"]["certificate"]["defect"]
+    assert (defect["value"], defect["witness_pair"]) == (1.0, ["a^-1", "ab"])
+    defect["witness_pair"] = ["a", "a"]  # q(a^2) - q(a) - q(a) = 0, below the defect 1
+    summary_path.write_text(json.dumps(summary))
+    code, lines = _verify(summary_path, capsys)
+    assert code == 1
+    assert _fails(lines) == [*_rederives("certificate"), "FAIL  defect witness pair replays to the defect value"]
 
 
 def test_qm_certify_run_refuses_m_zero_beside_a_nonzero_value(tmp_path, capsys):
@@ -1121,6 +1144,8 @@ def test_a_proper_power_counting_word_warns_in_one_plain_line(tmp_path, capsys):
     code, out = run_config(tmp_path, cfg, "abab")
     run_err = capsys.readouterr().err
     assert code == 0
+    # the summary records it as well as stderr
+    assert json.loads((out / "summary.json").read_text())["result"]["proper_power"] is True
     code = main(["verify", str(out / "summary.json")])
     verify_err = capsys.readouterr().err
     assert code == 0
