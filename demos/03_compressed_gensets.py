@@ -25,7 +25,7 @@ print(f"\n{W!r}")
 print(f"{len(W.generators())} generators, longest jump {max(map(len, W.jump_table()))} letters")
 
 for j, (word, cap) in enumerate(W.families):
-    lengths = [compressed_word_length(word**k, W) for k in range(1, 13)]
+    lengths = [compressed_word_length(word, W, power=k) for k in range(1, 13)]
     ceilings = [-(-k // cap) for k in range(1, 13)]
     print(f"family {j} (w = {word}, cap {cap}):")
     print(f"  |w^k|_W  = {lengths}")

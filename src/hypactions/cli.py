@@ -765,7 +765,7 @@ def run_experiment(c):
     time_cap = c.budgets["time_cap"]
     if time_cap is not None and elapsed > time_cap:
         raise BudgetExceeded(
-            f"run took {elapsed:.1f}s, over the time cap {time_cap}s",
+            f"run took {elapsed!r}s, over the time cap {time_cap}s",
             extent={"elapsed_seconds": elapsed},
         )
     return _envelope(c, "ok", result=result)

@@ -7,9 +7,10 @@ infinite.  Since W is closed under subwords and tree geodesics project onto
 the target's prefix path, an exact distance is one greedy forward walk along
 the target word: each hop takes the longest generator that starts where the
 last one ended.  W is held as a letter trie of its generators, so each probe
-of the walk is one dict step and a length costs O(|g|) probes.  Budgets
-surface as BudgetExceeded, never as silently wrong answers; unit tests
-cross-check against an independent materialized-graph oracle and the
+of the walk is one dict step and a length costs O(|g|) probes; a power g^k
+counts whole residue cycles and costs O(|g| * depth), whatever k is.
+Budgets surface as BudgetExceeded, never as silently wrong answers; unit
+tests cross-check against an independent materialized-graph oracle and the
 slice-and-hash walk.
 """
 
@@ -62,19 +63,8 @@ def subword_membership(u: FreeWord, w: FreeWord, n: int) -> bool:
     """
     if not w:
         raise ValueError("membership needs a nonempty word")
-    if not u:
-        return False
-    if n < 1:
-        return False
-    big = (w**n).signed
-    target = u.signed
-    if len(target) > len(big):
-        return False
-    hits = any(big[i : i + len(target)] == target for i in range(len(big) - len(target) + 1))
-    if hits:
-        return True
-    inv = u.inverse().signed
-    return any(big[i : i + len(inv)] == inv for i in range(len(big) - len(inv) + 1))
+    big, m, both = (w ** max(n, 0)).signed, len(u), (u.signed, u.inverse().signed)
+    return bool(u) and any(big[i : i + m] in both for i in range(len(big) - m + 1))
 
 
 class CompressedGenSet:
@@ -114,32 +104,22 @@ class CompressedGenSet:
         for i in range(1, rank + 1):
             self.trie.setdefault(i, {})
             self.trie.setdefault(-i, {})
-
-    def base_generators(self) -> list[FreeWord]:
-        gens = []
-        for i in range(self.rank):
-            gens.append(FreeWord.generator(i, 1))
-            gens.append(FreeWord.generator(i, -1))
-        return gens
+        # the longest generator: no hop is longer
+        self.depth = max([1] + [cap * len(w) for w, cap in fams])
 
     def jump_table(self) -> dict[FreeWord, tuple[int, int, int, int]]:
         """{jump word: (family, offset, length, direction)}, first family wins."""
         if self._jump_cache is None:
             table: dict[FreeWord, tuple[int, int, int, int]] = {}
             for fam_idx, (w, cap) in enumerate(self.families):
-                for u, (p, length, direction) in subword_set(w, cap).items():
-                    if u not in table:
-                        table[u] = (fam_idx, p, length, direction)
+                for u, prov in subword_set(w, cap).items():
+                    table.setdefault(u, (fam_idx, *prov))
             self._jump_cache = table
         return self._jump_cache
 
     def generators(self) -> list[FreeWord]:
-        seen = {}
-        for g in self.base_generators():
-            seen.setdefault(g.signed, g)
-        for g in self.jump_table():
-            seen.setdefault(g.signed, g)
-        return [seen[k] for k in sorted(seen)]
+        base = [FreeWord.generator(i, e) for i in range(self.rank) for e in (1, -1)]
+        return sorted({*base, *self.jump_table()}, key=lambda u: u.signed)
 
     def __contains__(self, u: FreeWord) -> bool:
         node = self.trie
@@ -161,39 +141,57 @@ class CompressedGenSet:
         return f"CompressedGenSet(rank={self.rank}, families=[{fams}])"
 
 
-def compressed_word_length(g: FreeWord, W: CompressedGenSet, budget: int = 2_000_000):
-    """Exact distance from the identity to g in the Cayley graph of W.
+def compressed_word_length(g: FreeWord, W: CompressedGenSet, budget: int = 2_000_000, power: int = 1):
+    """Exact distance from the identity to g^power in the Cayley graph of W.
 
-    Write g = g[0:L] as a reduced word.  A compressed geodesic projects onto
-    the prefix path of g: in the tree, each hop's geodesic covers a segment
-    of [1, g], and W is closed under subwords, so that segment is itself a
-    generator.  The distance is therefore the fewest hops i -> j between
-    the letter positions 0..L with g[i:j] (or g[j:i]) in W.
+    Write g^power = t[0:L] as a reduced word.  A compressed geodesic projects
+    onto the prefix path of t: in the tree, each hop's geodesic covers a
+    segment of [1, t], and W is closed under subwords, so that segment is
+    itself a generator.  The distance is therefore the fewest hops i -> j
+    between the letter positions 0..L with t[i:j] (or t[j:i]) in W.
 
-    The walk jumps from i to J(i), the largest j with g[i:j] in W.  Closure
-    under subwords makes membership of g[i:j] monotone in j, so J(i) is
+    The walk jumps from i to J(i), the largest j with t[i:j] in W.  Closure
+    under subwords makes membership of t[i:j] monotone in j, so J(i) is
     found by extending one letter at a time until a probe fails.  Greedy
     jumps are never behind: if another position path stands at q <= p after
-    k hops, with p the walk's position, and hops on to q' > p, then g[p:q']
-    is a subword of the generator g[q:q'], hence J(p) >= q'.  Backward hops
+    k hops, with p the walk's position, and hops on to q' > p, then t[p:q']
+    is a subword of the generator t[q:q'], hence J(p) >= q'.  Backward hops
     only fall further behind, so the walk reaches L first.
 
     A probe is one step down W's letter trie, the failing step included, so
     a hop from i to j costs j - i probes, plus one when j < L.  budget caps
     the probes of the whole walk: a hop stops extending where the next probe
     would cross it, and that probe raises BudgetExceeded.
+
+    power > 1 needs a cyclically reduced g, so t[j] = g[j mod |g|].  No
+    generator is longer than W.depth, so a hop from i < L - depth depends on
+    i mod |g| alone.  When its residue was first seen at i0, the walk adds
+    whole cycles of the stretch i0 -> i, as many as keep the skipped starts
+    below L - depth and the probes within budget.  Probes count as walked.
     """
-    target = g.signed
-    L = len(target)
+    if power < 0:
+        raise ValueError("power must be >= 0")
+    if power > 1 and not g.is_cyclically_reduced():
+        raise ValueError("powers need a cyclically reduced element")
+    letters = g.signed
+    n = len(letters)
+    L = n * power
     root = W.trie
+    far = L - W.depth if power > 1 else 0
+    seen = {}  # residue of a hop start -> (start, hops, probes) there
     i = hops = probes = 0
     while i < L:
+        if i < far:
+            i0, h0, p0 = seen.setdefault(i % n, (i, hops, probes))
+            if i0 < i:
+                c = min((far - i) // (i - i0), (budget - probes) // (probes - p0))
+                i, hops, probes = i + c * (i - i0), hops + c * (hops - h0), probes + c * (probes - p0)
         hops += 1
         node = root
         j = i
         stop = min(L, i + budget - probes)
         while j < stop:
-            node = node.get(target[j])
+            node = node.get(letters[j % n])
             if node is None:
                 break
             j += 1
@@ -236,8 +234,7 @@ def verify_length_bounds(j: int, k: int, W: CompressedGenSet, alpha: float, budg
     if k < 1:
         raise ValueError("k must be >= 1")
     w, cap = W.families[j]
-    g = w**k
-    exact = compressed_word_length(g, W, budget=budget)
+    exact = compressed_word_length(w, W, budget=budget, power=k)
     upper = -(-k // cap)
     lower = alpha * k / cap - 2.0
     fitted = (exact + 2.0) * cap / k

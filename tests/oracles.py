@@ -153,7 +153,7 @@ def compressed_length_bfs(target, jump_sigs, rank):
     return dist[L]
 
 
-def compressed_length_sliced(target, jump_sigs, rank, budget):
+def compressed_length_sliced(target, jump_sigs, rank, budget, hop_ends=None):
     """The greedy compressed-length walk with one slice and one hash per probe.
 
     From position i, probe target[i:j+1] for j = i, i+1, ...: a base letter
@@ -161,6 +161,7 @@ def compressed_length_sliced(target, jump_sigs, rank, budget):
     first failing probe ends it.  Returns (outcome, probes), where outcome is
     ("hops", n), ("budget", message, extent) at the probe that crosses
     budget, or ("unreachable", message) when a position starts no generator.
+    A list passed as hop_ends gets the probe count at the end of each hop.
     """
     L = len(target)
     i = hops = probes = 0
@@ -178,6 +179,8 @@ def compressed_length_sliced(target, jump_sigs, rank, budget):
             j += 1
         if j == i:
             return ("unreachable", "element is not generated by the base alphabet and families"), probes
+        if hop_ends is not None:
+            hop_ends.append(probes)
         i = j
     return ("hops", hops), probes
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -258,6 +259,9 @@ def test_time_cap_budget(tmp_path):
     assert code == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "budget-exceeded"
+    took = re.fullmatch(r"run took (\S+)s, over the time cap 0\.0s", summary["error"])
+    assert float(took[1]) > 0.0
+    assert float(took[1]) == summary["extent"]["elapsed_seconds"]
 
 
 def test_probe_cap_stops_the_k80_compress_run(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -159,10 +160,10 @@ def test_walk_budget_counts_membership_probes():
     assert exc.value.extent == {"positions": 13, "depth_reached": 2}
 
 
-def walk_outcome(g, W, budget):
+def walk_outcome(g, W, budget, power=1):
     """compressed_word_length's result in the oracle's outcome terms."""
     try:
-        return ("hops", compressed_word_length(g, W, budget=budget))
+        return ("hops", compressed_word_length(g, W, budget=budget, power=power))
     except BudgetExceeded as exc:
         return ("budget", str(exc), exc.extent)
     except ValueError as exc:
@@ -170,12 +171,15 @@ def walk_outcome(g, W, budget):
 
 
 class CountingNode(dict):
-    """A trie node that counts the lookups made through it."""
+    """A trie node that counts the lookups made through it, and stops a walk
+    at the first lookup past `limit`."""
 
     lookups = 0
+    limit = float("inf")
 
     def get(self, key, default=None):
         CountingNode.lookups += 1
+        assert CountingNode.lookups <= CountingNode.limit, "trie lookups past the limit"
         return dict.get(self, key, default)
 
 
@@ -206,6 +210,86 @@ def test_trie_walk_matches_the_sliced_walk_at_every_budget(case):
         CountingNode.lookups = 0
         assert walk_outcome(g, W, budget) == expected, budget
         assert CountingNode.lookups <= budget
+
+
+# every family set of this suite, the CLI configs and the benchmark (borel-order
+# and the BF family's caps 8 included), a proper power and rank 1
+SUITE_FAMILIES = [
+    (2, [("ab^3", 2), ("ab^9", 3)]),
+    (2, [("ab^3", 2)]),
+    (2, [("ab", 2), ("a^2b", 3)]),
+    (2, [("ab", 1), ("ab^2", 1), ("a^2b", 1), ("ab^3", 1)]),
+    (2, [("ab", 1), ("ab^2", 2), ("a^2b", 4), ("ab^3", 8)]),
+    (2, [("ab^3", 8), ("ab^9", 8)]),
+    (2, [("ab", cap) for cap in (1, 2, 3, 4, 6)]),
+    (2, [("abab", 2)]),
+    (1, [("a", 3)]),
+]
+# cyclically reduced targets that are no family word; on rank 1, ab has a
+# letter past the base
+OTHER_WORDS = ["ab", "abab", "a^2b", "aB", "abAB", "a", "b^-1", "aabAbbba"]
+
+
+@st.composite
+def family_power(draw):
+    """A suite family set, one of its words or another cyclically reduced
+    word, and a power 0 <= k <= 300."""
+    rank, families = draw(st.sampled_from(SUITE_FAMILIES))
+    W = CompressedGenSet(rank, families)
+    word = draw(st.sampled_from([u for u, _ in families] + OTHER_WORDS))
+    return W, parse_word(word, rank=2), draw(st.integers(0, 300))
+
+
+def sliced_outcomes(target, W):
+    """compressed_length_sliced's outcome at every budget from 1 to one past
+    what the walk needs, from one walk that records its probe count at the
+    end of each hop: a budget b below the total stops in the first hop that
+    ends past b."""
+    sigs = {u.signed for u in W.jump_table()}
+    ends = []
+    final, needed = compressed_length_sliced(target, sigs, W.rank, float("inf"), ends)
+    message = "compressed length probe budget {} exhausted"
+    extent = {"positions": len(target) + 1}
+    return [
+        final if b >= needed else ("budget", message.format(b), {**extent, "depth_reached": bisect_right(ends, b)})
+        for b in range(1, needed + 2)
+    ]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family_power())
+def test_power_walk_matches_the_sliced_walk_of_the_power_at_every_budget(case):
+    """compressed_word_length(g, W, budget, power=k) gives the hops, budget
+    message and extent, or unreachable error of the slice-and-hash walk over
+    the letters of g^k, at every budget; it looks up no more trie nodes than
+    its budget, and from k = 100 on no more than a fixed multiple of
+    |g| * depth, whatever k is."""
+    W, g, k = case
+    target = (g**k).signed
+    expected = sliced_outcomes(target, W)
+    sigs = {u.signed for u in W.jump_table()}
+    # the outcomes read off the hop ends are the oracle's own at small budgets
+    for budget in range(1, min(len(expected), 40) + 1):
+        assert compressed_length_sliced(target, sigs, W.rank, budget)[0] == expected[budget - 1]
+    W.trie = counting_copy(W.trie)
+    try:
+        for budget, outcome in enumerate(expected, start=1):
+            CountingNode.lookups = 0
+            CountingNode.limit = budget if k < 100 else min(budget, 6 * len(g) * W.depth)
+            assert walk_outcome(g, W, budget, power=k) == outcome, budget
+    finally:
+        CountingNode.limit = float("inf")
+
+
+def test_power_zero_and_powers_of_words_that_are_not_cyclically_reduced():
+    W = CompressedGenSet(2, [(w("ab"), 2)])
+    assert compressed_word_length(w("aba^-1"), W, power=0) == 0
+    assert compressed_word_length(w("aba^-1"), W, power=1) == 2  # ab, then A
+    with pytest.raises(ValueError, match="cyclically reduced"):
+        compressed_word_length(w("aba^-1"), W, power=2)
+    with pytest.raises(ValueError, match="power"):
+        compressed_word_length(w("ab"), W, power=-1)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100,
