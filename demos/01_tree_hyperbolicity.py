@@ -16,7 +16,7 @@ from hypactions.words import parse_word, tree_distance
 F2 = FreeGroupOracle(2)
 
 ball = F2.enumerate_ball(3)
-print(f"|B(3)| = {len(ball)} elements, spheres {[len(s) for s in ball.layers]}")
+print(f"|B(3)| = {len(ball)} elements, spheres {[ball.lengths.count(r) for r in range(4)]}")
 
 # Gromov products measure shared prefixes in the tree
 dist = lambda x, y: float(tree_distance(x, y))

@@ -33,6 +33,6 @@ print("axis of ab:", " ".join(str(p) for p in axis.points()))
 # declaring ab a generator halves every (ab)-power's length: ratio 1/2
 extra = F2.symmetrize([parse_word("a"), parse_word("b"), parse_word("ab")])
 ball = F2.enumerate_ball(6, gens=extra)
-compressed_len = lambda h: float(ball.length[h])
+compressed_len = lambda h: float(ball.lengths[ball.index[h]])
 comp = compression_function(parse_word("ab"), compressed_len, word_len, horizon=3)
 print(f"compression of tau(ab) after adding 'ab' to the generators: {comp.ratio}")

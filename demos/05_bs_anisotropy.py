@@ -8,7 +8,6 @@
 # weakly isotropic.
 
 from hypactions.groups import BSOracle
-from hypactions.metrics import PseudoLength
 from hypactions.quasimorphism import (
     anisotropy_certificate,
     exponent_sum_qm,
@@ -29,8 +28,8 @@ print(f"|BS(2,3) ball of radius 4| = {len(ball)}")
 q = exponent_sum_qm()
 print(f"analytic defect bound (a homomorphism): {q.defect_bound}")
 
-t_syllables = PseudoLength({x: float(x.t_syllable_count()) for x in ball.elements})
-fit = subordination_fit(q, t_syllables)
+t_syllables = [float(x.t_syllable_count()) for x in ball.elements]
+fit = subordination_fit([(x, abs(q(x)), l) for x, l in zip(ball.elements, t_syllables)])
 print(f"subordination constant M = {fit.M} ({fit.mode} fit)")
 
 cert = anisotropy_certificate(bs, q, t_syllables, bs.parse_element("t"), ball)

@@ -61,7 +61,6 @@ from .metrics import (
     ZERO_TOL,
     ConeOffResult,
     DeltaEstimate,
-    PseudoLength,
     basepoint_scan,
     boundary_warnings,
     cone_off,
@@ -491,9 +490,9 @@ def _run_qm_certify(c):
     ball = oracle.enumerate_ball(params["radius"], max_size=c.budgets["ball_cap"])
     length_kind = params["length"] or ("t-syllable" if isinstance(g, BSElement) else "word")
     if length_kind == "word":
-        lengths = PseudoLength.from_word_lengths(ball)
+        lengths = [float(r) for r in ball.lengths]
     else:
-        lengths = PseudoLength({h: float(h.t_syllable_count()) for h in ball.elements})
+        lengths = [float(h.t_syllable_count()) for h in ball.elements]
     q = _qm(c)
     cert = anisotropy_certificate(oracle, q, lengths, g, ball, c.budgets["ball_cap"])
     result = {"qm": params["qm"], "length": length_kind, "certificate": cert.to_json(fmt=oracle.format_element)}

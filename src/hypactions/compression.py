@@ -8,7 +8,8 @@ the target's prefix path, an exact distance is one greedy forward walk along
 the target word: each hop takes the longest generator that starts where the
 last one ended.  W is held as a letter trie of its generators, so each probe
 of the walk is one dict step and a length costs O(|g|) probes; a power g^k
-counts whole residue cycles and costs O(|g| * depth), whatever k is.
+counts whole residue cycles and costs O(|g|) times the longest generator,
+whatever k is.
 Budgets surface as BudgetExceeded, never as silently wrong answers; unit
 tests cross-check against an independent materialized-graph oracle and the
 slice-and-hash walk.
@@ -104,8 +105,6 @@ class CompressedGenSet:
         for i in range(1, rank + 1):
             self.trie.setdefault(i, {})
             self.trie.setdefault(-i, {})
-        # the longest generator: no hop is longer
-        self.depth = max([1] + [cap * len(w) for w, cap in fams])
 
     def jump_table(self) -> dict[FreeWord, tuple[int, int, int, int]]:
         """{jump word: (family, offset, length, direction)}, first family wins."""
@@ -163,11 +162,13 @@ def compressed_word_length(g: FreeWord, W: CompressedGenSet, budget: int = 2_000
     the probes of the whole walk: a hop stops extending where the next probe
     would cross it, and that probe raises BudgetExceeded.
 
-    power > 1 needs a cyclically reduced g, so t[j] = g[j mod |g|].  No
-    generator is longer than W.depth, so a hop from i < L - depth depends on
-    i mod |g| alone.  When its residue was first seen at i0, the walk adds
-    whole cycles of the stretch i0 -> i, as many as keep the skipped starts
-    below L - depth and the probes within budget.  Probes count as walked.
+    power > 1 needs a cyclically reduced g, so t[j] = g[j mod |g|], and a
+    hop from i that ends before L, at its failing probe, depends on i mod |g|
+    alone.  The walk records hop starts below L - 1.  When a start's residue
+    was first seen at i0, every hop of the stretch i0 -> i ended before L,
+    so the walk adds whole cycles of that stretch, as many as keep the last
+    copied hop ending at or before L - 1, where its failing probe exists,
+    and the probes within budget.  Probes count as walked.
     """
     if power < 0:
         raise ValueError("power must be >= 0")
@@ -177,7 +178,7 @@ def compressed_word_length(g: FreeWord, W: CompressedGenSet, budget: int = 2_000
     n = len(letters)
     L = n * power
     root = W.trie
-    far = L - W.depth if power > 1 else 0
+    far = L - 1 if power > 1 else 0
     seen = {}  # residue of a hop start -> (start, hops, probes) there
     i = hops = probes = 0
     while i < L:

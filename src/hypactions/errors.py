@@ -16,13 +16,6 @@ class BudgetExceeded(ToolkitError):
         self.extent = extent
 
 
-class DomainMiss(ToolkitError, KeyError):
-    """A pseudo-length or metric was queried outside its materialized domain."""
-
-    def __init__(self, element):
-        super().__init__(f"element outside materialized domain: {element!r}")
-
-
 class NotLoxodromic(ToolkitError, ValueError):
     pass
 

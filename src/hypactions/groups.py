@@ -54,8 +54,10 @@ class GroupOracle:
 class Ball:
     """All elements of word length <= radius, in BFS-then-lexicographic order.
 
-    `length[x]` is the exact word length of x with respect to the symmetrized
-    generating set; `word[i]` is a witness geodesic spelling of elements[i].
+    Per-element data are lists by row: `lengths[i]` is the exact word length
+    of elements[i] with respect to the symmetrized generating set, so a
+    sphere of radius r has `lengths.count(r)` elements, and `words[i]` is a
+    witness geodesic spelling of elements[i].
     `products` holds, row by row, x * g for every generator g and every
     element x that enumeration expanded: the row of the product where it was
     already known, else the product itself.  `adjacency` completes it and
@@ -67,9 +69,8 @@ class Ball:
     radius: int
     elements: list = field(default_factory=list)
     index: dict = field(default_factory=dict)
-    length: dict = field(default_factory=dict)
+    lengths: list = field(default_factory=list)
     words: list = field(default_factory=list)
-    layers: list = field(default_factory=list)
     products: list = field(default_factory=list, init=False, repr=False, compare=False)
     table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -107,9 +108,8 @@ def enumerate_ball(oracle: GroupOracle, radius: int, gens=None, max_size: int = 
     e = oracle.identity()
     ball.elements.append(e)
     ball.index[e] = 0
-    ball.length[e] = 0
+    ball.lengths.append(0)
     ball.words.append("1")
-    ball.layers.append([e])
     frontier = [e]
     index, record = ball.index, ball.products.append
     for r in range(1, radius + 1):
@@ -136,10 +136,9 @@ def enumerate_ball(oracle: GroupOracle, radius: int, gens=None, max_size: int = 
                 )
             ball.index[y] = len(ball.elements)
             ball.elements.append(y)
-            ball.length[y] = r
+            ball.lengths.append(r)
             ball.words.append(wy)
             layer.append(y)
-        ball.layers.append(layer)
         frontier = layer
         if not frontier:
             break

@@ -30,8 +30,8 @@ def translation_length_estimate(g, lengths, horizon: int) -> TranslationTrace:
     """Certified upper bounds l(g^n)/n for n = 1..horizon.
 
     By subadditivity every ratio bounds the translation length from above and
-    the infimum over n converges to it.  `lengths` is a PseudoLength (raising
-    DomainMiss outside its ball) or any callable on elements.
+    the infimum over n converges to it.  `lengths` is any callable from
+    elements to numbers, and it is called on g, g^2, ..., g^horizon.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

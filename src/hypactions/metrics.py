@@ -1,5 +1,5 @@
-"""Pseudo-lengths, finite metric spaces, the four-point hyperbolicity
-estimator, and the cone-off construction.
+"""Finite metric spaces, the four-point hyperbolicity estimator, and the
+cone-off construction.
 
 Distances are 64-bit floats (exact integers for word metrics); the
 four-point scans read them in the narrowest integer type holding 4 max|d|,
@@ -19,40 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainMiss
+from .errors import BudgetExceeded
 
 ZERO_TOL = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# pseudo-lengths
-
-
-class PseudoLength:
-    """A non-negative length function materialized on a finite domain."""
-
-    def __init__(self, values: dict):
-        self.values = dict(values)
-
-    @property
-    def domain(self):
-        return self.values.keys()
-
-    def __contains__(self, g):
-        return g in self.values
-
-    def __call__(self, g) -> float:
-        try:
-            return self.values[g]
-        except KeyError:
-            raise DomainMiss(g) from None
-
-    def __len__(self):
-        return len(self.values)
-
-    @classmethod
-    def from_word_lengths(cls, ball) -> "PseudoLength":
-        return cls({g: float(r) for g, r in ball.length.items()})
 
 
 # ---------------------------------------------------------------------------

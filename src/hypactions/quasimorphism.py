@@ -12,7 +12,7 @@ from .baumslag import BSElement
 from .errors import CertificateError
 from .groups import DEFAULT_BALL_CAP
 from .loxodromic import translation_length_exact
-from .metrics import ZERO_TOL, PseudoLength
+from .metrics import ZERO_TOL
 from .words import FreeWord, count_occurrences, format_word
 
 
@@ -187,19 +187,16 @@ class SubordinationFit:
     witness: object
 
 
-def subordination_fit(q: QuasiMorphism, lengths: PseudoLength) -> SubordinationFit:
-    """Fit the smallest M with |q(g)| <= M * l(g) + M on the ball.
+def subordination_fit(evaluated) -> SubordinationFit:
+    """Fit the smallest M with |q(g)| <= M * l(g) + M over the triples
+    (g, |q(g)|, l(g)) of `evaluated`; ValueError when there are none.
 
     When q vanishes wherever l does, the natural constant is the slope-only
     fit max |q(g)| / l(g) (so the stable-letter sum against the t-syllable
     length fits M = 1, one unit per syllable); otherwise the affine fit
-    max |q(g)| / (l(g) + 1) is returned.
+    max |q(g)| / (l(g) + 1) is returned.  The witness is the first g that
+    reaches the affine maximum.
     """
-    return _fit([(g, abs(q(g)), lengths(g)) for g in lengths.domain])
-
-
-def _fit(evaluated) -> SubordinationFit:
-    """`subordination_fit` from the (g, |q(g)|, l(g)) of every domain element."""
     if not evaluated:
         raise ValueError("empty-domain")
     affine = 0.0
@@ -257,7 +254,7 @@ class AnisotropyCertificate:
 def anisotropy_certificate(
     oracle,
     q: QuasiMorphism,
-    lengths: PseudoLength,
+    lengths: list,
     g,
     ball,
     ball_cap: int = DEFAULT_BALL_CAP,
@@ -265,13 +262,16 @@ def anisotropy_certificate(
     """Emit a certificate iff g lies in the ball, the homogenized value at g
     is nonzero and q is subordinate to the supplied orbit pseudo-length on
     the ball with a positive constant M (M = 0 beside a nonzero value means
-    that the ball is too small to show q growing).
+    that the ball is too small to show q growing).  `lengths` holds that
+    pseudo-length by row: `lengths[i]` is l(ball.elements[i]).  q is
+    evaluated once per row.
 
     The defect is q's analytic bound when it has one, else the exact
     defect of a counting quasi-morphism of w: the seam-class maximum over
     the classes of B(|w| - 1) (`defect_empirical`), whatever the radius of
-    `ball`, with that ball enumerated within `ball_cap`.  The caller asserts that the pseudo-length
-    comes from a general-type action; the conclusion text presumes it.
+    `ball`, with that ball enumerated within `ball_cap`.  The caller
+    asserts that the pseudo-length comes from a general-type action; the
+    conclusion text presumes it.
     """
     if g not in ball:
         detail = f"{oracle.format_element(g)} is not in the radius-{ball.radius} ball"
@@ -283,8 +283,8 @@ def anisotropy_certificate(
         defect = DefectEstimate(value=q.defect_bound, witness=None, pairs_checked=0, source="analytic")
     else:  # a counting quasi-morphism: `homogenization` refuses any other q without a bound
         defect = defect_empirical(q, oracle.enumerate_ball(len(q.counting_word) - 1, max_size=ball_cap).elements)
-    evaluated = [(h, abs(q(h)), lengths(h)) for h in lengths.domain]
-    fit = _fit(evaluated)
+    evaluated = [(h, abs(q(h)), length) for h, length in zip(ball.elements, lengths, strict=True)]
+    fit = subordination_fit(evaluated)
     if fit.M == 0:  # |q(g^n)| <= M l(g^n) + M for every n would force the homogenization at g to 0
         detail = f"fitted M = 0 on the radius-{ball.radius} ball beside the nonzero homogenized value {value:g}"
         raise CertificateError("not-subordinate", detail)

@@ -438,10 +438,10 @@ def pseudo_length_violation(identity, values):
     return None
 
 
-def subordinate(q, lengths, M):
-    """|q(g)| <= M * l(g) + M, up to 1e-12, at every g in the domain of the
-    pseudo-length `lengths`."""
-    return all(abs(q(g)) <= M * lengths(g) + M + 1e-12 for g in lengths.domain)
+def subordinate(q, elements, lengths, M):
+    """|q(g)| <= M * l(g) + M, up to 1e-12, at every g of `elements`, with
+    l(elements[i]) = lengths[i]."""
+    return all(abs(q(g)) <= M * length + M + 1e-12 for g, length in zip(elements, lengths, strict=True))
 
 
 def _sign(x):

@@ -263,9 +263,10 @@ def test_power_walk_matches_the_sliced_walk_of_the_power_at_every_budget(case):
     """compressed_word_length(g, W, budget, power=k) gives the hops, budget
     message and extent, or unreachable error of the slice-and-hash walk over
     the letters of g^k, at every budget; it looks up no more trie nodes than
-    its budget, and from k = 100 on no more than a fixed multiple of
-    |g| * depth, whatever k is."""
+    its budget, and from k = 100 on no more than a fixed multiple of |g|
+    times the longest generator, whatever k is."""
     W, g, k = case
+    longest = max([1] + [cap * len(u) for u, cap in W.families])
     target = (g**k).signed
     expected = sliced_outcomes(target, W)
     sigs = {u.signed for u in W.jump_table()}
@@ -276,7 +277,7 @@ def test_power_walk_matches_the_sliced_walk_of_the_power_at_every_budget(case):
     try:
         for budget, outcome in enumerate(expected, start=1):
             CountingNode.lookups = 0
-            CountingNode.limit = budget if k < 100 else min(budget, 6 * len(g) * W.depth)
+            CountingNode.limit = budget if k < 100 else min(budget, 6 * len(g) * longest)
             assert walk_outcome(g, W, budget, power=k) == outcome, budget
     finally:
         CountingNode.limit = float("inf")

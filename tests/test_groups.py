@@ -15,7 +15,7 @@ def test_free_ball_sizes():
     assert len(F2.enumerate_ball(0)) == 1
     ball = F2.enumerate_ball(2)
     assert len(ball) == 17  # 1 + 4 + 12
-    assert [len(layer) for layer in ball.layers] == [1, 4, 12]
+    assert [ball.lengths.count(r) for r in range(3)] == [1, 4, 12]
     ball3 = F2.enumerate_ball(3)
     assert len(ball3) == 53
 
@@ -31,8 +31,8 @@ def test_layer_index_is_min_product_length():
     F2 = FreeGroupOracle(2)
     ball = F2.enumerate_ball(3)
     gens = [g.signed for g in ball.gens]
-    for g in ball.elements:
-        assert ball.length[g] == min_product_length(g.signed, gens, 3)
+    for g, r in zip(ball.elements, ball.lengths, strict=True):
+        assert r == min_product_length(g.signed, gens, 3)
 
 
 def test_bs_layer_index_is_min_product_length():
@@ -42,8 +42,7 @@ def test_bs_layer_index_is_min_product_length():
     from itertools import product as iproduct
 
     gens = ball.gens
-    for g in list(ball.elements)[:40]:
-        r = ball.length[g]
+    for g, r in list(zip(ball.elements, ball.lengths, strict=True))[:40]:
         if r == 0:
             continue
         found = None
@@ -58,6 +57,23 @@ def test_bs_layer_index_is_min_product_length():
             if found:
                 break
         assert found == r
+
+
+def test_sl2_lengths_are_least_product_lengths():
+    # the sl2-embed ball <A, T> of Q(sqrt 2): row i's length is the least k
+    # for which elements[i] is a product of k symmetrized generators
+    from hypactions.sl2 import lemma_emb_matrix, mat2, parse_qfe
+
+    oracle = SL2Oracle(d=2, gens=[lemma_emb_matrix(parse_qfe("sqrt2-1", 2)), mat2([[1, 1], [0, 1]], 2)], names=["A", "T"])
+    ball = oracle.enumerate_ball(3)
+    least, level = {}, [oracle.identity()]
+    for k in range(4):
+        for x in level:
+            least.setdefault(x, k)
+        level = [x * g for x in level for g in ball.gens]
+    assert len(ball) == len(least)
+    assert ball.lengths == [least[x] for x in ball.elements]
+    assert ball.lengths.count(3) > 0
 
 
 def test_bs_ball_contains_expected_elements():
@@ -133,7 +149,7 @@ def test_a_ball_computes_its_adjacency_once(monkeypatch):
     mul = BSElement.__mul__
     monkeypatch.setattr(BSElement, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
     ball = BSOracle(2, 3).enumerate_ball(3)
-    assert len(calls) == (len(ball) - len(ball.layers[-1])) * len(ball.gens)
+    assert len(calls) == (len(ball) - ball.lengths.count(ball.radius)) * len(ball.gens)
     first = ball.adjacency()
     assert len(calls) == len(ball) * len(ball.gens)
     assert ball.adjacency() is first  # the second call multiplies nothing

@@ -167,7 +167,7 @@ def test_compression_against_enlarged_genset():
     # adding ab as a generator halves the translation length of (ab)^k
     extra = F2.symmetrize([parse_word("a"), parse_word("b"), parse_word("ab")])
     ball = F2.enumerate_ball(6, gens=extra)
-    compressed = lambda g: float(ball.length[g])
+    compressed = lambda g: float(ball.lengths[ball.index[g]])
     val = compression_function(parse_word("ab"), compressed, word_len, 3)
     assert val.ratio == 0.5
 
@@ -176,7 +176,7 @@ def test_compression_invariant_under_powers():
     # with exact lengths the ratio is unchanged when g is replaced by g^k
     extra = F2.symmetrize([parse_word("a"), parse_word("b"), parse_word("ab")])
     ball = F2.enumerate_ball(8, gens=extra)
-    compressed = lambda g: float(ball.length[g])
+    compressed = lambda g: float(ball.lengths[ball.index[g]])
     g = parse_word("ab")
     base = compression_function(g, compressed, word_len, 4).ratio
     for k in (2, 3):

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 from hypactions import metrics
 from hypactions.cli import _delta_inputs, parse_config
-from hypactions.errors import BudgetExceeded, DomainMiss
+from hypactions.errors import BudgetExceeded
 from hypactions.groups import BSOracle, FreeGroupOracle
 from hypactions.metrics import (
     FiniteMetricSpace,
-    PseudoLength,
     _bfs_metric,
     _index_dtype,
     _scan_dtype,
@@ -63,14 +62,11 @@ def test_gromov_product_examples():
     assert gromov_product(tree_dist, x, y, z) == tree_dist(z, x)
 
 
-def test_gromov_product_on_pseudo_length_misses_domain():
+def test_gromov_product_on_ball_lengths():
     ball = F2.enumerate_ball(2)
-    lengths = PseudoLength.from_word_lengths(ball)
-    dist = lambda g, h: lengths(g.inverse() * h)
+    dist = lambda g, h: float(ball.lengths[ball.index[g.inverse() * h]])
     assert gromov_product(dist, parse_word("a"), parse_word("b"), F2.identity()) == 0.0
-    with pytest.raises(DomainMiss):
-        # a^2 and b^-2 sit in the ball, but their quotient word does not
-        gromov_product(dist, parse_word("a^2"), parse_word("b^-2"), F2.identity())
+    assert gromov_product(dist, parse_word("a^2"), parse_word("ab"), F2.identity()) == 1.0
 
 
 def test_gromov_product_identity():

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from hypactions.errors import BudgetExceeded, CertificateError
 from hypactions.groups import BSOracle, FreeGroupOracle
-from hypactions.metrics import PseudoLength
 from hypactions.quasimorphism import (
     QuasiMorphism,
     anisotropy_certificate,
@@ -20,6 +19,18 @@ from hypactions.words import FreeWord, parse_word
 from oracles import defect_naive, homogenize_naive, subordinate
 
 ZERO = QuasiMorphism(lambda g: 0.0, defect_bound=0.0)
+
+
+def word_lengths(ball):
+    return [float(r) for r in ball.lengths]
+
+
+def t_syllables(ball):
+    return [float(g.t_syllable_count()) for g in ball.elements]
+
+
+def fit(q, elements, lengths):
+    return subordination_fit([(g, abs(q(g)), length) for g, length in zip(elements, lengths, strict=True)])
 
 F2 = FreeGroupOracle(2)
 w = parse_word
@@ -130,33 +141,33 @@ def test_homogenization_is_odd_conjugation_invariant_and_homogeneous(rank, data)
 
 def test_subordination_fit_examples():
     fball = F2.enumerate_ball(4)
-    lengths = PseudoLength.from_word_lengths(fball)
-    assert subordination_fit(ZERO, lengths).M == 0.0
+    lengths = word_lengths(fball)
+    assert fit(ZERO, fball.elements, lengths).M == 0.0
 
     q = brooks_qm(w("ab"))
-    fit = subordination_fit(q, lengths)
-    assert fit.M <= 1.0  # occurrence counts never exceed the word length
-    assert subordinate(q, lengths, fit.M)
+    found = fit(q, fball.elements, lengths)
+    assert found.M <= 1.0  # occurrence counts never exceed the word length
+    assert subordinate(q, fball.elements, lengths, found.M)
 
     bs = BSOracle(2, 3)
     ball = bs.enumerate_ball(4)
-    tsyl = PseudoLength({g: float(g.t_syllable_count()) for g in ball.elements})
-    fit = subordination_fit(exponent_sum_qm(), tsyl)
-    assert fit.M == 1.0 and fit.mode == "slope"
-    assert subordinate(exponent_sum_qm(), tsyl, fit.M)
+    tsyl = t_syllables(ball)
+    found = fit(exponent_sum_qm(), ball.elements, tsyl)
+    assert found.M == 1.0 and found.mode == "slope"
+    assert subordinate(exponent_sum_qm(), ball.elements, tsyl, found.M)
 
     with pytest.raises(ValueError):
-        subordination_fit(q, PseudoLength({}))
+        subordination_fit([])
 
 
 def test_subordination_affine_fallback():
     # a map that is nonzero on a zero-length element forces the affine form
     fball = F2.enumerate_ball(2)
-    lengths = PseudoLength({g: 0.0 if g == w("a") else float(len(g)) for g in fball.elements})
+    lengths = [0.0 if g == w("a") else float(len(g)) for g in fball.elements]
     q = brooks_qm(w("a"))
-    fit = subordination_fit(q, lengths)
-    assert fit.mode == "affine"
-    assert subordinate(q, lengths, fit.M)
+    found = fit(q, fball.elements, lengths)
+    assert found.mode == "affine"
+    assert subordinate(q, fball.elements, lengths, found.M)
 
 
 def test_subordination_monotone_in_radius():
@@ -164,7 +175,7 @@ def test_subordination_monotone_in_radius():
     fits = []
     for radius in (2, 3, 4, 5):
         ball = F2.enumerate_ball(radius)
-        fits.append(subordination_fit(q, PseudoLength.from_word_lengths(ball)).M)
+        fits.append(fit(q, ball.elements, word_lengths(ball)).M)
     assert fits == sorted(fits)
 
 
@@ -179,7 +190,7 @@ def test_anisotropy_certificate_bs():
     bs = BSOracle(2, 3)
     ball = bs.enumerate_ball(4)
     qt = exponent_sum_qm()
-    tsyl = PseudoLength({g: float(g.t_syllable_count()) for g in ball.elements})
+    tsyl = t_syllables(ball)
     cert = anisotropy_certificate(bs, qt, tsyl, bs.parse_element("t"), ball)
     assert cert.subordination_M == 1.0
     assert cert.homogenized_value == 1.0
@@ -195,7 +206,7 @@ def test_anisotropy_certificate_bs():
 def test_anisotropy_certificate_brooks():
     ball = F2.enumerate_ball(4)
     q = brooks_qm(w("ab"))
-    lengths = PseudoLength.from_word_lengths(ball)
+    lengths = word_lengths(ball)
     cert = anisotropy_certificate(F2, q, lengths, w("ab"), ball)
     assert cert.homogenized_value == 1.0
     assert cert.subordination_M <= 1.0
@@ -213,9 +224,9 @@ def test_anisotropy_certificate_refuses_m_zero_beside_a_nonzero_value():
         warnings.simplefilter("ignore")  # abab is a proper power
         q = brooks_qm(w("abab"))
     assert homogenization(q, w("ab")) == 1.0
-    assert subordination_fit(q, PseudoLength.from_word_lengths(ball)).M == 0.0
+    assert fit(q, ball.elements, word_lengths(ball)).M == 0.0
     with pytest.raises(CertificateError, match="fitted M = 0 on the radius-3 ball") as info:
-        anisotropy_certificate(F2, q, PseudoLength.from_word_lengths(ball), w("ab"), ball)
+        anisotropy_certificate(F2, q, word_lengths(ball), w("ab"), ball)
     assert info.value.reason == "not-subordinate"
 
 
@@ -224,7 +235,7 @@ def test_exponent_sum_defect_is_analytic_and_matches_the_scan(m, n):
     bs = BSOracle(m, n)
     ball = bs.enumerate_ball(3)
     qt = exponent_sum_qm()
-    tsyl = PseudoLength({g: float(g.t_syllable_count()) for g in ball.elements})
+    tsyl = t_syllables(ball)
     cert = anisotropy_certificate(bs, qt, tsyl, bs.parse_element("t"), ball)
     assert cert.defect.to_json() == {"source": "analytic", "value": 0.0, "witness_pair": None, "pairs_checked": 0}
     assert defect_naive(qt, ball.elements) == (cert.defect.value, None)
@@ -290,7 +301,7 @@ def test_brooks_defect_scan_matches_the_naive_scan(oracle, word, radius, stride)
     if radius >= 2 * (len(word) - 1):
         assert naive == exact.value
     assert defect_empirical(q, ball.elements[::-1]).value == exact.value
-    lengths = PseudoLength.from_word_lengths(ball)
+    lengths = word_lengths(ball)
     if len(word) > radius:  # a certificate needs its witness in the ball
         with pytest.raises(CertificateError) as info:
             anisotropy_certificate(oracle, q, lengths, w(word), ball)
@@ -321,7 +332,7 @@ def test_exact_defect_equals_the_scan_of_every_larger_ball(word, rank, triples):
     oracle = FreeGroupOracle(rank)
     q = _counting_qm(w(word))
     ball = oracle.enumerate_ball(len(word))
-    cert = anisotropy_certificate(oracle, q, PseudoLength.from_word_lengths(ball), w(word), ball)
+    cert = anisotropy_certificate(oracle, q, word_lengths(ball), w(word), ball)
     low = 2 * (len(word) - 1)
     assert (cert.defect.source, cert.defect.pairs_checked) == ("exact", triples)
     for radius in range(low, low + 3):
