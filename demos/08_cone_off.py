@@ -20,8 +20,8 @@ D0 = graph_metric_matrix(ball)
 # the coned metric: shortest paths once the new edges join the ball's graph
 n = len(ball)
 coned_adj = D0 == 1
-for i, j in res.new_edges:
-    coned_adj[i, j] = coned_adj[j, i] = True
+x, y = res.new_edges.T  # the m new edges as two columns of vertex indices
+coned_adj[x, y] = coned_adj[y, x] = True
 D1 = induced_metric(coned_adj, np.ones(n, bool))
 
 print(f"ball: {len(ball)} vertices; orbit <a> inside: {len(orbit)} points")

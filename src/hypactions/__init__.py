@@ -7,4 +7,4 @@ metric spaces -- every numerical claim backed by a brute-force oracle or an
 exact re-checkable witness.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -64,6 +64,7 @@ from .metrics import (
     basepoint_scan,
     boundary_warnings,
     cone_off,
+    edge_rows,
     four_point_delta,
     free_ball_distance_matrix,
     graph_metric_matrix,
@@ -590,7 +591,7 @@ def _cone_off(c, coned):
         "warnings": res.warnings,
         "vertices": ball.words,
         "orbit_distance": res.orbit_distance,
-        "edges": res.new_edges,  # index pairs into `vertices`, row-major
+        "edges": edge_rows(res.new_edges, len(ball)),  # row i: each j > i joined to i
     }
 
 
@@ -609,8 +610,8 @@ def _replay_cone_off(c, res):
         allowed = orbit_dist > A + ZERO_TOL
         # the in-ball graph's edges are its pairs at distance 1
         D_allowed = induced_metric(D0 == 1, allowed)
-        xs, ys = np.nonzero(np.triu(np.isfinite(D0) & (D0 >= 2) & (D_allowed == D0), 1))
-        return ConeOffResult(list(zip(xs.tolist(), ys.tolist())), np.flatnonzero(~allowed).tolist(),
+        edges = np.argwhere(np.triu(np.isfinite(D0) & (D0 >= 2) & (D_allowed == D0), 1))
+        return ConeOffResult(edges, np.flatnonzero(~allowed).tolist(),
                              boundary_warnings(D0, ball.radius), orbit_dist.tolist())
 
     return _cone_off(c, coned), []

@@ -436,7 +436,7 @@ def four_point_delta(
 
 @dataclass
 class ConeOffResult:
-    new_edges: list[tuple[int, int]]
+    new_edges: np.ndarray  # m x 2 ints, pairs i < j in row-major order
     forbidden: list[int]  # indices inside the closed A-neighborhood of the orbit
     warnings: list[str]
     orbit_distance: list[float]
@@ -509,13 +509,19 @@ def cone_off(ball, orbit, A: float) -> ConeOffResult:
     D0 = D0[np.ix_(keep, keep)]
     D_allowed = _bfs_metric(relabel[table[keep]])
     avoids = np.isfinite(D0) & (D0 >= 2) & (D_allowed == D0)
-    xs, ys = np.nonzero(np.triu(avoids, 1))
     return ConeOffResult(
-        new_edges=list(zip(keep[xs].tolist(), keep[ys].tolist())),
+        new_edges=keep[np.argwhere(np.triu(avoids, 1))],
         forbidden=np.flatnonzero(~allowed).tolist(),
         warnings=warnings,
         orbit_distance=orbit_dist.tolist(),
     )
+
+
+def edge_rows(edges: np.ndarray, n: int) -> list[list[int]]:
+    """The row-major pairs (i, j), i < j, of `edges` as n rows: row i lists
+    the j paired with i, ascending."""
+    cuts = np.searchsorted(edges[:, 0], np.arange(1, n))
+    return [row.tolist() for row in np.split(edges[:, 1], cuts)]
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ def test_criterion_9_cone_off_sanity():
     a = parse_word("a")
     orbit = [a**k for k in range(-4, 5)]
     res = cone_off(ball, orbit, 1)
-    assert res.new_edges
+    assert len(res.new_edges)
     # independent check: BFS distances to the orbit in the ball graph
     adj = adjacency_naive(ball)
     orbit_idx = {ball.index[g] for g in orbit}
@@ -237,7 +237,7 @@ def test_criterion_9_cone_off_sanity():
                     nxt.append(v)
         frontier = nxt
     violations = [
-        (x, y) for x, y in res.new_edges if dist.get(x, 99) <= 1 or dist.get(y, 99) <= 1
+        (x, y) for x, y in res.new_edges.tolist() if dist.get(x, 99) <= 1 or dist.get(y, 99) <= 1
     ]
     assert violations == []
     report(9, f"{len(res.new_edges)} added edges, all endpoints beyond the 1-neighborhood of <a>")

@@ -17,11 +17,12 @@ from hypactions.cli import (
     _json_pieces,
     _json_text,
     _parser,
+    _replay_cone_off,
     main,
     parse_config,
     validate_config,
 )
-from hypactions.metrics import quadruple_defect
+from hypactions.metrics import cone_off, quadruple_defect
 from oracles import adjacency_naive, cone_off_edges_naive, graph_metric_naive
 
 BASE_CONFIGS = {
@@ -311,46 +312,94 @@ def test_a_closed_stdout_keeps_the_verdict_of_verify(tmp_path):
     assert [(proc.returncode, proc.stderr) for proc in (honest, forged)] == [(0, b""), (1, b"")]
 
 
-def test_verify_cone_off_rejects_an_edge_whose_geodesics_meet_the_orbit(tmp_path, capsys):
-    cfg = BASE_CONFIGS["cone-off"]
-    _, out = run_config(tmp_path, cfg, "cone")
-    summary_path = out / "summary.json"
-    summary = json.loads(summary_path.read_text())
-
-    # a pair outside the A-neighborhood, at distance >= 2, that is no edge:
-    # every geodesic between its ends meets the neighborhood
+def _cone_off_naive(cfg):
+    """The ball, the orbit and the naive pairs of a cone-off config, as `run` picks them."""
     params = cfg["parameters"]
     oracle = parse_config(cfg)[0].oracle
     ball = oracle.enumerate_ball(params["radius"])
     adj = adjacency_naive(ball)
     D0 = graph_metric_naive(adj)
     h = oracle.parse_element(params["orbit"])
-    orbit = [ball.index[h**k] for k in range(-params["radius"], params["radius"] + 1)]
-    orbit_dist = [min(D0[s][v] for s in orbit) for v in range(len(ball))]
+    powers = {h**k for k in range(-params["radius"], params["radius"] + 1)}
+    orbit = [g for g in ball.elements if g in powers]
+    orbit_dist = [min((D0[ball.index[g]][v] for g in orbit), default=math.inf) for v in range(len(ball))]
     allowed = [d > params["A"] for d in orbit_dist]
-    edges = set(cone_off_edges_naive(adj, D0, allowed))
+    return ball, orbit, D0, allowed, cone_off_edges_naive(adj, D0, allowed)
+
+
+def _first_row(rows, length=1):
+    """The index of the first row with at least `length` entries."""
+    return next(i for i, row in enumerate(rows) if len(row) >= length)
+
+
+@pytest.mark.parametrize("A", [0, 1])
+@pytest.mark.parametrize("group, radius, orbit", [
+    ({"kind": "bs", "m": 2, "n": 3}, 3, "t"),
+    ({"kind": "bs", "m": 2, "n": 3}, 4, "t"),
+    ({"kind": "bs", "m": 1, "n": 2}, 4, "at"),
+    ({"kind": "free", "rank": 2}, 4, "a"),
+], ids=["BS23-R3-t", "BS23-R4-t", "BS12-R4-at", "F2-R4-a"])
+def test_cone_off_edges_are_the_naive_pairs_as_rows(group, radius, orbit, A):
+    cfg = _with("cone-off", lambda c: c.update(group=group, parameters={"radius": radius, "orbit": orbit, "A": A}))
+    ball, orbit_elements, _, _, pairs = _cone_off_naive(cfg)
+    assert pairs
+    # the array is the naive pair list, in its order; the rows group it by first index
+    assert cone_off(ball, orbit_elements, A).new_edges.tolist() == [list(pair) for pair in pairs]
+    rows = [[y for x, y in pairs if x == i] for i in range(len(ball))]
+    c = parse_config(cfg)[0]
+    for result in (EXPERIMENTS["cone-off"].run(c), _replay_cone_off(c, None)[0]):
+        assert result["edges"] == rows
+        assert result["new_edges"] == len(pairs)
+
+
+@pytest.mark.parametrize("parameters, n", [
+    ({"radius": 0, "orbit": "a", "A": 0}, 1),
+    ({"radius": 3, "orbit": "a", "A": 8}, 53),
+], ids=["radius-0", "no-new-edges"])
+def test_cone_off_without_new_edges_writes_one_empty_row_per_vertex(parameters, n):
+    cfg = _with("cone-off", lambda c: c.update(parameters=parameters))
+    ball, orbit, _, _, pairs = _cone_off_naive(cfg)
+    assert (len(ball), pairs) == (n, [])
+    assert cone_off(ball, orbit, parameters["A"]).new_edges.shape == (0, 2)
+    c = parse_config(cfg)[0]
+    for result in (EXPERIMENTS["cone-off"].run(c), _replay_cone_off(c, None)[0]):
+        assert (result["edges"], result["new_edges"]) == ([[]] * n, 0)
+
+
+def test_verify_cone_off_rejects_an_edge_whose_geodesics_meet_the_orbit(tmp_path, capsys):
+    # a pair outside the A-neighborhood, at distance >= 2, that is no edge:
+    # every geodesic between its ends meets the neighborhood
+    ball, _, D0, allowed, pairs = _cone_off_naive(BASE_CONFIGS["cone-off"])
+    edges = set(pairs)
     x, y = next(
         (x, y) for x in range(len(ball)) for y in range(x + 1, len(ball))
         if allowed[x] and allowed[y] and D0[x][y] >= 2 and (x, y) not in edges
     )
-    summary["result"]["edges"][0] = [x, y]
-    summary_path.write_text(json.dumps(summary))
 
-    capsys.readouterr()
-    assert main(["verify", str(summary_path)]) == 1
-    lines = capsys.readouterr().out.strip().splitlines()
+    def forge(result):
+        result["edges"][x] = sorted([*result["edges"][x], y])
+
+    code, lines = _verify(_forged(tmp_path, BASE_CONFIGS["cone-off"], forge), capsys)
+    assert code == 1
+    assert _fails(lines) == _rederives("edges")
+
+
+def test_verify_cone_off_rejects_a_missing_avoiding_edge(tmp_path, capsys):
+    def forge(result):
+        del result["edges"][_first_row(result["edges"])][0]
+
+    code, lines = _verify(_forged(tmp_path, BASE_CONFIGS["cone-off"], forge), capsys)
+    assert code == 1
     assert _fails(lines) == _rederives("edges")
 
 
 def test_verify_cone_off_rejects_a_label_outside_the_ball(tmp_path, capsys):
-    _, out = run_config(tmp_path, BASE_CONFIGS["cone-off"], "cone")
-    summary_path = out / "summary.json"
-    summary = json.loads(summary_path.read_text())
-    summary["result"]["edges"][0][1] = "b^9"
-    summary_path.write_text(json.dumps(summary))
-    capsys.readouterr()
-    assert main(["verify", str(summary_path)]) == 1
-    assert _fails(capsys.readouterr().out.splitlines()) == _rederives("edges")
+    def forge(result):
+        result["edges"][_first_row(result["edges"])][0] = "b^9"
+
+    code, lines = _verify(_forged(tmp_path, BASE_CONFIGS["cone-off"], forge), capsys)
+    assert code == 1
+    assert _fails(lines) == _rederives("edges")
 
 
 def _with(name, change):
@@ -749,8 +798,10 @@ def test_verify_cone_off_rederives_the_edge_list_and_its_metadata(tmp_path, caps
                                                parameters={"radius": 3, "orbit": "t", "A": 0}))
 
     def forge(result):
-        assert len(result["edges"]) == 383 and result["warnings"]
-        del result["edges"][1:]
+        rows = result["edges"]
+        assert (len(rows), sum(map(len, rows))) == (len(result["vertices"]), 383) and result["warnings"]
+        i = _first_row(rows)
+        result["edges"] = [rows[i][:1] if k == i else [] for k in range(len(rows))]  # one edge
         result.update(new_edges=1, warnings=[], orbit_size=result["orbit_size"] + 1, radius=2, A=1.0)
 
     code, lines = _verify(_forged(tmp_path, cfg, forge), capsys)
@@ -758,20 +809,41 @@ def test_verify_cone_off_rederives_the_edge_list_and_its_metadata(tmp_path, caps
     assert _fails(lines) == _rederives("radius", "A", "orbit_size", "new_edges", "warnings", "edges")
 
 
-@pytest.mark.parametrize("bad_edge", [
-    lambda i, j, n: [i, -1],
-    lambda i, j, n: [i, n],
-    lambda i, j, n: [float(i), j],
-    lambda i, j, n: [True, j],
-    lambda i, j, n: [i],
+@pytest.mark.parametrize("bad_entry", [
+    lambda j, n: -1,
+    lambda j, n: n,
+    lambda j, n: float(j),
+    lambda j, n: True,
+    lambda j, n: [j],
 ], ids=["minus-one", "n", "float", "bool", "one-element"])
-def test_verify_cone_off_takes_only_int_index_pairs_inside_the_ball(tmp_path, capsys, bad_edge):
-    # -1 would wrap to the last vertex in numpy, and 1.0 would pass for 1
+def test_verify_cone_off_takes_only_int_index_pairs_inside_the_ball(tmp_path, capsys, bad_entry):
+    # row i and its entry j index the pair (i, j): -1 would wrap to the last
+    # vertex in numpy, and 1.0 would pass for 1
     def forge(result):
-        i, j = result["edges"][0]
-        result["edges"][0] = bad_edge(i, j, len(result["vertices"]))
+        row = result["edges"][_first_row(result["edges"])]
+        row[0] = bad_entry(row[0], len(result["vertices"]))
 
     code, lines = _verify(_forged(tmp_path, BASE_CONFIGS["cone-off"], forge), capsys)
+    assert code == 1
+    assert _fails(lines) == _rederives("edges")
+
+
+def _mirror(rows):
+    # the pair (i, j) written as i in row j: the same edge, in the wrong row
+    i = _first_row(rows)
+    j = rows[i].pop(0)
+    rows[j] = sorted([*rows[j], i])
+
+
+@pytest.mark.parametrize("forge_rows", [
+    _mirror,
+    lambda rows: rows[_first_row(rows, 2)].reverse(),
+    lambda rows: rows[_first_row(rows)].append(rows[_first_row(rows)][-1]),
+    lambda rows: rows.pop(),  # the last row is always empty
+    lambda rows: rows.append([]),
+], ids=["entry-below-its-row", "unsorted", "duplicate", "one-row-short", "one-row-more"])
+def test_verify_cone_off_takes_only_ascending_rows_one_per_vertex(tmp_path, capsys, forge_rows):
+    code, lines = _verify(_forged(tmp_path, BASE_CONFIGS["cone-off"], lambda result: forge_rows(result["edges"])), capsys)
     assert code == 1
     assert _fails(lines) == _rederives("edges")
 

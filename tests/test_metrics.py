@@ -583,7 +583,7 @@ def test_rank_one_free_ball_has_distances_past_uint8():
     orbit = [Z.identity()]
     allowed = [abs(i) > 0 for i in power]
     res = cone_off(ball, orbit, 0)
-    assert res.new_edges == cone_off_edges_naive(adjacency_naive(ball), D.tolist(), allowed)
+    assert res.new_edges.tolist() == [list(e) for e in cone_off_edges_naive(adjacency_naive(ball), D.tolist(), allowed)]
 
 
 @pytest.mark.parametrize("A", [0, 1, 2])
@@ -604,11 +604,13 @@ def test_graph_metric_and_cone_off_match_naive(oracle, radius, word, A):
     res = cone_off(ball, orbit, A)
     assert res.orbit_distance == orbit_dist
     assert res.forbidden == [v for v, ok in enumerate(allowed) if not ok]
-    assert res.new_edges == cone_off_edges_naive(adj, D0, allowed)  # list order too
+    # an m x 2 int array of the naive pairs, in their order
+    assert res.new_edges.dtype.kind == "i" and res.new_edges.shape == (len(res.new_edges), 2)
+    assert res.new_edges.tolist() == [list(e) for e in cone_off_edges_naive(adj, D0, allowed)]
 
     # the package's BFS of the coned graph, the path demo 08 takes, matches
     # the oracle; every distance is a finite int: the coned ball is connected
-    coned = coned_metric_naive(adj, res.new_edges)
+    coned = coned_metric_naive(adj, res.new_edges.tolist())
     coned_adj = np.array(coned) == 1
     assert induced_metric(coned_adj, np.ones(len(ball), bool)).tolist() == coned
     assert {type(v) for row in coned for v in row} == {int}
@@ -618,11 +620,11 @@ def test_cone_off_orbit_everything():
     for oracle in (F2, BS23):
         ball = oracle.enumerate_ball(3)
         res = cone_off(ball, ball.elements, 0)
-        assert res.new_edges == []
+        assert res.new_edges.shape == (0, 2)
         assert res.forbidden == list(range(len(ball)))
         assert res.orbit_distance == [0.0] * len(ball)
         D0 = graph_metric_matrix(ball)
-        assert np.array_equal(coned_metric_naive(adjacency_naive(ball), res.new_edges), D0)
+        assert np.array_equal(coned_metric_naive(adjacency_naive(ball), res.new_edges.tolist()), D0)
 
 
 def test_cone_off_empty_orbit_allows_every_vertex():
@@ -633,8 +635,8 @@ def test_cone_off_empty_orbit_allows_every_vertex():
     assert res.orbit_distance == [math.inf] * n
     assert res.forbidden == []
     D0 = graph_metric_naive(adjacency_naive(ball))
-    assert res.new_edges == [(x, y) for x in range(n) for y in range(x + 1, n) if D0[x][y] >= 2]
-    assert coned_metric_naive(adjacency_naive(ball), res.new_edges) == [[int(x != y) for y in range(n)] for x in range(n)]
+    assert res.new_edges.tolist() == [[x, y] for x in range(n) for y in range(x + 1, n) if D0[x][y] >= 2]
+    assert coned_metric_naive(adjacency_naive(ball), res.new_edges.tolist()) == [[int(x != y) for y in range(n)] for x in range(n)]
 
 
 def test_cone_off_large_A_adds_nothing():
@@ -642,7 +644,7 @@ def test_cone_off_large_A_adds_nothing():
     orbit = [g for g in ball.elements if g.signed and set(g.signed) <= {1, -1}]
     orbit.append(F2.identity())
     res = cone_off(ball, orbit, ball.radius + 5)
-    assert res.new_edges == []
+    assert res.new_edges.shape == (0, 2)
 
 
 def test_cone_off_axis_orbit():
@@ -650,9 +652,9 @@ def test_cone_off_axis_orbit():
     a = parse_word("a")
     orbit = [a**k for k in range(-4, 5)]
     res = cone_off(ball, orbit, 1)
-    assert res.new_edges  # far-from-axis vertices get shortcuts
+    assert len(res.new_edges)  # far-from-axis vertices get shortcuts
     D0 = graph_metric_matrix(ball)
-    Dnew = np.array(coned_metric_naive(adjacency_naive(ball), res.new_edges))
+    Dnew = np.array(coned_metric_naive(adjacency_naive(ball), res.new_edges.tolist()))
     assert (Dnew <= D0 + 1e-12).all()  # coning never increases distances
     for x, y in res.new_edges:
         assert res.orbit_distance[x] > 1 and res.orbit_distance[y] > 1
@@ -667,7 +669,7 @@ def test_cone_off_zero_A_connects_bs():
     orbit = [a**k for k in range(-4, 5)]
     res = cone_off(ball, orbit, 0)
     b2, b3 = ball.index[parse_word("b^2")], ball.index[parse_word("b^3")]
-    assert coned_metric_naive(adjacency_naive(ball), res.new_edges)[b2][b3] == 1
+    assert coned_metric_naive(adjacency_naive(ball), res.new_edges.tolist())[b2][b3] == 1
 
 
 @pytest.mark.parametrize("n", range(1, 13))
